@@ -17,7 +17,7 @@ from dataclasses import dataclass, asdict
 from . import modrep, pbw, weyl
 from .coeffs import ONE, ZERO, ZPoly, a as PARAM_A, b as PARAM_B, q, scalar, scalar_from_str, scalar_str
 from .linalg import RowReducer
-from .superfree import appendixA_check
+from .superfree import Elem, appendixA_check
 from .weyl import HighestWeight, TorsionTriple
 
 SCHEMA = 1
@@ -52,6 +52,8 @@ class RunConfig:
     def validate(self):
         if self.window <= 0 or self.order <= 0 or self.degree_bound <= 0:
             raise ConfigError("windows, orders and degree bounds must be positive")
+        if self.count < 1:
+            raise ConfigError("count must be positive")
         if self.M < 1 or self.N < 0:
             raise ConfigError("invalid signature")
         if self.a is not None and _parse_scalar(self.a) == ZERO:
@@ -94,6 +96,9 @@ def _suite_verify_relations(cfg: RunConfig) -> list[dict]:
     if cfg.M == cfg.N:
         raise ConfigError("verify-relations builds an evaluation module; need M != N")
     lm = _eval_module(cfg)
+    # pm-mixed reaches h_{i,s} with |s| up to twice the window
+    if 2 * cfg.window > lm.sig.h_bound:
+        raise ConfigError(f"verify-relations needs window <= {lm.sig.h_bound // 2}")
     rep = modrep.relation_report(lm, window=cfg.window, include_chevalley=cfg.chevalley)
     checks = [
         _check(
@@ -106,7 +111,9 @@ def _suite_verify_relations(cfg: RunConfig) -> list[dict]:
     if cfg.tensor:
         other = _eval_module(cfg, "b")
         tm = modrep.tensor(lm, other)
-        trep = modrep.relation_report(tm, window=min(cfg.window, 1))
+        trep = modrep.relation_report(
+            tm, window=min(cfg.window, 1), include_chevalley=cfg.chevalley
+        )
         checks += [
             _check(
                 f"tensor-relations({cfg.M},{cfg.N}) {c['name']}",
@@ -270,7 +277,7 @@ def _suite_pbw_rank(cfg: RunConfig) -> list[dict]:
             for mono in monos:
                 r1.add(module.elem_matrix(pbw.monomial_elem(sig, mono)).flatten())
             for word in words:
-                r2.add(module.elem_matrix(_word_elem(word)).flatten())
+                r2.add(module.elem_matrix(Elem.monomial(word)).flatten())
             checks.append(
                 _check(
                     f"pbw-rank {label} weight {wt}",
@@ -279,12 +286,6 @@ def _suite_pbw_rank(cfg: RunConfig) -> list[dict]:
                 )
             )
     return checks
-
-
-def _word_elem(word):
-    from .superfree import Elem
-
-    return Elem.monomial(word)
 
 
 def _suite_appendix_a(cfg: RunConfig) -> list[dict]:
@@ -395,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
     cfg = RunConfig(**merged)
     try:
         report = run(cfg)
-    except ConfigError as exc:
+    except (ConfigError, modrep.ModuleError) as exc:
         print(json.dumps({"schema": SCHEMA, "error": str(exc)}), file=sys.stderr)
         return 2
     text = json.dumps(report, indent=2)

@@ -61,10 +61,6 @@ def scalar_str(x: Scalar) -> str:
     return f"({num})/({den})"
 
 
-def qpow(n: int) -> Scalar:
-    return q**n
-
-
 def qint(n: int) -> Scalar:
     """The q-integer [n]_q = (q^n - q^-n)/(q - q^-1) as an exact Laurent polynomial."""
     if n == 0:
@@ -200,10 +196,6 @@ class ZPoly:
     @classmethod
     def from_json(cls, data: Sequence[str]) -> "ZPoly":
         return cls(scalar_from_str(s) for s in data)
-
-
-def poly_mul(p: ZPoly, r: ZPoly) -> ZPoly:
-    return p * r
 
 
 def _to_zring(p: ZPoly):

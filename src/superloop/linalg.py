@@ -223,25 +223,18 @@ def solve_span(columns: list[dict], target: dict) -> list[Scalar] | None:
 
     Returns one solution vector (free coordinates set to zero).
     """
+    # Augment each column with a unit tag keyed above every row index, so
+    # elimination clears the rows first and the combination can be read off.
+    tag = 1 + max((k for vec in (*columns, target) for k in vec), default=0)
     red = RowReducer()
-    tagged = []
-    n = len(columns)
-    # Augment each column with a unit tag so the combination can be read off.
     for j, col in enumerate(columns):
-        aug = {2 * k: v for k, v in col.items()}
-        aug[2 * j + 1 + 2 * 10**9] = ONE
-        tagged.append(aug)
-        red.add(aug)
-    taug = {2 * k: v for k, v in target.items()}
-    resid = red.reduce(taug)
-    main = {k: v for k, v in resid.items() if k < 2 * 10**9}
-    if main:
+        red.add({**col, tag + j: ONE})
+    resid = red.reduce(target)
+    if any(k < tag for k in resid):
         return None
-    sol = [ZERO] * n
+    sol = [ZERO] * len(columns)
     for k, v in resid.items():
-        if k >= 2 * 10**9:
-            j = (k - 1 - 2 * 10**9) // 2
-            sol[j] = -v
+        sol[k - tag] = -v
     return sol
 
 

@@ -29,8 +29,9 @@ from .superfree import (
     e0p,
     floor_bracket,
     ceil_bracket,
-    relation_elem,
     relation_instances,
+    relation_value,
+    super_comm,
     xm,
     xp,
 )
@@ -39,12 +40,6 @@ from .weyl import HighestWeight, series_to_torsion
 
 class ModuleError(ValueError):
     """Raised when a module fails construction or an extraction precondition."""
-
-
-def super_comm(A: Mat, pA: int, B: Mat, pB: int, twist=ONE) -> Mat:
-    """[A, B]_twist = AB - (-1)^{|A||B|} twist BA on matrices."""
-    sgn = -ONE if (pA and pB) else ONE
-    return A * B - (B * A).scale(sgn * scalar(twist))
 
 
 def supertrace(m: Mat, parity: Sequence[int]) -> Scalar:
@@ -444,11 +439,6 @@ def _log_series_coefficient(ys: list[Mat], order: int, dim: int) -> Mat:
     return out
 
 
-def drinfeld_matrix(lm: LoopModule, g: GenSym) -> Mat:
-    """Matrix of a single current on the module (cached)."""
-    return lm.gen_sym(g)
-
-
 def _mat_json(m: Mat) -> list[list[str]]:
     return [[scalar_str(x) for x in row] for row in m.to_rows()]
 
@@ -577,7 +567,8 @@ def tensor(m1: LoopModule, m2: LoopModule) -> LoopModule:
 
 
 def check_relation(lm: LoopModule, rule: RelRule) -> bool:
-    return lm.elem_matrix(relation_elem(lm.sig, rule)).is_zero()
+    """The relation holds on the module: its template evaluated on word matrices is zero."""
+    return relation_value(lm.sig, rule, lm._word_matrix).is_zero()
 
 
 def relation_report(

@@ -85,9 +85,6 @@ class PBWMonomial:
                 tot[k] += v
         return tuple(tot)
 
-    def loop_degree(self) -> int:
-        return sum(n for _, n in self.factors)
-
     def to_json(self) -> list[dict]:
         return [{"root": [r.i, r.j], "n": n} for r, n in self.factors]
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .coeffs import ONE, ZERO, Scalar, q, qint_base, scalar, scalar_from_str, scalar_str
+from .linalg import RowReducer
 
 X_PLUS = "X+"
 X_MINUS = "X-"
@@ -298,9 +299,6 @@ class AlgebraSignature:
             if w1[i] and w2[j]
         )
 
-    def weight_parity(self, w: Sequence[int]) -> int:
-        return w[self.M - 1] % 2
-
     def word_weight(self, word: Word) -> tuple[int, ...]:
         n = self.n_nodes
         tot = [0] * n
@@ -311,9 +309,6 @@ class AlgebraSignature:
 
     def word_parity(self, word: Word) -> int:
         return sum(self.parity_of(g) for g in word) % 2
-
-    def word_loop_degree(self, word: Word) -> int:
-        return sum(g.index for g in word)
 
     def elem_weight(self, e: Elem) -> tuple[int, ...] | None:
         """Common weight of all words, or None for non-homogeneous input."""
@@ -351,25 +346,28 @@ class AlgebraSignature:
     def q_affine(self, i: int) -> Scalar:
         return q if i == 0 else self.q_node(i)
 
-    def chevalley_parity(self, i: int) -> int:
-        if i == 0:
-            return sum(self.parity_node(k) for k in range(1, self.n_nodes + 1)) % 2
-        return self.parity_node(i)
-
 
 # ---------------------------------------------------------------------------
 # quantum brackets
 # ---------------------------------------------------------------------------
 
 
+def super_comm(x, px: int, y, py: int, twist=ONE):
+    """[x, y]_twist = xy - (-1)^{px py} twist yx.
+
+    ``x`` and ``y`` are free elements or matrices of parities ``px``, ``py``.
+    """
+    sgn = -ONE if (px and py) else ONE
+    return x * y - (y * x).scale(sgn * scalar(twist))
+
+
 def qbracket(sig: AlgebraSignature, x: Elem, y: Elem, u) -> Elem:
-    """[x, y]_u = xy - (-1)^{|x||y|} u yx for parity-homogeneous x, y."""
+    """[x, y]_u for parity-homogeneous free elements x, y."""
     px = sig.elem_parity(x)
     py = sig.elem_parity(y)
     if px is None or py is None:
         raise NotHomogeneous("qbracket needs parity-homogeneous arguments")
-    sgn = -ONE if (px and py) else ONE
-    return x * y - (y * x).scale(sgn * scalar(u))
+    return super_comm(x, px, y, py, u)
 
 
 def _weight_or_raise(sig: AlgebraSignature, e: Elem) -> tuple[int, ...]:
@@ -427,11 +425,12 @@ def _partitions(n: int):
     yield from rec(n, n)
 
 
-def phi_coeff(sig: AlgebraSignature, i: int, sign: int, n: int) -> Elem:
+def phi_coeff(sig: AlgebraSignature, i: int, sign: int, n: int, word=Elem.monomial):
     """Coefficient of z^n in K_i^{+-1} exp(+-(q_i - q_i^-1) sum_s h_{i,+-s} z^{+-s}).
 
     ``sign`` is +1 for the plus series (n >= 0) and -1 for the minus
-    series (n <= 0).
+    series (n <= 0).  Each word in the K and h symbols is evaluated by
+    ``word``, as in ``relation_value``.
     """
     sig._check_node(i)
     if sign not in (1, -1):
@@ -441,7 +440,7 @@ def phi_coeff(sig: AlgebraSignature, i: int, sign: int, n: int) -> Elem:
     qi = sig.q_node(i)
     u = scalar(sign) * (qi - qi**-1)
     head = kay(i) if sign > 0 else kinv(i)
-    out = Elem.zero()
+    out = None
     for lam in _partitions(abs(n)):
         coeff = u ** len(lam)
         # commuting h's: the 1/k! of exp collapses to 1/prod multiplicity!
@@ -454,8 +453,9 @@ def phi_coeff(sig: AlgebraSignature, i: int, sign: int, n: int) -> Elem:
             for k in range(2, c + 1):
                 f *= k
             denom *= f
-        word = (head,) + tuple(aitch(i, sign * part) for part in lam)
-        out += Elem.monomial(word, coeff / scalar(denom))
+        term = word((head,) + tuple(aitch(i, sign * part) for part in lam))
+        term = term.scale(coeff / scalar(denom))
+        out = term if out is None else out + term
     return out
 
 
@@ -483,148 +483,140 @@ def _x(sign: int, i: int, n: int) -> GenSym:
     return xp(i, n) if sign > 0 else xm(i, n)
 
 
-def _chev_gen(sig: AlgebraSignature, i: int, sign: int) -> Elem:
-    if i == 0:
-        return Elem.monomial((e0p() if sign > 0 else e0m(),))
-    return Elem.monomial((_x(sign, i, 0),))
+# Families written as "lead word - replacement", the lead first with
+# coefficient 1.  The others are bracket expressions: their lead is their
+# least word, and relation_elem scales it to coefficient 1.
+_ORIENTED = frozenset({"cartan", "kx", "hx", "pm-mixed", "deg2-zero", "deg2-shift"})
 
 
-def chevalley_k0_word(sig: AlgebraSignature, power: int = 1) -> Elem:
-    """The image of the affine K_0, i.e. (K_1 ... K_{M+N-1})^{-1}, as a word."""
-    mk = kinv if power > 0 else kay
-    return Elem.monomial(tuple(mk(i) for i in range(1, sig.n_nodes + 1)))
+def relation_value(sig: AlgebraSignature, rule: RelRule, word: Callable):
+    """The value of a defining relation, which vanishes in the quotient.
 
-
-def relation_elem(sig: AlgebraSignature, rule: RelRule) -> Elem:
-    """The element of the free superalgebra that vanishes in the quotient."""
-    lead, rest = _relation_parts(sig, rule)
-    return Elem.monomial(lead) - rest
-
-
-def relation_lead(sig: AlgebraSignature, rule: RelRule) -> Word:
-    return _relation_parts(sig, rule)[0]
-
-
-def _relation_parts(sig: AlgebraSignature, rule: RelRule) -> tuple[Word, Elem]:
-    """(leading word, replacement elem) with relation = lead - replacement."""
+    Each family is written once; every word in the generator symbols is
+    evaluated by ``word``, whose values need ``+``, ``-``, ``*`` and
+    ``scale``.  ``Elem.monomial`` gives the free element, a module's
+    ``_word_matrix`` the action of the relation on the module.
+    """
     fam, idx, sgn = rule.family, rule.indices, rule.sign
-    mono = Elem.monomial
+
+    def gen(g: GenSym) -> tuple:
+        """A generator's value with its parity, the operand of ``br``."""
+        return word((g,)), sig.parity_of(g)
+
+    def br(x: tuple, y: tuple, twist) -> tuple:
+        return super_comm(x[0], x[1], y[0], y[1], twist), (x[1] + y[1]) % 2
+
+    def X(i: int, n: int) -> tuple:
+        return gen(_x(sgn, i, n))
+
+    def chev(i: int, sign: int = sgn) -> tuple:
+        if i == 0:
+            return gen(e0p() if sign > 0 else e0m())
+        return gen(_x(sign, i, 0))
+
+    def k0(power: int):
+        """The affine K_0^{+-1}, where K_0 = (K_1 ... K_{M+N-1})^{-1}."""
+        mk = kinv if power > 0 else kay
+        return word(tuple(mk(k) for k in range(1, sig.n_nodes + 1)))
+
     if fam == "cartan":
-        sub = idx[0]
-        if sub == "inv":
-            i = idx[1]
-            return (kay(i), kinv(i)), Elem.one()
-        if sub == "vni":
-            i = idx[1]
-            return (kinv(i), kay(i)), Elem.one()
+        sub, *ix = idx
+        if sub in ("inv", "vni"):
+            (i,) = ix
+            pair = (kay(i), kinv(i)) if sub == "inv" else (kinv(i), kay(i))
+            return word(pair) - word(())
         if sub == "kk":
-            i, j = idx[1:]
-            return (kay(i), kay(j)), mono((kay(j), kay(i)))
-        if sub == "kh":
-            i, j, s = idx[1:]
-            return (kay(i), aitch(j, s)), mono((aitch(j, s), kay(i)))
-        if sub == "hh":
-            i, s, j, t = idx[1:]
-            return (aitch(i, s), aitch(j, t)), mono((aitch(j, t), aitch(i, s)))
-        raise ValueError(f"unknown cartan subfamily {sub!r}")
+            i, j = ix
+            g, h = kay(i), kay(j)
+        elif sub == "kh":
+            i, j, s = ix
+            g, h = kay(i), aitch(j, s)
+        elif sub == "hh":
+            i, s, j, t = ix
+            g, h = aitch(i, s), aitch(j, t)
+        else:
+            raise ValueError(f"unknown cartan subfamily {sub!r}")
+        return word((g, h)) - word((h, g))
     if fam == "kx":
         i, j, n = idx
         x = _x(sgn, j, n)
-        return (kay(i), x), mono((x, kay(i)), q ** (sgn * sig.c(i, j)))
+        return word((kay(i), x)) - word((x, kay(i))).scale(q ** (sgn * sig.c(i, j)))
     if fam == "hx":
         i, s, j, n = idx
         if s == 0:
             raise ValueError("h index must be nonzero")
-        x = _x(sgn, j, n)
+        x, h = _x(sgn, j, n), aitch(i, s)
         coeff = scalar(sgn) * qint_base(s * sig.l(i) * sig.c(i, j), sig.l(i)) / scalar(s)
-        return (aitch(i, s), x), mono((x, aitch(i, s))) + mono((_x(sgn, j, n + s),), coeff)
+        return word((h, x)) - word((x, h)) - word((_x(sgn, j, n + s),)).scale(coeff)
     if fam == "pm-mixed":
         i, m, j, n = idx
-        pi, pj = sig.parity_node(i), sig.parity_node(j)
-        swap = mono((xm(j, n), xp(i, m)), -ONE if (pi and pj) else ONE)
-        rest = swap
+        rel = br(gen(xp(i, m)), gen(xm(j, n)), ONE)[0]
         if i == j:
             qi = sig.q_node(i)
             k = m + n
-            plus = phi_coeff(sig, i, +1, k) if k >= 0 else Elem.zero()
-            minus = phi_coeff(sig, i, -1, k) if k <= 0 else Elem.zero()
-            rest += (plus - minus).scale(ONE / (qi - qi**-1))
-        return (xp(i, m), xm(j, n)), rest
+            for s in (1, -1):
+                if s * k >= 0:
+                    rel = rel - phi_coeff(sig, i, s, k, word).scale(scalar(s) / (qi - qi**-1))
+        return rel
     if fam == "deg2-zero":
         i, m, j, n = idx
         if sig.c(i, j) != 0:
             raise ValueError("deg2-zero needs (alpha_i, alpha_j) = 0")
-        pi, pj = sig.parity_node(i), sig.parity_node(j)
-        koszul = -ONE if (pi and pj) else ONE
-        return (
-            (_x(sgn, i, m), _x(sgn, j, n)),
-            mono((_x(sgn, j, n), _x(sgn, i, m)), koszul),
-        )
+        a, b = _x(sgn, i, m), _x(sgn, j, n)
+        koszul = -ONE if (sig.parity_node(i) and sig.parity_node(j)) else ONE
+        return word((a, b)) - word((b, a)).scale(koszul)
     if fam == "deg2-shift":
         i, m, j, n = idx
         cij = sig.c(i, j)
         if cij == 0:
             raise ValueError("deg2-shift needs (alpha_i, alpha_j) != 0")
-        tw = q ** (sgn * cij)
-        rest = (
-            mono((_x(sgn, j, n), _x(sgn, i, m + 1)), tw)
-            + mono((_x(sgn, i, m), _x(sgn, j, n + 1)), tw)
-            - mono((_x(sgn, j, n + 1), _x(sgn, i, m)))
-        )
-        return (_x(sgn, i, m + 1), _x(sgn, j, n)), rest
+        a0, a1, b0, b1 = _x(sgn, i, m), _x(sgn, i, m + 1), _x(sgn, j, n), _x(sgn, j, n + 1)
+        twisted = word((b0, a1)) + word((a0, b1))
+        return word((a1, b0)) - twisted.scale(q ** (sgn * cij)) + word((b1, a0))
     if fam == "serre3":
         i, m, n, j, k = idx
         if abs(sig.c(i, j)) != 1 or i == sig.M:
             raise ValueError("serre3 needs (alpha_i,alpha_j) = +-1 and i != M")
+
         def half(m1, m2):
-            inner = qbracket(
-                sig, mono((_x(sgn, i, m2),)), mono((_x(sgn, j, k),)), q**-1
-            )
-            return qbracket(sig, mono((_x(sgn, i, m1),)), inner, q)
-        rel = half(m, n) + half(n, m)
-        return _split_lead(rel)
+            return br(X(i, m1), br(X(i, m2), X(j, k), q**-1), q)[0]
+
+        return half(m, n) + half(n, m)
     if fam == "oscillation4":
         m, n, k, u = idx
         if sig.M < 2 or sig.N < 2:
             raise ValueError("oscillation relation needs M, N > 1")
         M = sig.M
+
         def half(n1, n2):
-            b1 = qbracket(sig, mono((_x(sgn, M - 1, m),)), mono((_x(sgn, M, n1),)), q**-1)
-            b2 = qbracket(sig, b1, mono((_x(sgn, M + 1, k),)), q)
-            return qbracket(sig, b2, mono((_x(sgn, M, n2),)), ONE)
-        rel = half(n, u) + half(u, n)
-        return _split_lead(rel)
+            return br(br(br(X(M - 1, m), X(M, n1), q**-1), X(M + 1, k), q), X(M, n2), ONE)[0]
+
+        return half(n, u) + half(u, n)
     if fam == "chev-kx":
         i, j = idx
-        kword = chevalley_k0_word(sig) if i == 0 else mono((kay(i),))
-        ej = _chev_gen(sig, j, sgn)
-        rel = kword * ej - (ej * kword).scale(q ** (sgn * sig.affine_c(i, j)))
-        return _split_lead(rel)
+        kword = k0(1) if i == 0 else word((kay(i),))
+        return br((kword, 0), chev(j), q ** (sgn * sig.affine_c(i, j)))[0]
     if fam == "chev-mixed":
         i, j = idx
-        rel = qbracket(sig, _chev_gen(sig, i, +1), _chev_gen(sig, j, -1), ONE)
+        rel = br(chev(i, +1), chev(j, -1), ONE)[0]
         if i == j:
             qi = sig.q_affine(i)
             if i == 0:
-                kk = chevalley_k0_word(sig) - chevalley_k0_word(sig, -1)
+                kk = k0(1) - k0(-1)
             else:
-                kk = mono((kay(i),)) - mono((kinv(i),))
-            rel -= kk.scale(ONE / (qi - qi**-1))
-        return _split_lead(rel)
+                kk = word((kay(i),)) - word((kinv(i),))
+            rel = rel - kk.scale(ONE / (qi - qi**-1))
+        return rel
     if fam == "chev-zero":
         i, j = idx
         if sig.affine_c(i, j) != 0:
             raise ValueError("chev-zero needs a vanishing Cartan pairing")
-        rel = qbracket(sig, _chev_gen(sig, i, sgn), _chev_gen(sig, j, sgn), ONE)
-        return _split_lead(rel)
+        return br(chev(i), chev(j), ONE)[0]
     if fam == "chev-serre3":
         i, j = idx
         if abs(sig.affine_c(i, j)) != 1 or i in (0, sig.M):
             raise ValueError("chev-serre3 needs pairing +-1 and i not in {0, M}")
-        ei = _chev_gen(sig, i, sgn)
-        ej = _chev_gen(sig, j, sgn)
-        rel = qbracket(sig, ei, qbracket(sig, ei, ej, q**-1), q)
-        return _split_lead(rel)
+        return br(chev(i), br(chev(i), chev(j), q**-1), q)[0]
     if fam == "chev-deg4":
         variant = idx[0]
         if sig.M + sig.N <= 3:
@@ -635,32 +627,40 @@ def _relation_parts(sig: AlgebraSignature, rule: RelRule) -> tuple[Word, Elem]:
             seq = (cyc(sig.M - 1), sig.M, cyc(sig.M + 1), sig.M)
         else:
             seq = (1, 0, sig.n_nodes, 0)
-        g = [_chev_gen(sig, s, sgn) for s in seq]
-        rel = qbracket(sig, qbracket(sig, qbracket(sig, g[0], g[1], q**-1), g[2], q), g[3], ONE)
-        return _split_lead(rel)
+        g = [chev(s) for s in seq]
+        return br(br(br(g[0], g[1], q**-1), g[2], q), g[3], ONE)[0]
     if fam == "chev-deg5":
         if (sig.M, sig.N) != (2, 1):
             raise ValueError("the degree-5 relation is specific to (2,1)")
-        e0 = _chev_gen(sig, 0, sgn)
-        e1 = _chev_gen(sig, 1, sgn)
-        e2 = _chev_gen(sig, 2, sgn)
+        e0, e1, e2 = chev(0), chev(1), chev(2)
+
         def side(first, second):
-            w = qbracket(sig, second, e1, q)
-            w = qbracket(sig, first, w, ONE)
-            w = qbracket(sig, second, w, ONE)
-            return qbracket(sig, first, w, q**-1)
-        rel = side(e0, e2) - side(e2, e0)
-        return _split_lead(rel)
+            w = br(second, e1, q)
+            w = br(first, w, ONE)
+            w = br(second, w, ONE)
+            return br(first, w, q**-1)[0]
+
+        return side(e0, e2) - side(e2, e0)
     raise ValueError(f"unknown relation family {rule.family!r}")
 
 
-def _split_lead(rel: Elem) -> tuple[Word, Elem]:
+def relation_elem(sig: AlgebraSignature, rule: RelRule) -> Elem:
+    """The element of the free superalgebra that vanishes in the quotient."""
+    rel = relation_value(sig, rule, Elem.monomial)
+    if rule.family in _ORIENTED:
+        return rel
     if rel.is_zero():
         raise ValueError("degenerate relation instance")
-    lead = rel.words()[0]
-    c0 = rel.terms[lead]
-    rest = (Elem.monomial(lead, c0) - rel).scale(ONE / c0)
-    return lead, rest
+    c0 = rel.terms[min(rel.terms)]
+    return rel if c0 == ONE else rel.scale(ONE / c0)
+
+
+def _lead(rule: RelRule, rel: Elem) -> Word:
+    return next(iter(rel.terms)) if rule.family in _ORIENTED else min(rel.terms)
+
+
+def relation_lead(sig: AlgebraSignature, rule: RelRule) -> Word:
+    return _lead(rule, relation_elem(sig, rule))
 
 
 def apply_relation_at(sig: AlgebraSignature, e: Elem, rule: RelRule, word: Word, pos: int) -> Elem:
@@ -672,12 +672,13 @@ def apply_relation_at(sig: AlgebraSignature, e: Elem, rule: RelRule, word: Word,
     coeff = e.terms.get(word)
     if coeff is None:
         raise ValueError("word not present in element")
-    lead, rest = _relation_parts(sig, rule)
+    rel = relation_elem(sig, rule)
+    lead = _lead(rule, rel)
     if word[pos : pos + len(lead)] != lead:
         raise ValueError(f"leading word {lead} not found at position {pos}")
     prefix = Elem.monomial(word[:pos], coeff)
     suffix = Elem.monomial(word[pos + len(lead):])
-    return e - Elem.monomial(word, coeff) + prefix * rest * suffix
+    return e - prefix * rel * suffix
 
 
 def apply_derivation_script(sig: AlgebraSignature, e: Elem, script: Iterable[dict]) -> Elem:
@@ -1023,7 +1024,6 @@ def _guided_reduce(e: Elem, match, rewrite, normalize, max_passes: int = 400) ->
 
 def reduce_lambda_step(e: Elem, c_low: int) -> Elem:
     """Push every X^+_{2,*} factor past X^+_{3,c_low}, then node-2 normalise."""
-    rule23 = _shift_rule_lambda()
 
     def match(g1: GenSym, g2: GenSym) -> bool:
         return (
@@ -1034,21 +1034,11 @@ def reduce_lambda_step(e: Elem, c_low: int) -> Elem:
         )
 
     def rewrite(g1: GenSym, g2: GenSym) -> Elem:
-        return rule23(g1.index, g2.index)
+        # the deg2-shift instance whose lead word is g1 g2
+        rel = relation_elem(SIG22, RelRule("deg2-shift", (2, g1.index - 1, 3, g2.index)))
+        return Elem.monomial((g1, g2)) - rel
 
     return _guided_reduce(e, match, rewrite, _normalize_node2)
-
-
-def _shift_rule_lambda():
-    def rewrite(m: int, cc: int) -> Elem:
-        # X_{2,m} X_{3,c} -> q X_{3,c} X_{2,m} + q X_{2,m-1} X_{3,c+1} - X_{3,c+1} X_{2,m-1}
-        return (
-            Elem.monomial((xp(3, cc), xp(2, m)), q)
-            + Elem.monomial((xp(2, m - 1), xp(3, cc + 1)), q)
-            - Elem.monomial((xp(3, cc + 1), xp(2, m - 1)))
-        )
-
-    return rewrite
 
 
 def mu_recursion_certificate(diff: Elem) -> bool:
@@ -1060,8 +1050,6 @@ def mu_recursion_certificate(diff: Elem) -> bool:
     between the nodes 1, 2, 3, so membership is decided by exact linear
     algebra over the free algebra.
     """
-    from .linalg import RowReducer  # local import avoids a cycle
-
     if diff.is_zero():
         return True
     indices: dict[int, set[int]] = {1: set(), 2: set(), 3: set()}

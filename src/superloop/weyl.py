@@ -25,6 +25,7 @@ from .coeffs import (
     q,
     scalar_str,
 )
+from .linalg import solve_span
 
 
 class TorsionError(ValueError):
@@ -97,8 +98,6 @@ def _minimal_annihilator(window: Mapping[int, Scalar], degree_bound: int) -> ZPo
         if len(ms) < d + 1:
             return None  # window too short to pin the recurrence down
         # unknowns p_1..p_d with p_0 = 1
-        from .linalg import solve_span
-
         cols = []
         for s in range(1, d + 1):
             cols.append({idx: window[m - s] for idx, m in enumerate(ms) if window[m - s] != ZERO})

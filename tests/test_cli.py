@@ -102,3 +102,29 @@ def test_run_config_validation():
         cli.run(cli.RunConfig(suite="monoid", window=0))
     with pytest.raises(cli.ConfigError):
         cli.run(cli.RunConfig(suite="nope"))
+
+
+def _json_error(capsys) -> str:
+    return json.loads(capsys.readouterr().err)["error"]
+
+
+def test_cli_nonpositive_count_rejected(capsys):
+    assert run_main(["monoid", "--count", "-3"]) == 2
+    assert "count" in _json_error(capsys)
+
+
+def test_cli_module_error_exit_two(capsys):
+    assert run_main(["pbw-rank", "--M", "1", "--N", "0"]) == 2
+    assert "N >= 1" in _json_error(capsys)
+
+
+def test_cli_window_above_h_bound_rejected(capsys):
+    assert run_main(["verify-relations", "--window", "9"]) == 2
+    assert "window <= 4" in _json_error(capsys)
+
+
+def test_cli_tensor_relations_include_chevalley(capsys):
+    args = ["verify-relations", "--M", "2", "--N", "1", "--window", "1", "--tensor", "--chevalley"]
+    assert run_main(args) == 0
+    names = {c["name"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert "tensor-relations(2,1) chev-deg5(+)" in names

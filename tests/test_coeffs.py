@@ -12,7 +12,6 @@ from superloop.coeffs import (
     expand_ratio,
     poly_coprime,
     poly_gcd,
-    poly_mul,
     q,
     qint,
     scalar,
@@ -59,7 +58,7 @@ def test_scalar_string_roundtrip():
 
 def test_poly_gcd_examples():
     one_minus_z = ZPoly([1, -1])
-    prod = poly_mul(one_minus_z, ZPoly([1, -q]))
+    prod = one_minus_z * ZPoly([1, -q])
     assert poly_gcd(one_minus_z, prod) == one_minus_z
     assert poly_coprime(ZPoly([1, -1]), ZPoly([1, -q]))
     p = ZPoly([1, q, 3])

@@ -57,6 +57,11 @@ def test_solve_span():
     assert solve_span([{0: ONE}], {1: ONE}) is None
 
 
+def test_solve_span_large_row_index():
+    # row indices must not collide with the keys that tag the columns
+    assert solve_span([{10**9: ONE}], {10**9 + 1: scalar(2)}) is None
+
+
 def test_kron_super_signs():
     # odd operator B acting after an odd first-factor basis vector flips sign
     A = Mat.identity(2)

@@ -130,6 +130,32 @@ def test_single_relation_check(ev21):
     assert check_relation(ev21, RelRule("pm-mixed", (2, 2, 2, -2)))
 
 
+def _route_failures(lm, chevalley):
+    """Failing rules by the matrix route and by evaluating the free element."""
+    rules = relation_instances(lm.sig, range(-1, 2))
+    if chevalley:
+        rules += chevalley_instances(lm.sig)
+    by_matrix = {r for r in rules if not check_relation(lm, r)}
+    by_elem = {r for r in rules if not lm.elem_matrix(relation_elem(lm.sig, r)).is_zero()}
+    return by_matrix, by_elem
+
+
+def test_two_route_relation_verdicts(ev21, ev12, ev31, tensor21):
+    for lm, chevalley in ((ev21, True), (ev12, True), (ev31, True), (tensor21, False)):
+        by_matrix, by_elem = _route_failures(lm, chevalley)
+        assert by_matrix == by_elem == set()
+
+
+@pytest.mark.parametrize("key", [("X+", 1, 1), ("X-", 2, -1), ("E0+",), ("E0-",)])
+def test_two_route_corrupted_current(fund21, key):
+    # negative control: one current scaled by q breaks relations on both routes alike
+    lm = evaluation_pullback(fund21, a)
+    lm._cache[key] = lm.gen(key).scale(q)
+    by_matrix, by_elem = _route_failures(lm, chevalley=True)
+    assert by_matrix
+    assert by_matrix == by_elem
+
+
 def test_two_route_cartan_loops(ev21, ev31):
     for lm in (ev21, ev31):
         for i in range(1, lm.sig.n_nodes + 1):
