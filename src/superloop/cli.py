@@ -32,8 +32,8 @@ class RunConfig:
     """Flags for one verification run; mirrored one-to-one by the JSON config."""
 
     suite: str
-    M: int = 2
-    N: int = 1
+    M: int | None = None  # the signature defaults per suite, see ``run``
+    N: int | None = None
     a: str | None = None
     b: str | None = None
     window: int = 2
@@ -331,14 +331,15 @@ SUITES = {
 
 def run(cfg: RunConfig) -> dict:
     """Execute one suite and assemble the versioned report."""
+    # the oscillation replay is specific to the (2,2) signature
+    M, N = (2, 2) if cfg.suite == "appendix-a" else (2, 1)
+    cfg.M = M if cfg.M is None else cfg.M
+    cfg.N = N if cfg.N is None else cfg.N
+    if cfg.suite == "appendix-a" and (cfg.M, cfg.N) != (2, 2):
+        raise ConfigError("appendix-a requires the (2,2) signature")
     cfg.validate()
     if cfg.suite not in SUITES:
         raise ConfigError(f"unknown suite {cfg.suite!r}")
-    if cfg.suite == "appendix-a":
-        # the oscillation replay is specific to the (2,2) signature
-        if (cfg.M, cfg.N) not in ((2, 2), (RunConfig.M, RunConfig.N)):
-            raise ConfigError("appendix-a requires the (2,2) signature")
-        cfg.M, cfg.N = 2, 2
     checks = SUITES[cfg.suite](cfg)
     return {
         "schema": SCHEMA,
@@ -376,25 +377,43 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_config(path: str) -> dict:
+    """Read a JSON config: one object of RunConfig fields, each of its field's type."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("a config file holds one JSON object")
+    fields = RunConfig.__dataclass_fields__
+    out = {}
+    for key, val in data.items():
+        key = key.replace("-", "_")
+        if key == "suite":
+            continue
+        if key not in fields:
+            raise ConfigError(f"unknown config key {key!r}")
+        # annotations are strings: "int", "bool" or "<type> | None"
+        kind, _, optional = fields[key].type.partition(" | ")
+        want = {"int": int, "bool": bool, "str": str}[kind]
+        if type(val) is not want and not (optional and val is None):
+            raise ConfigError(f"config key {key!r} must be of type {kind}")
+        out[key] = val
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    values = {k: v for k, v in vars(args).items()}
+    values = vars(args)
     config_path = values.pop("config", None)
     merged: dict = {"suite": values.pop("suite")}
-    if config_path:
-        with open(config_path) as fh:
-            for key, val in json.load(fh).items():
-                key = key.replace("-", "_")
-                if key == "suite":
-                    continue
-                if key not in RunConfig.__dataclass_fields__:
-                    print(f"unknown config key {key!r}", file=sys.stderr)
-                    return 2
-                merged[key] = val
-    # explicit command-line flags win over the config file
-    merged.update({k: v for k, v in values.items() if v is not None})
-    cfg = RunConfig(**merged)
     try:
+        if config_path:
+            merged.update(_read_config(config_path))
+        # explicit command-line flags win over the config file
+        merged.update({k: v for k, v in values.items() if v is not None})
+        cfg = RunConfig(**merged)
         report = run(cfg)
     except (ConfigError, modrep.ModuleError) as exc:
         print(json.dumps({"schema": SCHEMA, "error": str(exc)}), file=sys.stderr)

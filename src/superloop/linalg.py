@@ -77,10 +77,15 @@ class Mat:
         return Mat(self.nrows, self.ncols, data)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return self + other.scale(-ONE)
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch")
+        data = dict(self.data)
+        for key, val in other.data.items():
+            data[key] = data.get(key, ZERO) - val
+        return Mat(self.nrows, self.ncols, data)
 
     def __neg__(self) -> "Mat":
-        return self.scale(-ONE)
+        return Mat(self.nrows, self.ncols, {k: -v for k, v in self.data.items()})
 
     def scale(self, s) -> "Mat":
         s = scalar(s)

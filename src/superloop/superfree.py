@@ -142,10 +142,13 @@ class Elem:
         return Elem(terms)
 
     def __sub__(self, other: "Elem") -> "Elem":
-        return self + other.scale(-ONE)
+        terms = dict(self.terms)
+        for word, coeff in other.terms.items():
+            terms[word] = terms.get(word, ZERO) - coeff
+        return Elem(terms)
 
     def __neg__(self) -> "Elem":
-        return self.scale(-ONE)
+        return Elem({w: -c for w, c in self.terms.items()})
 
     def scale(self, s) -> "Elem":
         s = scalar(s)
@@ -959,8 +962,13 @@ def mu_elem(a: int, c: int, n: int, d: int) -> Elem:
     return out
 
 
-def _normalize_node2(e: Elem) -> Elem:
-    """Sort adjacent node-2 factors by loop index; equal indices square to zero."""
+def _normalize_commuting(e: Elem) -> Elem:
+    """Sort adjacent X^+ factors that commute up to sign by (node, index).
+
+    Factors of nodes i, j with (alpha_i, alpha_j) = 0 at (2,2) swap by the
+    deg2-zero relation, with sign -1 when both are odd; an odd factor
+    squares to zero.
+    """
     changed = True
     while changed:
         changed = False
@@ -968,36 +976,19 @@ def _normalize_node2(e: Elem) -> Elem:
         for word, coeff in e.terms.items():
             for pos in range(len(word) - 1):
                 g1, g2 = word[pos], word[pos + 1]
-                if g1.kind == X_PLUS == g2.kind and g1.node == 2 == g2.node:
-                    if g1.index == g2.index:
-                        coeff = ZERO
-                        break
-                    if g1.index > g2.index:
-                        word = word[:pos] + (g2, g1) + word[pos + 2:]
-                        coeff = -coeff
-                        changed = True
-                        break
-            if coeff != ZERO:
-                terms[word] = terms.get(word, ZERO) + coeff
-        e = Elem(terms)
-    return e
-
-
-def _normalize_13(e: Elem) -> Elem:
-    """Sort adjacent commuting node-3/node-1 factors into node order."""
-    changed = True
-    while changed:
-        changed = False
-        terms: dict = {}
-        for word, coeff in e.terms.items():
-            newword = word
-            for pos in range(len(word) - 1):
-                g1, g2 = newword[pos], newword[pos + 1]
-                if g1.kind == X_PLUS == g2.kind and g1.node == 3 and g2.node == 1:
-                    newword = newword[:pos] + (g2, g1) + newword[pos + 2:]
+                if g1.kind != X_PLUS or g2.kind != X_PLUS or SIG22.c(g1.node, g2.node):
+                    continue
+                odd = SIG22.parity_node(g1.node) and SIG22.parity_node(g2.node)
+                if odd and g1 == g2:
+                    coeff = ZERO
+                    break
+                if (g1.node, g1.index) > (g2.node, g2.index):
+                    word = word[:pos] + (g2, g1) + word[pos + 2:]
+                    coeff = -coeff if odd else coeff
                     changed = True
                     break
-            terms[newword] = terms.get(newword, ZERO) + coeff
+            if coeff != ZERO:
+                terms[word] = terms.get(word, ZERO) + coeff
         e = Elem(terms)
     return e
 
@@ -1023,7 +1014,7 @@ def _guided_reduce(e: Elem, match, rewrite, normalize, max_passes: int = 400) ->
 
 
 def reduce_lambda_step(e: Elem, c_low: int) -> Elem:
-    """Push every X^+_{2,*} factor past X^+_{3,c_low}, then node-2 normalise."""
+    """Push every X^+_{2,*} factor past X^+_{3,c_low}, then sort commuting factors."""
 
     def match(g1: GenSym, g2: GenSym) -> bool:
         return (
@@ -1038,7 +1029,7 @@ def reduce_lambda_step(e: Elem, c_low: int) -> Elem:
         rel = relation_elem(SIG22, RelRule("deg2-shift", (2, g1.index - 1, 3, g2.index)))
         return Elem.monomial((g1, g2)) - rel
 
-    return _guided_reduce(e, match, rewrite, _normalize_node2)
+    return _guided_reduce(e, match, rewrite, _normalize_commuting)
 
 
 def mu_recursion_certificate(diff: Elem) -> bool:
@@ -1100,7 +1091,7 @@ def appendixA_check(n_max: int, window: Iterable[int]) -> dict:
         checks.append({"name": name, "status": "pass" if ok else "fail", "detail": detail})
 
     for bb, cc in itertools.product(window, repeat=2):
-        base = _normalize_node2(lambda_elem(0, bb, cc))
+        base = _normalize_commuting(lambda_elem(0, bb, cc))
         record(f"lambda(0,{bb},{cc}) = 0", base.is_zero())
         for n in range(1, n_max + 1):
             diff = lambda_elem(n, bb, cc) - lambda_elem(n - 1, bb, cc + 1)
@@ -1124,7 +1115,7 @@ def appendixA_check(n_max: int, window: Iterable[int]) -> dict:
         return e.map_symbols(lambda g: (ONE, xp(g.node, g.index + offs[g.node])))
 
     for aa, cc, dd in itertools.product(window, repeat=3):
-        base = _normalize_13(mu_elem(aa, cc, 0, dd))
+        base = _normalize_commuting(mu_elem(aa, cc, 0, dd))
         record(f"mu({aa},{cc},0,{dd}) = 0", base.is_zero())
         offs = {1: aa, 2: dd, 3: cc}
         for n in range(1, n_max + 1):

@@ -97,6 +97,12 @@ def test_appendix_a_cli(capsys):
     assert run_main(["appendix-a", "--M", "3", "--N", "1"]) == 2
 
 
+def test_appendix_a_rejects_explicit_default_signature(capsys):
+    # (2,1) is the default of the other suites, not a request for (2,2)
+    assert run_main(["appendix-a", "--M", "2", "--N", "1", "--nmax", "1", "--window", "1"]) == 2
+    assert "(2,2)" in _json_error(capsys)
+
+
 def test_run_config_validation():
     with pytest.raises(cli.ConfigError):
         cli.run(cli.RunConfig(suite="monoid", window=0))
@@ -128,3 +134,24 @@ def test_cli_tensor_relations_include_chevalley(capsys):
     assert run_main(args) == 0
     names = {c["name"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert "tensor-relations(2,1) chev-deg5(+)" in names
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read config"),
+        ("{not json", "cannot read config"),
+        ("[1, 2]", "one JSON object"),
+        ('{"window": "2"}', "'window' must be of type int"),
+        ('{"windw": 2}', "unknown config key 'windw'"),
+    ],
+    ids=["missing-file", "malformed-json", "json-list", "wrong-type", "unknown-key"],
+)
+def test_bad_config_exit_two(tmp_path, capsys, content, message):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    assert run_main(["monoid", "--config", str(cfg)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert set(err) == {"schema", "error"}
+    assert message in err["error"]

@@ -62,6 +62,16 @@ def test_corrupted_raising_operator_fails():
     assert any(name.startswith("t_") for name in failing)
 
 
+def test_rescaled_lowering_operator_fails_pm_mixed():
+    # a rescaled e_1^- keeps every torus twist but breaks [e_1^+, e_1^-]
+    mod = fundamental(2, 1)
+    bad_eminus = (mod.eminus[0].scale(q),) + mod.eminus[1:]
+    bad = modrep.GLModule(2, 1, mod.parity, mod.t, mod.tinv, mod.eplus, bad_eminus)
+    report = check_gl_relations(bad)
+    failing = {c["name"] for c in report["checks"] if c["status"] == "fail"}
+    assert failing == {"pm-mixed(+)"}
+
+
 def test_supertrace_and_parity(fund21):
     for mats, want in ((fund21.eplus, 1), (fund21.eminus, 1)):
         for j, m in enumerate(mats, start=1):
@@ -291,7 +301,7 @@ def test_highest_weight_trivial_module():
         base[("X-", i, 0)] = zero
     base[("E0+",)] = zero
     base[("E0-",)] = zero
-    lm = modrep.LoopModule(sig, [0], base, kind="evaluation")
+    lm = modrep.LoopModule(sig, [0], base)
     hw = highest_weight(lm)
     assert hw.P[1] == ZPoly.one()
     assert hw.torsion == weyl.identity_triple()
@@ -308,7 +318,7 @@ def test_highest_weight_kernel_error():
         base[("X-", i, 0)] = Mat.zeros(2, 2)
     base[("E0+",)] = Mat.zeros(2, 2)
     base[("E0-",)] = Mat.zeros(2, 2)
-    lm = modrep.LoopModule(sig, [0, 0], base, kind="evaluation")
+    lm = modrep.LoopModule(sig, [0, 0], base)
     with pytest.raises(ModuleError, match="dimension is 2"):
         highest_weight(lm)
 
@@ -358,14 +368,6 @@ def test_cartan_coproduct_constants(ev21, ev21b, tensor21):
         assert res["z_unique"]
     with pytest.raises(ModuleError):
         modrep.cartan_coproduct_constants(2, ev21, ev21b, product=tensor21)
-
-
-def test_freeze(fund21):
-    lm = evaluation_pullback(fund21, a)
-    lm.freeze(window=1, h_orders=1)
-    assert lm.gen(("X+", 1, 1)) is not None
-    with pytest.raises(ModuleError):
-        lm.gen(("X+", 1, 5))
 
 
 def test_serialization(fund21, ev21):

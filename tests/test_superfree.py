@@ -30,8 +30,7 @@ from superloop.superfree import (
     relation_lead,
     xm,
     xp,
-    _normalize_node2,
-    _normalize_13,
+    _normalize_commuting,
 )
 
 SIG21 = AlgebraSignature(2, 1)
@@ -270,10 +269,23 @@ def test_oscillation_words():
     assert SIG22.elem_weight(r) == (1, 2, 1)
 
 
+def test_degree4_twist_orders_differ_by_deg2_zero_ideal():
+    # T(x, y) = [[[a, b]_x, c]_y, b] with b the odd node: the two twist
+    # orders differ by an element of the ideal of b^2 and [a, c]
+    a, b, c = mono(xp(1, 0)), mono(xp(2, 0)), mono(xp(3, 0))
+
+    def T(x, y):
+        return qbracket(SIG22, qbracket(SIG22, qbracket(SIG22, a, b, x), c, y), b, ONE)
+
+    ideal = c * a * b * b - b * b * a * c - b * (a * c - c * a) * b
+    assert T(q, q**-1) - T(q**-1, q) == ideal.scale(q - q**-1)
+    assert not ideal.is_zero()
+
+
 def test_lambda_base_case():
     for b in (-1, 0, 2):
         for c in (-2, 0, 1):
-            assert _normalize_node2(lambda_elem(0, b, c)).is_zero()
+            assert _normalize_commuting(lambda_elem(0, b, c)).is_zero()
 
 
 def test_lambda_recursion_explicit():
@@ -285,7 +297,16 @@ def test_lambda_recursion_explicit():
 def test_mu_base_case():
     for idx in [(-1, 0, 1), (0, 0, 0), (2, -1, 1)]:
         aa, cc, dd = idx
-        assert _normalize_13(mu_elem(aa, cc, 0, dd)).is_zero()
+        assert _normalize_commuting(mu_elem(aa, cc, 0, dd)).is_zero()
+
+
+def test_normalize_commuting_mixed_word():
+    # the even 3-1 pair sorts without a sign, the odd 2-2 pair with -1
+    word = mono(xp(3, 0), xp(1, 0), xp(2, 1), xp(2, 0))
+    assert _normalize_commuting(word) == mono(xp(1, 0), xp(3, 0), xp(2, 0), xp(2, 1)).scale(-ONE)
+    assert _normalize_commuting(mono(xp(3, 0), xp(1, 0), xp(2, 0), xp(2, 0))).is_zero()
+    # (alpha_2, alpha_3) != 0: that pair is left alone
+    assert _normalize_commuting(mono(xp(3, 0), xp(2, 0))) == mono(xp(3, 0), xp(2, 0))
 
 
 def test_mu_recursion_certificate():
