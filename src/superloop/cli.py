@@ -71,13 +71,34 @@ def _parse_poly(text: str) -> ZPoly:
     return ZPoly([_parse_scalar(part.strip()) for part in text.split(",")])
 
 
-def _eval_module(cfg: RunConfig, which: str = "a"):
-    point = PARAM_A if which == "a" else PARAM_B
+def _eval_point(cfg: RunConfig, which: str = "a"):
     raw = cfg.a if which == "a" else cfg.b
     if raw is not None:
-        point = _parse_scalar(raw)
+        return _parse_scalar(raw)
+    return PARAM_A if which == "a" else PARAM_B
+
+
+def _eval_module(cfg: RunConfig, which: str = "a"):
     glm = modrep.fundamental(cfg.M, cfg.N)
-    return modrep.evaluation_pullback(glm, point)
+    return modrep.evaluation_pullback(glm, _eval_point(cfg, which))
+
+
+def _vector_highest_weight(M: int, N: int, point) -> HighestWeight:
+    """Closed-form highest-weight datum of the vector evaluation module at ``point``.
+
+    For M >= 2 the only nontrivial polynomial is P_1 = 1 - q a z and the
+    odd node carries the identity triple; for M = 1 the odd node carries
+    (q, 1 - a z, 1 - q^2 a z).  Every other P_i is 1, every sign +1, and
+    K_0 acts by q^-1.
+    """
+    nodes = [i for i in range(1, M + N) if i != M]
+    P = {i: ZPoly.one() for i in nodes}
+    if M >= 2:
+        P[1] = ZPoly([ONE, -q * point])
+        torsion = weyl.identity_triple()
+    else:
+        torsion = TorsionTriple(q, ZPoly([ONE, -point]), ZPoly([ONE, -(q**2) * point]))
+    return HighestWeight(P, torsion, {i: 1 for i in nodes}, q**-1)
 
 
 def _check(name: str, ok: bool, witness=None) -> dict:
@@ -130,7 +151,8 @@ def _suite_highest_weight(cfg: RunConfig) -> list[dict]:
         raise ConfigError("highest-weight needs M != N")
     lm = _eval_module(cfg)
     hw = modrep.highest_weight(lm, window=cfg.window, degree_bound=cfg.degree_bound)
-    return [_check(f"highest-weight({cfg.M},{cfg.N})", True, hw.to_json())]
+    expected = _vector_highest_weight(cfg.M, cfg.N, _eval_point(cfg))
+    return [_check(f"highest-weight({cfg.M},{cfg.N})", hw == expected, hw.to_json())]
 
 
 def _suite_tensor_hw(cfg: RunConfig) -> list[dict]:

@@ -25,7 +25,6 @@ from .coeffs import (
     q,
     scalar_str,
 )
-from .linalg import solve_span
 
 
 class TorsionError(ValueError):
@@ -90,25 +89,38 @@ def _minimal_annihilator(window: Mapping[int, Scalar], degree_bound: int) -> ZPo
     """Smallest-degree P with P(0) = 1 annihilating the window, or None.
 
     P annihilates f when sum_s p_s f_{m-s} = 0 for every m with all the
-    touched coefficients inside the window.
+    touched coefficients inside the window.  One Berlekamp-Massey pass
+    over f_lo..f_hi gives the shortest recurrence (Massey 1969); its
+    length L is the least degree any annihilator can have.  The answer is
+    None when L exceeds the bound, when the window has fewer than 2L + 1
+    terms and so does not pin the recurrence down, or when the connection
+    polynomial has degree below L, so that no degree-L annihilator exists.
     """
     lo, hi = min(window), max(window)
-    for d in range(degree_bound + 1):
-        ms = [m for m in range(lo + d, hi + 1)]
-        if len(ms) < d + 1:
-            return None  # window too short to pin the recurrence down
-        # unknowns p_1..p_d with p_0 = 1
-        cols = []
-        for s in range(1, d + 1):
-            cols.append({idx: window[m - s] for idx, m in enumerate(ms) if window[m - s] != ZERO})
-        target = {idx: -window[m] for idx, m in enumerate(ms) if window[m] != ZERO}
-        sol = solve_span(cols, target)
-        if sol is None:
+    f = [window[m] for m in range(lo, hi + 1)]
+    conn, prev = [ONE], [ONE]  # current and last-lengthened connection polynomials
+    length, gap, prev_disc = 0, 1, ONE
+    for n, fn in enumerate(f):
+        disc = fn + sum((conn[s] * f[n - s] for s in range(1, len(conn))), start=ZERO)
+        if disc == ZERO:
+            gap += 1
             continue
-        cand = ZPoly([ONE] + list(sol))
-        if _annihilates(cand, window):
-            return cand
-    return None
+        factor = disc / prev_disc
+        update = conn + [ZERO] * (gap + len(prev) - len(conn))
+        for s, p in enumerate(prev):
+            update[s + gap] -= factor * p
+        if 2 * length <= n:
+            conn, prev = update, conn
+            length, gap, prev_disc = n + 1 - length, 1, disc
+            if length > degree_bound:
+                return None
+        else:
+            conn = update
+            gap += 1
+    cand = ZPoly(conn)
+    if len(f) < 2 * length + 1 or cand.degree < length:
+        return None
+    return cand if _annihilates(cand, window) else None
 
 
 def _annihilates(p: ZPoly, window: Mapping[int, Scalar]) -> bool:
@@ -232,29 +244,21 @@ def star_product_window(
     """
     u = q - q**-1
 
-    def side(h, e, sign):
-        def coeff(n):
-            if n == 0:
-                return e if sign > 0 else e**-1
-            if sign * n < 0:
-                return ZERO
-            return sign * u * h.get(n, ZERO)
+    def sides(h, e):
+        """Coefficients of z^k in h+ and of z^-k in h-, k = 0..order."""
+        plus = [e] + [u * h.get(k, ZERO) for k in range(1, order + 1)]
+        minus = [e**-1] + [-u * h.get(-k, ZERO) for k in range(1, order + 1)]
+        return plus, minus
 
-        return coeff
-
-    fp, fm = side(f, c, +1), side(f, c, -1)
-    gp, gm = side(g, d, +1), side(g, d, -1)
+    fp, fm = sides(f, c)
+    gp, gm = sides(g, d)
     out: dict[int, Scalar] = {}
-    span = range(-order, order + 1)
-    for n in span:
-        acc = ZERO
-        for k in range(0, order + 1):
-            # f+ g+ contributes at n = k + (n - k) with both parts >= 0
-            if n - k >= 0:
-                acc += fp(k) * gp(n - k)
-            if n + k <= 0:
-                acc -= fm(-k) * gm(n + k)
-        out[n] = acc / u
+    for n in range(-order, order + 1):
+        # f+ g+ reaches z^n only for n >= 0, f- g- only for n <= 0
+        m = abs(n)
+        plus = sum((fp[k] * gp[m - k] for k in range(m + 1)), start=ZERO) if n >= 0 else ZERO
+        minus = sum((fm[k] * gm[m - k] for k in range(m + 1)), start=ZERO) if n <= 0 else ZERO
+        out[n] = (plus - minus) / u
     return out
 
 

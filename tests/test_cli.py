@@ -1,8 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from superloop import cli
+from superloop import cli, modrep
+from superloop.coeffs import ONE, ZPoly, q
+from superloop.weyl import TorsionTriple
 
 
 def run_main(args):
@@ -38,6 +41,28 @@ def test_cli_rational_evaluation_point(capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["checks"][0]["witness"]["P"]["1"] == ["1", "-3*q"]
+    # the odd node carries the triple (q, 1 - 3z, 1 - 3q^2 z) when M = 1
+    assert run_main(["highest-weight", "--M", "1", "--N", "2", "--a", "3"]) == 0
+    witness = json.loads(capsys.readouterr().out)["checks"][0]["witness"]
+    assert (witness["c"], witness["Q"], witness["P_odd"]) == ("q", ["1", "-3"], ["1", "-3*q**2"])
+
+
+@pytest.mark.parametrize(
+    "perturb",
+    [
+        lambda hw: replace(hw, P={**hw.P, 1: hw.P[1].scale_arg(q)}),
+        lambda hw: replace(hw, torsion=TorsionTriple(-ONE, ZPoly.one(), ZPoly.one())),
+        lambda hw: replace(hw, epsilon={**hw.epsilon, 1: -1}),
+        lambda hw: replace(hw, k0_eigen=q),
+    ],
+    ids=["P1", "torsion", "epsilon", "K0"],
+)
+def test_highest_weight_check_fails_on_wrong_datum(monkeypatch, capsys, perturb):
+    extract = modrep.highest_weight
+    monkeypatch.setattr(modrep, "highest_weight", lambda *args, **kw: perturb(extract(*args, **kw)))
+    assert run_main(["highest-weight", "--M", "2", "--N", "1"]) == 1
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert (check["name"], check["status"]) == ("highest-weight(2,1)", "fail")
 
 
 def test_cli_config_error_exit_two(capsys):

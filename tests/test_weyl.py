@@ -5,6 +5,7 @@ import pytest
 from superloop import weyl
 from superloop.cli import random_torsion_triple
 from superloop.coeffs import ONE, ZERO, ZPoly, q, scalar
+from superloop.linalg import solve_span
 from superloop.weyl import (
     HighestWeight,
     TorsionError,
@@ -72,17 +73,56 @@ def test_annihilation_property():
 
 def test_series_to_torsion_errors():
     _, _, win = torsion_to_series(WORKED, 6)
-    with pytest.raises(TorsionError):
+    with pytest.raises(TorsionError, match="window too short"):
         series_to_torsion(win, q, 7)  # window shorter than 2*bound+1
-    small = {n: ZERO for n in range(-2, 3)}
-    small[0] = ZERO
-    # no annihilator of degree <= bound: cook an honest failure
-    fib = {}
-    x = {0: scalar(1), 1: scalar(1)}
-    for n in range(-6, 7):
-        fib[n] = scalar(1) if n >= 0 else ZERO
-    with pytest.raises(TorsionError):
-        series_to_torsion(fib, ONE, 2)
+    with pytest.raises(TorsionError, match="f_0 must equal"):
+        series_to_torsion(win, ONE, 2)  # c = 1 needs f_0 = 0, the window has f_0 = 1
+    # 0, 1, 1, ... on n >= 0 has f_0 = 0 as c = 1 needs, but the window
+    # 0, ..., 0, 1, 1, ... obeys no recurrence of degree <= 2
+    step = {n: ONE if n > 0 else ZERO for n in range(-6, 7)}
+    with pytest.raises(TorsionError, match="no annihilator of degree <= 2"):
+        series_to_torsion(step, ONE, 2)
+
+
+def _annihilator_by_elimination(window, degree_bound):
+    """The per-degree route: one exact solve of the Hankel system for d = 0, 1, ..."""
+    lo, hi = min(window), max(window)
+    for d in range(degree_bound + 1):
+        ms = range(lo + d, hi + 1)
+        if len(ms) < d + 1:
+            return None
+        cols = [{i: window[m - s] for i, m in enumerate(ms) if window[m - s] != ZERO} for s in range(1, d + 1)]
+        target = {i: -window[m] for i, m in enumerate(ms) if window[m] != ZERO}
+        sol = solve_span(cols, target)
+        if sol is not None:
+            cand = ZPoly([ONE] + sol)
+            if weyl._annihilates(cand, window):
+                return cand
+    return None
+
+
+def test_annihilator_two_routes():
+    rng = random.Random(73)  # draws triples of degrees 2, 1, 4, 0, 3
+    bound = 4
+    windows = []
+    for _ in range(5):
+        t = random_torsion_triple(rng, bound)
+        for order in (2 * bound + 2, 2 * bound + 5):
+            _, _, win = torsion_to_series(t, order)
+            windows += [win, {**win, order: win[order] + ONE}]
+    # recurrences of degree exactly bound and bound + 1: (1 - z)^d annihilates
+    # the polynomial sequence n^(d-1) and nothing of lower degree does
+    windows += [{n: scalar(n ** (d - 1)) for n in range(-6, 7)} for d in (bound, bound + 1)]
+    # 1, 0, 0, ...: Berlekamp-Massey ends at L = 1 with the connection polynomial 1
+    windows.append({n: ONE if n == -6 else ZERO for n in range(-6, 7)})
+    # 1, 1 has L = 1, but two terms do not pin a degree-1 recurrence down
+    windows.append({-1: ONE, 0: ONE})
+    found = 0
+    for win in windows:
+        fast = weyl._minimal_annihilator(win, bound)
+        assert fast == _annihilator_by_elimination(win, bound)
+        found += fast is not None
+    assert 0 < found < len(windows)
 
 
 def test_roundtrip_random_triples():
@@ -106,15 +146,21 @@ def test_monoid_identity_and_inverse_pair():
 
 
 def test_monoid_star_formula_window():
-    t1, t2 = WORKED, TorsionTriple(scalar(2), ZPoly([1, scalar(3)]), ZPoly([1, scalar(12)]))
-    order = 6
-    _, _, w1 = torsion_to_series(t1, 2 * order)
-    _, _, w2 = torsion_to_series(t2, 2 * order)
-    direct = star_product_window(w1, w2, t1.c, t2.c, order)
-    prod = monoid_product(_hw(t1), _hw(t2)).torsion
-    _, _, wp = torsion_to_series(prod, order)
-    for n in range(-order, order + 1):
-        assert direct[n] == wp[n]
+    cases = [
+        (WORKED, TorsionTriple(scalar(2), ZPoly([1, scalar(3)]), ZPoly([1, scalar(12)])), 6),
+        (
+            TorsionTriple(q, ZPoly([1, 2, -1, q, -(q**-2)]), ZPoly([1, -1, q, 1, -1])),
+            TorsionTriple(scalar(2), ZPoly([1, q, 1, -2, scalar(3) / 4]), ZPoly([1, 1, -q, 2, 3])),
+            2 * 4 + 2,
+        ),
+    ]
+    for t1, t2, order in cases:
+        _, _, w1 = torsion_to_series(t1, 2 * order)
+        _, _, w2 = torsion_to_series(t2, 2 * order)
+        direct = star_product_window(w1, w2, t1.c, t2.c, order)
+        prod = monoid_product(_hw(t1), _hw(t2)).torsion
+        assert prod.P.degree == t1.P.degree + t2.P.degree
+        assert direct == torsion_to_series(prod, order)[2]
 
 
 def test_monoid_node_mismatch():
