@@ -165,17 +165,21 @@ class Elem:
         return Elem(terms)
 
     def map_symbols(self, fn: Callable[[GenSym], tuple[Scalar, GenSym]]) -> "Elem":
-        """Apply a generator-wise relabeling word by word (algebra map)."""
+        """Apply a generator-wise relabeling word by word (algebra map).
+
+        A field multiply by ONE costs as much as any other, so signs equal
+        to ONE are not multiplied in.
+        """
         terms: dict = {}
         for word, coeff in self.terms.items():
-            sgn = ONE
             syms = []
             for g in word:
                 s, g2 = fn(g)
-                sgn *= s
+                if s != ONE:
+                    coeff = s * coeff
                 syms.append(g2)
             key = tuple(syms)
-            terms[key] = terms.get(key, ZERO) + sgn * coeff
+            terms[key] = terms[key] + coeff if key in terms else coeff
         return Elem(terms)
 
     def __repr__(self):
@@ -1032,6 +1036,14 @@ def reduce_lambda_step(e: Elem, c_low: int) -> Elem:
     return _guided_reduce(e, match, rewrite, _normalize_commuting)
 
 
+# The ordered node pairs (i, j) of the certificate's relations (i, m, j, n).
+_MU_PAIRS = ((2, 3), (3, 2), (1, 2), (2, 1), (1, 3), (3, 1))
+
+
+def _loop_degree(word: Word) -> int:
+    return sum(g.index for g in word)
+
+
 def mu_recursion_certificate(diff: Elem) -> bool:
     """Decompose a mu-recursion difference over the listed degree-2 relations.
 
@@ -1040,36 +1052,42 @@ def mu_recursion_certificate(diff: Elem) -> bool:
     diff = sum of monomial multiples of deg2-shift / deg2-zero instances
     between the nodes 1, 2, 3, so membership is decided by exact linear
     algebra over the free algebra.
+
+    Every candidate is homogeneous in loop degree, the sum of a word's
+    indices: each word of deg2-shift (i, m, j, n) has degree m + n + 1,
+    each of deg2-zero (i, m, j, n) degree m + n, and the extra factor
+    X^+_{k,t} adds t.  The span of the candidates is the direct sum of
+    its graded parts, and diff lies in it exactly when each graded part
+    of diff lies in the span of the candidates of that degree, so only
+    candidates of the degrees of diff's words are built.
     """
     if diff.is_zero():
         return True
     indices: dict[int, set[int]] = {1: set(), 2: set(), 3: set()}
+    degrees = set()
     for word in diff.terms:
         if len(word) != 3 or sorted(g.node for g in word) != [1, 2, 3]:
             raise ValueError("mu words must contain one factor per node 1, 2, 3")
         for g in word:
             indices[g.node].add(g.index)
+        degrees.add(_loop_degree(word))
     boxes = {
         node: range(min(vals) - 1, max(vals) + 2) for node, vals in indices.items()
     }
-    pairs = [(2, 3), (3, 2), (1, 2), (2, 1), (1, 3), (3, 1)]
-    candidates: list[Elem] = []
-    for i, j in pairs:
+    red = RowReducer()
+    for i, j in _MU_PAIRS:
         fam = "deg2-zero" if SIG22.c(i, j) == 0 else "deg2-shift"
         other = ({1, 2, 3} - {i, j}).pop()
         for m in boxes[i]:
             for n in boxes[j]:
-                try:
-                    rel = relation_elem(SIG22, RelRule(fam, (i, m, j, n), 1))
-                except ValueError:
-                    continue
+                rel = relation_elem(SIG22, RelRule(fam, (i, m, j, n), 1))
+                deg = _loop_degree(next(iter(rel.terms)))
                 for t in boxes[other]:
+                    if deg + t not in degrees:
+                        continue
                     g = Elem.monomial((xp(other, t),))
-                    candidates.append(g * rel)
-                    candidates.append(rel * g)
-    red = RowReducer()
-    for cand in candidates:
-        red.add(dict(cand.terms))
+                    red.add(dict((g * rel).terms))
+                    red.add(dict((rel * g).terms))
     return red.contains(dict(diff.terms))
 
 

@@ -156,6 +156,28 @@ def test_two_route_relation_verdicts(ev21, ev12, ev31, tensor21):
         assert by_matrix == by_elem == set()
 
 
+def _vacuous_families(lm):
+    """Families of the window-1 and Chevalley instances whose every word acts as zero.
+
+    Such a check passes whatever the module's coefficients are.
+    """
+    rules = relation_instances(lm.sig, range(-1, 2)) + chevalley_instances(lm.sig)
+    live = {
+        r.family
+        for r in rules
+        if any(not lm._word_matrix(w).is_zero() for w in relation_elem(lm.sig, r).terms)
+    }
+    return {r.family for r in rules} - live
+
+
+def test_tensor_relation_checks_not_vacuous(ev21, ev31, tensor21):
+    # on evaluation modules these families act as zero word by word
+    assert _vacuous_families(ev21) == {"serre3", "deg2-zero", "chev-zero", "chev-serre3", "chev-deg5"}
+    assert "chev-deg4" in _vacuous_families(ev31)
+    # on the tensor square serre3, chev-serre3 and chev-deg5 act; chev-zero does not
+    assert _vacuous_families(tensor21) == {"chev-zero"}
+
+
 @pytest.mark.parametrize("key", [("X+", 1, 1), ("X-", 2, -1), ("E0+",), ("E0-",)])
 def test_two_route_corrupted_current(fund21, key):
     # negative control: one current scaled by q breaks relations on both routes alike

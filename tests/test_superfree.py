@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
 from superloop.coeffs import ONE, ZERO, q, scalar
+from superloop.linalg import RowReducer
 from superloop.superfree import (
     AlgebraSignature,
     Elem,
@@ -30,6 +33,7 @@ from superloop.superfree import (
     relation_lead,
     xm,
     xp,
+    _MU_PAIRS,
     _normalize_commuting,
 )
 
@@ -313,9 +317,58 @@ def test_mu_recursion_certificate():
     diff = mu_elem(0, 0, 1, 0) - mu_elem(0, 0, 0, 1)
     assert not diff.is_zero()
     assert mu_recursion_certificate(diff)
-    # a perturbed difference has no certificate
-    bad = diff + mono(xp(1, 0), xp(2, 0), xp(3, 0))
-    assert not mu_recursion_certificate(bad)
+    # perturbed differences have no certificate: a word of loop degree 0 is
+    # rejected by its degree alone, a word of diff's own degree 1 only by
+    # the elimination
+    for extra in (mono(xp(1, 0), xp(2, 0), xp(3, 0)), mono(xp(2, 0), xp(1, 1), xp(3, 0))):
+        assert not mu_recursion_certificate(diff + extra)
+
+
+def _certificate_full_box(diff):
+    """Reference route: every candidate in the index boxes, of every loop degree."""
+    indices = {1: set(), 2: set(), 3: set()}
+    for word in diff.terms:
+        for g in word:
+            indices[g.node].add(g.index)
+    boxes = {node: range(min(vals) - 1, max(vals) + 2) for node, vals in indices.items()}
+    red = RowReducer()
+    for i, j in [(2, 3), (3, 2), (1, 2), (2, 1), (1, 3), (3, 1)]:
+        fam = "deg2-zero" if SIG22.c(i, j) == 0 else "deg2-shift"
+        other = ({1, 2, 3} - {i, j}).pop()
+        for m in boxes[i]:
+            for n in boxes[j]:
+                rel = relation_elem(SIG22, RelRule(fam, (i, m, j, n), 1))
+                for t in boxes[other]:
+                    g = mono(xp(other, t))
+                    red.add(dict((g * rel).terms))
+                    red.add(dict((rel * g).terms))
+    return red.contains(dict(diff.terms))
+
+
+def test_mu_certificate_two_routes():
+    diffs = [mu_elem(0, 0, n, 0) - mu_elem(0, 0, n - 1, 1) for n in range(1, 5)]
+    cases = [(diff, True) for diff in diffs]
+    cases.append((mu_elem(-1, 2, 2, 1) - mu_elem(-1, 2, 1, 2), True))
+    # negative controls at n = 2: one coefficient scaled by q, and an extra
+    # word of diff's own loop degree 2
+    diff = diffs[1]
+    word = next(iter(diff.terms))
+    cases.append((diff + Elem.monomial(word, diff.terms[word] * (q - 1)), False))
+    cases.append((diff + mono(xp(2, 0), xp(1, 2), xp(3, 0)), False))
+    for elem, want in cases:
+        assert mu_recursion_certificate(elem) is want
+        assert _certificate_full_box(elem) is want
+
+
+def test_mu_certificate_relations_are_homogeneous():
+    # the certificate builds only candidates of diff's loop degrees; that is
+    # exact because each of its relations has a single loop degree
+    for i, j in _MU_PAIRS:
+        shift = SIG22.c(i, j) != 0
+        fam = "deg2-shift" if shift else "deg2-zero"
+        for m, n in itertools.product(range(-3, 4), repeat=2):
+            rel = relation_elem(SIG22, RelRule(fam, (i, m, j, n), 1))
+            assert {sum(g.index for g in w) for w in rel.terms} == {m + n + shift}
 
 
 def test_apply_derivation_script_json():
