@@ -17,7 +17,7 @@ from dataclasses import dataclass, asdict
 from . import modrep, pbw, weyl
 from .coeffs import ONE, ZERO, ZPoly, a as PARAM_A, b as PARAM_B, q, scalar, scalar_from_str, scalar_str
 from .linalg import RowReducer
-from .superfree import Elem, appendixA_check
+from .superfree import H_BOUND, Elem, appendixA_check
 from .weyl import HighestWeight, TorsionTriple
 
 SCHEMA = 1
@@ -54,6 +54,10 @@ class RunConfig:
             raise ConfigError("windows, orders and degree bounds must be positive")
         if self.count < 1:
             raise ConfigError("count must be positive")
+        if self.n_max < 1:
+            raise ConfigError("nmax must be positive")
+        if self.height < 1:
+            raise ConfigError("height must be positive")
         if self.M < 1 or self.N < 0:
             raise ConfigError("invalid signature")
         if self.a is not None and _parse_scalar(self.a) == ZERO:
@@ -118,8 +122,8 @@ def _suite_verify_relations(cfg: RunConfig) -> list[dict]:
         raise ConfigError("verify-relations builds an evaluation module; need M != N")
     lm = _eval_module(cfg)
     # pm-mixed reaches h_{i,s} with |s| up to twice the window
-    if 2 * cfg.window > lm.sig.h_bound:
-        raise ConfigError(f"verify-relations needs window <= {lm.sig.h_bound // 2}")
+    if 2 * cfg.window > H_BOUND:
+        raise ConfigError(f"verify-relations needs window <= {H_BOUND // 2}")
     rep = modrep.relation_report(lm, window=cfg.window, include_chevalley=cfg.chevalley)
     checks = [
         _check(
@@ -227,7 +231,7 @@ def _suite_monoid(cfg: RunConfig) -> list[dict]:
     checks = []
     order = max(cfg.order, 2 * cfg.degree_bound + 2)
     worked = TorsionTriple(q, ZPoly([ONE, -(q**-2)]), ZPoly([ONE, -ONE]))
-    _, _, win = weyl.torsion_to_series(worked, order)
+    win = weyl.torsion_to_series(worked, order)
     checks.append(
         _check(
             "worked example f == 1",
@@ -244,7 +248,7 @@ def _suite_monoid(cfg: RunConfig) -> list[dict]:
     triples = [random_torsion_triple(rng, cfg.degree_bound) for _ in range(cfg.count)]
     ok_rt = True
     for t in triples:
-        _, _, w = weyl.torsion_to_series(t, order)
+        w = weyl.torsion_to_series(t, order)
         back = weyl.series_to_torsion(w, t.c, cfg.degree_bound)
         if back != t:
             ok_rt = False
@@ -268,11 +272,11 @@ def _suite_monoid(cfg: RunConfig) -> list[dict]:
     checks.append(_check("associativity", ok_assoc))
     ok_star = True
     for t1, t2 in zip(triples, triples[1:]):
-        _, _, w1 = weyl.torsion_to_series(t1, 2 * order)
-        _, _, w2 = weyl.torsion_to_series(t2, 2 * order)
+        w1 = weyl.torsion_to_series(t1, 2 * order)
+        w2 = weyl.torsion_to_series(t2, 2 * order)
         direct = weyl.star_product_window(w1, w2, t1.c, t2.c, order)
         prod = weyl.monoid_product(_hw_of(t1), _hw_of(t2)).torsion
-        _, _, wp = weyl.torsion_to_series(prod, order)
+        wp = weyl.torsion_to_series(prod, order)
         ok_star &= all(direct[n] == wp[n] for n in range(-order, order + 1))
     checks.append(_check("star product matches series product", ok_star))
     return checks
@@ -329,11 +333,11 @@ def _suite_coproduct(cfg: RunConfig) -> list[dict]:
     for part in ("x+", "x-", "phi"):
         for j in range(1, sig.n_nodes + 1):
             for n in (-1, 0, 1):
-                ok = modrep.check_coproduct_formula(j, n, m1, m2, part=part, product=tm)
+                ok = modrep.check_coproduct_formula(j, n, m1, m2, part, tm)
                 checks.append(_check(f"coproduct {part} j={j} n={n}", ok))
     for i in range(1, sig.n_nodes):
         for s in (1, -1):
-            res = modrep.cartan_coproduct_constants(i, m1, m2, sign=s, product=tm)
+            res = modrep.cartan_coproduct_constants(i, m1, m2, tm, sign=s)
             ok = res.get("solvable") and res.get("z_matches")
             checks.append(_check(f"cartan-coproduct constants i={i} sign={s:+d}", bool(ok), res))
     return checks
@@ -437,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
         merged.update({k: v for k, v in values.items() if v is not None})
         cfg = RunConfig(**merged)
         report = run(cfg)
-    except (ConfigError, modrep.ModuleError) as exc:
+    except (ConfigError, modrep.ModuleError, weyl.TorsionError) as exc:
         print(json.dumps({"schema": SCHEMA, "error": str(exc)}), file=sys.stderr)
         return 2
     text = json.dumps(report, indent=2)

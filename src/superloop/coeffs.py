@@ -12,7 +12,7 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import sympy
 from sympy.polys.domains import ZZ
@@ -59,15 +59,6 @@ def scalar_str(x: Scalar) -> str:
     if den == _FIELD.ring.one:
         return str(num)
     return f"({num})/({den})"
-
-
-def qint(n: int) -> Scalar:
-    """The q-integer [n]_q = (q^n - q^-n)/(q - q^-1) as an exact Laurent polynomial."""
-    if n == 0:
-        return ZERO
-    m = abs(n)
-    val = sum((q ** (m - 1 - 2 * k) for k in range(m)), start=ZERO)
-    return val if n > 0 else -val
 
 
 def qint_base(n: int, base_exp: int) -> Scalar:
@@ -161,13 +152,6 @@ class ZPoly:
         """z^deg * P(1/z)."""
         return ZPoly(tuple(reversed(self.coeffs)))
 
-    def eval(self, x) -> Scalar:
-        x = scalar(x)
-        out = ZERO
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
     def divmod(self, other: "ZPoly") -> tuple["ZPoly", "ZPoly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -192,10 +176,6 @@ class ZPoly:
 
     def to_json(self) -> list[str]:
         return [scalar_str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, data: Sequence[str]) -> "ZPoly":
-        return cls(scalar_from_str(s) for s in data)
 
 
 def _to_zring(p: ZPoly):

@@ -45,12 +45,6 @@ class Mat:
                     data[i, j] = val
         return cls(nrows, ncols, data)
 
-    def to_rows(self) -> list[list[Scalar]]:
-        return [
-            [self.data.get((i, j), ZERO) for j in range(self.ncols)]
-            for i in range(self.nrows)
-        ]
-
     def entry(self, i: int, j: int) -> Scalar:
         return self.data.get((i, j), ZERO)
 
@@ -114,9 +108,6 @@ class Mat:
             if vj is not None:
                 out[i] = out.get(i, ZERO) + val * vj
         return {i: v for i, v in out.items() if v != ZERO}
-
-    def transpose(self) -> "Mat":
-        return Mat(self.ncols, self.nrows, {(j, i): v for (i, j), v in self.data.items()})
 
     def flatten(self) -> dict:
         """Row-major sparse vector of length nrows*ncols."""
@@ -189,13 +180,6 @@ class RowReducer:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-
-def span_rank(vectors) -> int:
-    red = RowReducer()
-    for v in vectors:
-        red.add(v)
-    return red.rank
 
 
 def joint_nullspace(mats: list[Mat], dim: int) -> list[dict]:

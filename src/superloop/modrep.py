@@ -208,9 +208,9 @@ class LoopModule:
         if g.kind == X_MINUS:
             return self.gen(("X-", g.node, g.index))
         if g.kind == "K":
-            return self.gen(("K0",)) if g.node == 0 else self.gen(("K", g.node))
+            return self.gen(("K", g.node))
         if g.kind == "Kinv":
-            return self.gen(("K0inv",)) if g.node == 0 else self.gen(("Kinv", g.node))
+            return self.gen(("Kinv", g.node))
         if g.kind == "H":
             return self.gen(("H", g.node, g.index))
         if g.kind == "E0+":
@@ -396,40 +396,6 @@ def _log_series_coefficient(ys: list[Mat], order: int, dim: int) -> Mat:
     return out
 
 
-def _mat_json(m: Mat) -> list[list[str]]:
-    return [[scalar_str(x) for x in row] for row in m.to_rows()]
-
-
-def gl_to_json(mod: GLModule) -> dict:
-    return {
-        "M": mod.M,
-        "N": mod.N,
-        "dim": mod.dim,
-        "parity": list(mod.parity),
-        "t": [_mat_json(m) for m in mod.t],
-        "eplus": [_mat_json(m) for m in mod.eplus],
-        "eminus": [_mat_json(m) for m in mod.eminus],
-    }
-
-
-def loop_to_json(lm: LoopModule, window: int = 1) -> dict:
-    """Row-major matrices of the currents over a loop window."""
-    gens = {}
-    for i in range(1, lm.sig.n_nodes + 1):
-        gens[f"K_{i}"] = _mat_json(lm.gen(("K", i)))
-        for n in range(-window, window + 1):
-            gens[f"X+_{i},{n}"] = _mat_json(lm.gen(("X+", i, n)))
-            gens[f"X-_{i},{n}"] = _mat_json(lm.gen(("X-", i, n)))
-        for s in (1, -1):
-            gens[f"h_{i},{s}"] = _mat_json(lm.gen(("H", i, s)))
-    return {
-        "signature": [lm.sig.M, lm.sig.N],
-        "dim": lm.dim,
-        "parity": list(lm.parity),
-        "generators": gens,
-    }
-
-
 # ---------------------------------------------------------------------------
 # evaluation pullback, pi pullback and tensor products
 # ---------------------------------------------------------------------------
@@ -581,11 +547,12 @@ def _sign_qpower(lam: Scalar, qi: Scalar, bound: int) -> tuple[int, int]:
     raise ModuleError("K eigenvalue is not +-(q_i)^d within the degree bound")
 
 
+# the widest loop window over which the raising kernel is compared
+_MAX_KERNEL_WINDOW = 6
+
+
 def highest_weight(
-    lm: LoopModule,
-    window: int = 2,
-    degree_bound: int | None = None,
-    max_window: int = 6,
+    lm: LoopModule, window: int = 2, degree_bound: int | None = None
 ) -> HighestWeight:
     """Extract the highest-weight datum of the module.
 
@@ -597,7 +564,7 @@ def highest_weight(
     sig = lm.sig
     if degree_bound is None:
         degree_bound = max(2, lm.dim)
-    kern = _stable_kernel(lm, window, max_window)
+    kern = _stable_kernel(lm, window)
     v = kern[0]
     pivot = min(v)
     v = {k: val / v[pivot] for k, val in v.items()}
@@ -626,10 +593,15 @@ def highest_weight(
     return HighestWeight(P, torsion, eps, k0)
 
 
-def _stable_kernel(lm: LoopModule, window: int, max_window: int) -> list[dict]:
+def _stable_kernel(lm: LoopModule, window: int) -> list[dict]:
+    if window >= _MAX_KERNEL_WINDOW:
+        raise ModuleError(
+            f"the raising-kernel window must be below {_MAX_KERNEL_WINDOW}, so that "
+            "two windows can be compared"
+        )
     prev = None
     w = window
-    while w <= max_window:
+    while w <= _MAX_KERNEL_WINDOW:
         mats = [
             lm.gen(("X+", i, n))
             for i in range(1, lm.sig.n_nodes + 1)
@@ -642,7 +614,7 @@ def _stable_kernel(lm: LoopModule, window: int, max_window: int) -> list[dict]:
             return kern
         prev = kern
         w += 1
-    raise ModuleError("raising-kernel dimension did not stabilise")
+    raise ModuleError(f"raising-kernel dimension did not stabilise by window {_MAX_KERNEL_WINDOW}")
 
 
 def _reconstruct_poly(lm: LoopModule, v: dict, i: int, sgn: int, d: int) -> ZPoly:
@@ -684,12 +656,16 @@ def _reconstruct_poly(lm: LoopModule, v: dict, i: int, sgn: int, d: int) -> ZPol
 # ---------------------------------------------------------------------------
 
 
-def _x_span(lm: LoopModule, sign: int, window: int) -> list[Mat]:
+# the loop window of the currents spanning a coproduct's correction space
+_CORRECTION_WINDOW = 2
+
+
+def _x_span(lm: LoopModule, sign: int) -> list[Mat]:
     tag = "X+" if sign > 0 else "X-"
     return [
         lm.gen((tag, i, n))
         for i in range(1, lm.sig.n_nodes + 1)
-        for n in range(-window, window + 1)
+        for n in range(-_CORRECTION_WINDOW, _CORRECTION_WINDOW + 1)
     ]
 
 
@@ -713,7 +689,7 @@ def _left_ideal_span(lm: LoopModule, factors: list[list[Mat]]) -> list[Mat]:
     return out
 
 
-def _corr_basis(m1: LoopModule, m2: LoopModule, spec: str, window: int) -> list[Mat]:
+def _corr_basis(m1: LoopModule, m2: LoopModule, spec: str) -> list[Mat]:
     """Correction-space basis on the product module.
 
     ``spec`` encodes the modulus: 'x-:x+x+', 'x-x-:x+', or the symmetric
@@ -721,14 +697,14 @@ def _corr_basis(m1: LoopModule, m2: LoopModule, spec: str, window: int) -> list[
     """
     def side(lm, code):
         if code == "x-":
-            return _left_ideal_span(lm, [_x_span(lm, -1, window)])
+            return _left_ideal_span(lm, [_x_span(lm, -1)])
         if code == "x+":
-            return _left_ideal_span(lm, [_x_span(lm, +1, window)])
+            return _left_ideal_span(lm, [_x_span(lm, +1)])
         if code == "x-x-":
-            xs = _x_span(lm, -1, window)
+            xs = _x_span(lm, -1)
             return _left_ideal_span(lm, [xs, xs])
         if code == "x+x+":
-            xs = _x_span(lm, +1, window)
+            xs = _x_span(lm, +1)
             return _left_ideal_span(lm, [xs, xs])
         raise ValueError(code)
 
@@ -745,69 +721,71 @@ def _coproduct_claim(
     j: int, n: int, part: str, m1: LoopModule, m2: LoopModule
 ) -> tuple[tuple, list[tuple[Scalar, Mat, Mat]], str | None]:
     """(tensor-module key, explicit terms, correction spec or None)."""
-    def g1(key):
-        return m1.gen(key)
-
-    def g2(key):
-        return m2.gen(key)
-
     id1 = Mat.identity(m1.dim)
     id2 = Mat.identity(m2.dim)
     if part == "x+":
         key = ("X+", j, n)
         if n == 0:
-            terms = [(ONE, id1, g2(("X+", j, 0))), (ONE, g1(("X+", j, 0)), g2(("Kinv", j)))]
+            terms = [
+                (ONE, id1, m2.gen(("X+", j, 0))),
+                (ONE, m1.gen(("X+", j, 0)), m2.gen(("Kinv", j))),
+            ]
             return key, terms, None
         if n > 0:
-            terms = [(ONE, id1, g2(("X+", j, n))), (ONE, g1(("X+", j, n)), g2(("Kinv", j)))]
+            terms = [
+                (ONE, id1, m2.gen(("X+", j, n))),
+                (ONE, m1.gen(("X+", j, n)), m2.gen(("Kinv", j))),
+            ]
             for s in range(1, n + 1):
-                terms.append((ONE, g1(("Kinv", j)) * g1(("phi", 1, j, s)), g2(("X+", j, n - s))))
+                left = m1.gen(("Kinv", j)) * m1.gen(("phi", 1, j, s))
+                terms.append((ONE, left, m2.gen(("X+", j, n - s))))
             return key, terms, "x-:x+x+"
         m = -n
         terms = [
-            (ONE, g1(("Kinv", j)) * g1(("Kinv", j)), g2(("X+", j, n))),
-            (ONE, g1(("X+", j, n)), g2(("Kinv", j))),
+            (ONE, m1.gen(("Kinv", j)) * m1.gen(("Kinv", j)), m2.gen(("X+", j, n))),
+            (ONE, m1.gen(("X+", j, n)), m2.gen(("Kinv", j))),
         ]
         for s in range(1, m):
-            terms.append((ONE, g1(("Kinv", j)) * g1(("phi", -1, j, -s)), g2(("X+", j, n + s))))
+            left = m1.gen(("Kinv", j)) * m1.gen(("phi", -1, j, -s))
+            terms.append((ONE, left, m2.gen(("X+", j, n + s))))
         return key, terms, "x-:x+x+"
     if part == "x-":
         key = ("X-", j, n)
         if n == 0:
-            terms = [(ONE, g1(("K", j)), g2(("X-", j, 0))), (ONE, g1(("X-", j, 0)), id2)]
+            terms = [
+                (ONE, m1.gen(("K", j)), m2.gen(("X-", j, 0))),
+                (ONE, m1.gen(("X-", j, 0)), id2),
+            ]
             return key, terms, None
         if n > 0:
             terms = [
-                (ONE, g1(("K", j)), g2(("X-", j, n))),
-                (ONE, g1(("X-", j, n)), g2(("K", j)) * g2(("K", j))),
+                (ONE, m1.gen(("K", j)), m2.gen(("X-", j, n))),
+                (ONE, m1.gen(("X-", j, n)), m2.gen(("K", j)) * m2.gen(("K", j))),
             ]
             for s in range(1, n):
-                terms.append((ONE, g1(("X-", j, s)), g2(("K", j)) * g2(("phi", 1, j, n - s))))
+                right = m2.gen(("K", j)) * m2.gen(("phi", 1, j, n - s))
+                terms.append((ONE, m1.gen(("X-", j, s)), right))
             return key, terms, "x-x-:x+"
         m = -n
-        terms = [(ONE, g1(("K", j)), g2(("X-", j, n))), (ONE, g1(("X-", j, n)), id2)]
+        terms = [(ONE, m1.gen(("K", j)), m2.gen(("X-", j, n))), (ONE, m1.gen(("X-", j, n)), id2)]
         for s in range(1, m + 1):
-            terms.append((ONE, g1(("X-", j, n + s)), g2(("K", j)) * g2(("phi", -1, j, -s))))
+            right = m2.gen(("K", j)) * m2.gen(("phi", -1, j, -s))
+            terms.append((ONE, m1.gen(("X-", j, n + s)), right))
         return key, terms, "x-x-:x+"
     if part == "phi":
         sign = 1 if n >= 0 else -1
         key = ("phi", sign, j, n)
         terms = []
         for s in range(0, abs(n) + 1):
-            terms.append((ONE, g1(("phi", sign, j, sign * s)), g2(("phi", sign, j, n - sign * s))))
+            left, right = m1.gen(("phi", sign, j, sign * s)), m2.gen(("phi", sign, j, n - sign * s))
+            terms.append((ONE, left, right))
         spec = None if n == 0 else "x-:x+ + x+:x-"
         return key, terms, spec
     raise ValueError(f"unknown coproduct part {part!r}")
 
 
 def check_coproduct_formula(
-    j: int,
-    n: int,
-    m1: LoopModule,
-    m2: LoopModule,
-    part: str = "x+",
-    product: LoopModule | None = None,
-    window: int = 2,
+    j: int, n: int, m1: LoopModule, m2: LoopModule, part: str, product: LoopModule
 ) -> bool:
     """Check a coproduct formula on the product module by exact membership.
 
@@ -815,8 +793,6 @@ def check_coproduct_formula(
     terms must lie in the stated correction space; at loop degree zero the
     equality is exact.
     """
-    if product is None:
-        product = tensor(m1, m2)
     key, terms, spec = _coproduct_claim(j, n, part, m1, m2)
     lhs = product.gen(key)
     for coeff, A, B in terms:
@@ -826,18 +802,13 @@ def check_coproduct_formula(
     if lhs.is_zero():
         return True
     red = RowReducer()
-    for mat in _corr_basis(m1, m2, spec, window):
+    for mat in _corr_basis(m1, m2, spec):
         red.add(mat.flatten())
     return red.contains(lhs.flatten())
 
 
 def cartan_coproduct_constants(
-    i: int,
-    m1: LoopModule,
-    m2: LoopModule,
-    sign: int = 1,
-    product: LoopModule | None = None,
-    window: int = 2,
+    i: int, m1: LoopModule, m2: LoopModule, product: LoopModule, sign: int = 1
 ) -> dict:
     """Solve the level-one Cartan coproduct membership for (x, y, z).
 
@@ -847,8 +818,6 @@ def cartan_coproduct_constants(
     sig = m1.sig
     if not 1 <= i <= sig.n_nodes - 1:
         raise ModuleError("the formula covers 1 <= i <= M+N-2")
-    if product is None:
-        product = tensor(m1, m2)
     s = 1 if sign > 0 else -1
     hkey = ("H", i, s)
     id1 = Mat.identity(m1.dim)
@@ -867,7 +836,7 @@ def cartan_coproduct_constants(
         return kron_super(left, right, m1.parity, m2.parity)
 
     cols = {"x": column(i - 1), "y": column(i), "z": column(i + 1)}
-    corr = _corr_basis(m1, m2, "x-x-:x+x+", window)
+    corr = _corr_basis(m1, m2, "x-x-:x+x+")
     names = [k for k, v in cols.items() if v is not None]
     col_mats = [cols[k] for k in names]
     sol = solve_span([c.flatten() for c in col_mats] + [c.flatten() for c in corr], target.flatten())

@@ -85,13 +85,6 @@ class PBWMonomial:
                 tot[k] += v
         return tuple(tot)
 
-    def to_json(self) -> list[dict]:
-        return [{"root": [r.i, r.j], "n": n} for r, n in self.factors]
-
-    @classmethod
-    def from_json(cls, data: Sequence[dict]) -> "PBWMonomial":
-        return cls(tuple((Root(*item["root"]), item["n"]) for item in data))
-
 
 def monomial_elem(sig: AlgebraSignature, mono: PBWMonomial) -> Elem:
     out = Elem.one()

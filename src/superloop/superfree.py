@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .coeffs import ONE, ZERO, Scalar, q, qint_base, scalar, scalar_from_str, scalar_str
+from .coeffs import ONE, ZERO, Scalar, q, qint_base, scalar, scalar_str
 from .linalg import RowReducer
 
 X_PLUS = "X+"
@@ -192,42 +192,21 @@ class Elem:
             bits.append(f"({scalar_str(c)})*{wtxt}")
         return " + ".join(bits)
 
-    def to_json(self) -> dict:
-        return {
-            "terms": [
-                {
-                    "word": [{"kind": g.kind, "node": g.node, "index": g.index} for g in word],
-                    "coeff": scalar_str(self.terms[word]),
-                }
-                for word in self.words()
-            ]
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Elem":
-        terms = {}
-        for item in data["terms"]:
-            word = tuple(GenSym(g["kind"], g["node"], g["index"]) for g in item["word"])
-            terms[word] = terms.get(word, ZERO) + scalar_from_str(item["coeff"])
-        return cls(terms)
-
 
 class NotHomogeneous(ValueError):
     """Raised when an operation needs weight/parity homogeneous input."""
 
 
+#: The largest |s| of an h_{i,s} symbol a signature accepts.
+H_BOUND = 8
+
+
 @dataclass(frozen=True)
 class AlgebraSignature:
-    """The (M, N) datum: parities, the bilinear form and the node Cartan data.
-
-    ``includes_K0`` switches on the rank-one enlargement whose extra
-    group-like generator K_0 pairs with weights through q^{delta_{i,1}}.
-    """
+    """The (M, N) datum: parities, the bilinear form and the node Cartan data."""
 
     M: int
     N: int
-    includes_K0: bool = False
-    h_bound: int = 8
 
     def __post_init__(self):
         if self.M < 1 or self.N < 0 or self.M + self.N < 2:
@@ -269,13 +248,9 @@ class AlgebraSignature:
     def check_symbol(self, g: GenSym):
         if g.kind in (E0_PLUS, E0_MINUS):
             return
-        if g.kind in (KAY, KAY_INV) and g.node == 0:
-            if not self.includes_K0:
-                raise ValueError("K_0 requires the enlarged signature")
-            return
         self._check_node(g.node)
-        if g.kind == AITCH and abs(g.index) > self.h_bound:
-            raise ValueError(f"|H index| > configured bound {self.h_bound}")
+        if g.kind == AITCH and abs(g.index) > H_BOUND:
+            raise ValueError(f"|H index| > bound {H_BOUND}")
 
     def weight_of(self, g: GenSym) -> tuple[int, ...]:
         self.check_symbol(g)
@@ -688,25 +663,6 @@ def apply_relation_at(sig: AlgebraSignature, e: Elem, rule: RelRule, word: Word,
     return e - prefix * rel * suffix
 
 
-def apply_derivation_script(sig: AlgebraSignature, e: Elem, script: Iterable[dict]) -> Elem:
-    """Replay a JSON derivation script: a list of (rule, word, position) steps.
-
-    Each step is ``{"rule": {"family", "indices", "sign"}, "word": [...],
-    "pos": int}``; the word entries use the Elem symbol encoding.  Every
-    step preserves the image of the element in the quotient algebra.
-    """
-    out = e
-    for step in script:
-        spec = step["rule"]
-        indices = tuple(
-            tuple(ix) if isinstance(ix, list) else ix for ix in spec["indices"]
-        )
-        rule = RelRule(spec["family"], indices, spec.get("sign", 1))
-        word = tuple(GenSym(g["kind"], g["node"], g["index"]) for g in step["word"])
-        out = apply_relation_at(sig, out, rule, word, step["pos"])
-    return out
-
-
 def relation_instances(
     sig: AlgebraSignature,
     window: Iterable[int],
@@ -997,10 +953,14 @@ def _normalize_commuting(e: Elem) -> Elem:
     return e
 
 
-def _guided_reduce(e: Elem, match, rewrite, normalize, max_passes: int = 400) -> Elem:
+# the pass budget of a guided reduction
+_MAX_PASSES = 400
+
+
+def _guided_reduce(e: Elem, match, rewrite, normalize) -> Elem:
     """Repeatedly rewrite the leftmost matched adjacent pair in every word."""
     e = normalize(e)
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         hit = False
         out = Elem.zero()
         for word, coeff in e.terms.items():

@@ -18,7 +18,6 @@ from .coeffs import (
     ZERO,
     Scalar,
     ZPoly,
-    ZSeries,
     expand_ratio,
     poly_coprime,
     poly_gcd,
@@ -62,18 +61,14 @@ def identity_triple() -> TorsionTriple:
     return TorsionTriple(ONE, ZPoly.one(), ZPoly.one())
 
 
-def torsion_to_series(t: TorsionTriple, order: int) -> tuple[ZSeries, ZSeries, dict[int, Scalar]]:
+def torsion_to_series(t: TorsionTriple, order: int) -> dict[int, Scalar]:
     """Expand c Q/P both ways and take the two-sided window of f.
 
-    Returns (plus series, minus series, {n: f_n for |n| <= order}) with
+    Returns {n: f_n for |n| <= order} with
     (q - q^-1) f = iota_+(c Q/P) - iota_-(c Q/P).
     """
     plus = expand_ratio(t.c, t.Q, t.P, "+", order)
-    if t.P.degree == 0:
-        # c Q/P is the constant c; its minus expansion is the same constant.
-        minus = ZSeries("-", order, (t.c * t.Q.coeff(0),) + (ZERO,) * order)
-    else:
-        minus = expand_ratio(t.c, t.Q, t.P, "-", order)
+    minus = expand_ratio(t.c, t.Q, t.P, "-", order)
     denom = q - q**-1
     window: dict[int, Scalar] = {}
     for n in range(order + 1):
@@ -82,7 +77,7 @@ def torsion_to_series(t: TorsionTriple, order: int) -> tuple[ZSeries, ZSeries, d
         else:
             window[n] = plus.coeff(n) / denom
             window[-n] = -minus.coeff(n) / denom
-    return plus, minus, window
+    return window
 
 
 def _minimal_annihilator(window: Mapping[int, Scalar], degree_bound: int) -> ZPoly | None:

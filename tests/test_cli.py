@@ -154,6 +154,27 @@ def test_cli_window_above_h_bound_rejected(capsys):
     assert "window <= 4" in _json_error(capsys)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["appendix-a", "--nmax", "0"], "nmax must be positive"),
+        (["pbw-rank", "--height", "0"], "height must be positive"),
+        (["pbw-rank", "--height", "-1"], "height must be positive"),
+        (["highest-weight", "--window", "6"], "window must be below 6"),
+        (
+            ["tensor-hw", "--M", "1", "--N", "2", "--degree-bound", "1"],
+            "no annihilator of degree <= 1",
+        ),
+    ],
+    ids=["nmax-zero", "height-zero", "height-negative", "kernel-window", "degree-bound"],
+)
+def test_out_of_range_input_exit_two(capsys, argv, message):
+    assert run_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in json.loads(captured.err)["error"]
+
+
 def test_cli_tensor_relations_include_chevalley(capsys):
     args = ["verify-relations", "--M", "2", "--N", "1", "--window", "1", "--tensor", "--chevalley"]
     assert run_main(args) == 0

@@ -390,11 +390,3 @@ def test_cartan_coproduct_constants(ev21, ev21b, tensor21):
         assert res["z_unique"]
     with pytest.raises(ModuleError):
         modrep.cartan_coproduct_constants(2, ev21, ev21b, product=tensor21)
-
-
-def test_serialization(fund21, ev21):
-    blob = modrep.gl_to_json(fund21)
-    assert blob["dim"] == 3 and blob["parity"] == [0, 0, 1]
-    loop = modrep.loop_to_json(ev21, window=1)
-    assert loop["signature"] == [2, 1]
-    assert "X+_1,1" in loop["generators"]

@@ -4,7 +4,7 @@ import pytest
 
 from superloop import weyl
 from superloop.cli import random_torsion_triple
-from superloop.coeffs import ONE, ZERO, ZPoly, q, scalar
+from superloop.coeffs import ONE, ZERO, ZPoly, expand_ratio, q, scalar
 from superloop.linalg import solve_span
 from superloop.weyl import (
     HighestWeight,
@@ -39,23 +39,28 @@ def test_triple_invariants():
 
 
 def test_identity_series_is_zero():
-    _, _, win = torsion_to_series(identity_triple(), 6)
-    assert all(v == ZERO for v in win.values())
-    assert series_to_torsion(win, ONE, 3) == identity_triple()
+    # the degree-0 triples: c Q/P is the unit c = +-1, whose f-series is 0
+    for t in (identity_triple(), TorsionTriple(-ONE, ZPoly.one(), ZPoly.one())):
+        win = torsion_to_series(t, 6)
+        assert sorted(win) == list(range(-6, 7))
+        assert all(v == ZERO for v in win.values())
+        assert series_to_torsion(win, t.c, 3) == t
 
 
 def test_worked_example_series():
-    plus, minus, win = torsion_to_series(WORKED, 6)
+    plus = expand_ratio(WORKED.c, WORKED.Q, WORKED.P, "+", 6)
+    minus = expand_ratio(WORKED.c, WORKED.Q, WORKED.P, "-", 6)
     assert plus.coeff(0) == q and minus.coeff(0) == q**-1
+    win = torsion_to_series(WORKED, 6)
     assert all(v == ONE for v in win.values())
     assert series_to_torsion(win, q, 4) == WORKED
 
 
 def test_f0_constraint():
     for t in (WORKED, identity_triple(), TorsionTriple(scalar(2), ZPoly([1, scalar(3)]), ZPoly([1, scalar(12)]))):
-        _, _, win = torsion_to_series(t, 5)
+        win = torsion_to_series(t, 5)
         assert win[0] == (t.c - t.c**-1) / (q - q**-1)
-    _, _, win = torsion_to_series(WORKED, 5)
+    win = torsion_to_series(WORKED, 5)
     with pytest.raises(TorsionError):
         series_to_torsion(win, scalar(2), 2)
 
@@ -64,7 +69,7 @@ def test_annihilation_property():
     rng = random.Random(11)
     for _ in range(6):
         t = random_torsion_triple(rng, 3)
-        _, _, win = torsion_to_series(t, 8)
+        win = torsion_to_series(t, 8)
         d = t.P.degree
         for m in range(-8 + d, 9):
             acc = sum((t.P.coeff(s) * win[m - s] for s in range(d + 1)), start=ZERO)
@@ -72,7 +77,7 @@ def test_annihilation_property():
 
 
 def test_series_to_torsion_errors():
-    _, _, win = torsion_to_series(WORKED, 6)
+    win = torsion_to_series(WORKED, 6)
     with pytest.raises(TorsionError, match="window too short"):
         series_to_torsion(win, q, 7)  # window shorter than 2*bound+1
     with pytest.raises(TorsionError, match="f_0 must equal"):
@@ -108,7 +113,7 @@ def test_annihilator_two_routes():
     for _ in range(5):
         t = random_torsion_triple(rng, bound)
         for order in (2 * bound + 2, 2 * bound + 5):
-            _, _, win = torsion_to_series(t, order)
+            win = torsion_to_series(t, order)
             windows += [win, {**win, order: win[order] + ONE}]
     # recurrences of degree exactly bound and bound + 1: (1 - z)^d annihilates
     # the polynomial sequence n^(d-1) and nothing of lower degree does
@@ -129,7 +134,7 @@ def test_roundtrip_random_triples():
     rng = random.Random(5)
     for _ in range(8):
         t = random_torsion_triple(rng, 4)
-        _, _, win = torsion_to_series(t, 10)
+        win = torsion_to_series(t, 10)
         assert series_to_torsion(win, t.c, 4) == t
 
 
@@ -155,12 +160,12 @@ def test_monoid_star_formula_window():
         ),
     ]
     for t1, t2, order in cases:
-        _, _, w1 = torsion_to_series(t1, 2 * order)
-        _, _, w2 = torsion_to_series(t2, 2 * order)
+        w1 = torsion_to_series(t1, 2 * order)
+        w2 = torsion_to_series(t2, 2 * order)
         direct = star_product_window(w1, w2, t1.c, t2.c, order)
         prod = monoid_product(_hw(t1), _hw(t2)).torsion
         assert prod.P.degree == t1.P.degree + t2.P.degree
-        assert direct == torsion_to_series(prod, order)[2]
+        assert direct == torsion_to_series(prod, order)
 
 
 def test_monoid_node_mismatch():
