@@ -1,10 +1,24 @@
 """Exact scalar arithmetic.
 
-Scalars are rational functions in the quantum parameter ``q`` and two
-evaluation parameters ``a``, ``b``, with integer polynomial numerator and
-denominator kept in canonical reduced form (gcd cancelled, sign-normalised).
-On top of the scalar field the module provides dense polynomials and
-truncated one-sided Laurent series in a formal variable ``z``.
+Scalars are elements of the rational function field Q(q, a, b) in the
+quantum parameter ``q`` and two evaluation parameters ``a``, ``b``.  Almost
+every scalar the program makes is a Laurent polynomial in q, a, b with
+integer coefficients, so ``Scalar`` holds each value in one of two forms:
+
+* a Laurent polynomial, stored as ``{(i, j, k): int}`` for the terms
+  c q^i a^j b^k with nonzero c; its arithmetic needs no gcd;
+* otherwise an element of sympy's field ``ZZ(q,a,b)`` with numerator and
+  denominator in canonical reduced form (gcd cancelled, sign-normalised).
+
+Every value has exactly one form: a field result whose reduced
+denominator is one monomial with coefficient +-1 is put back in Laurent
+form, so ``==``, ``hash`` and dict keys compare values.  Division by a
++-monomial stays in the ring; any other division, a negative power of a
+value that is not a +-monomial, and every operation with a field operand
+go through the field.  A Laurent value caches its field form, which
+mixed operations and printing use.  On top of the scalars the module
+provides dense polynomials and truncated one-sided Laurent series in a
+formal variable ``z``.
 
 No floating point is used anywhere.
 """
@@ -19,14 +33,11 @@ from sympy.polys.domains import ZZ
 from sympy.polys.fields import field
 from sympy.polys.rings import ring
 
-_FIELD, q, a, b = field("q,a,b", ZZ)
+_FIELD = field("q,a,b", ZZ)[0]
 _ZRING, _Z, _RQ, _RA, _RB = ring("z,q,a,b", ZZ)
-
-#: The type of every exact scalar in this package.
-Scalar = type(q)
-
-ZERO = _FIELD.zero
-ONE = _FIELD.one
+_poly = _FIELD.ring.zero.new
+_frac = _FIELD.zero.raw_new
+_new = object.__new__
 
 _ALLOWED_SYMBOLS = set(sympy.symbols("q a b"))
 
@@ -35,13 +46,304 @@ class NonExpandable(ValueError):
     """Raised when a ratio violates the preconditions of series expansion."""
 
 
+def _add(s: dict, t: dict) -> dict:
+    if len(s) < len(t):
+        s, t = t, s
+    out = s.copy()
+    get = out.get
+    for e, c in t.items():
+        c += get(e, 0)
+        if c:
+            out[e] = c
+        else:
+            del out[e]
+    return out
+
+
+def _sub(s: dict, t: dict) -> dict:
+    out = s.copy()
+    get = out.get
+    for e, c in t.items():
+        c = get(e, 0) - c
+        if c:
+            out[e] = c
+        else:
+            del out[e]
+    return out
+
+
+def _mul(s: dict, t: dict) -> dict:
+    if len(s) > len(t):
+        s, t = t, s
+    if len(s) == 1:
+        ((i, j, k), c), = s.items()
+        if not (i or j or k):
+            return t if c == 1 else {e: c * d for e, d in t.items()}
+        return {(i + x, j + y, k + z): c * d for (x, y, z), d in t.items()}
+    out: dict = {}
+    get = out.get
+    for (i, j, k), c in s.items():
+        for (x, y, z), d in t.items():
+            e = (i + x, j + y, k + z)
+            out[e] = get(e, 0) + c * d
+    return {e: c for e, c in out.items() if c}
+
+
+def _pow(t: dict, n: int) -> dict:
+    if len(t) == 1:
+        ((i, j, k), c), = t.items()
+        return {(i * n, j * n, k * n): c**n}
+    out = {(0, 0, 0): 1}
+    while n:
+        if n & 1:
+            out = _mul(out, t)
+        n >>= 1
+        if n:
+            t = _mul(t, t)
+    return out
+
+
+def _unit(t: dict) -> tuple | None:
+    """(exponent, sign) when the terms are one monomial with coefficient +-1."""
+    if len(t) == 1:
+        ((e, c),) = t.items()
+        if c == 1 or c == -1:
+            return e, c
+    return None
+
+
+class Scalar:
+    """An exact element of Q(q, a, b), held as a Laurent polynomial or a field element.
+
+    ``_terms`` is the Laurent dict, or None for a field element; ``_field``
+    is the field element, or the cached field form of a Laurent value.
+    Both are never mutated.
+    """
+
+    __slots__ = ("_terms", "_field")
+
+    @property
+    def numer(self):
+        """Numerator of the reduced field form, in sympy's ``ZZ[q,a,b]``."""
+        return _field_form(self).numer
+
+    @property
+    def denom(self):
+        """Denominator of the reduced field form, in sympy's ``ZZ[q,a,b]``."""
+        return _field_form(self).denom
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        t = self._terms
+        if t is not None:
+            return t == other._terms
+        return other._terms is None and self._field == other._field
+
+    def __hash__(self) -> int:
+        t = self._terms
+        if t is not None:
+            return hash(frozenset(t.items()))
+        # not sympy's hash, which some of its in-place products leave stale
+        f = self._field
+        return hash((frozenset(f.numer.items()), frozenset(f.denom.items())))
+
+    def __bool__(self) -> bool:
+        return self._terms != {}
+
+    def __repr__(self) -> str:
+        return str(_field_form(self))
+
+    __str__ = __repr__
+
+    def __add__(self, other):
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        s, t = self._terms, other._terms
+        if s is not None and t is not None:
+            return _laurent(_add(s, t))
+        return _from_field(_field_form(self) + _field_form(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return _subtract(self, other)
+
+    def __rsub__(self, other):
+        other = _coerce(other)
+        return NotImplemented if other is None else _subtract(other, self)
+
+    def __neg__(self):
+        t = self._terms
+        if t is not None:
+            return _laurent({e: -c for e, c in t.items()})
+        return _from_field(-self._field)
+
+    def __mul__(self, other):
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        s, t = self._terms, other._terms
+        if s is not None and t is not None:
+            return _laurent(_mul(s, t))
+        return _from_field(_field_form(self) * _field_form(other))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return _divide(self, other)
+
+    def __rtruediv__(self, other):
+        other = _coerce(other)
+        return NotImplemented if other is None else _divide(other, self)
+
+    def __pow__(self, n):
+        if type(n) is not int:
+            return NotImplemented
+        t = self._terms
+        if t is not None:
+            if n > 0 or n == 0 and t:
+                return _laurent(_pow(t, n))
+            unit = _unit(t)
+            if unit is not None:
+                (i, j, k), c = unit
+                return _laurent({(i * n, j * n, k * n): c**-n})
+            if not t:
+                raise ZeroDivisionError("zero to a negative power") if n else ValueError("0**0")
+        return _from_field(_field_form(self) ** n)
+
+
+def _laurent(terms: dict) -> Scalar:
+    x = _new(Scalar)
+    x._terms = terms
+    x._field = None
+    return x
+
+
+def _from_field(f) -> Scalar:
+    """The one form of a reduced field element.
+
+    sympy cancels the gcd of every result, and makes the denominator's
+    leading coefficient positive except after a negative power.
+    """
+    den = f.denom
+    if len(den) == 1:
+        ((i, j, k), c), = den.items()
+        if c == 1 or c == -1:
+            x = _laurent({(r - i, s - j, t - k): c * v for (r, s, t), v in f.numer.items()})
+            if c == 1:
+                x._field = f
+            return x
+    if den.LC < 0:
+        f = _frac(-f.numer, -den)
+    x = _new(Scalar)
+    x._terms = None
+    x._field = f
+    return x
+
+
+def _field_form(x: Scalar):
+    f = x._field
+    if f is None:
+        t = x._terms
+        if not t:
+            f = _FIELD.zero
+        else:
+            i0 = min(0, min(e[0] for e in t))
+            j0 = min(0, min(e[1] for e in t))
+            k0 = min(0, min(e[2] for e in t))
+            # each shifted variable has an exponent 0 in the numerator: coprime
+            num = _poly({(i - i0, j - j0, k - k0): c for (i, j, k), c in t.items()})
+            f = _frac(num, _poly({(-i0, -j0, -k0): 1}))
+        x._field = f
+    return f
+
+
+def _const(n: int) -> Scalar:
+    return _laurent({(0, 0, 0): n} if n else {})
+
+
+def _coerce(value) -> Scalar | None:
+    """The scalar of an int operand; None for any other type."""
+    return _const(value) if isinstance(value, int) else None
+
+
+def _subtract(x: Scalar, y: Scalar) -> Scalar:
+    s, t = x._terms, y._terms
+    if s is not None and t is not None:
+        return _laurent(_sub(s, t))
+    return _from_field(_field_form(x) - _field_form(y))
+
+
+def _divide(x: Scalar, y: Scalar) -> Scalar:
+    s, t = x._terms, y._terms
+    if s is not None and t is not None:
+        unit = _unit(t)
+        if unit is not None:
+            (i, j, k), c = unit
+            return _laurent(_mul(s, {(-i, -j, -k): c}))
+    return _from_field(_field_form(x) / _field_form(y))
+
+
+def remove_content(xs: list[Scalar]) -> list[Scalar]:
+    """The Laurent values xs divided by their greatest common divisor.
+
+    Values that are not all Laurent polynomials come back unchanged.
+    """
+    ts = [x._terms for x in xs]
+    if any(t is None for t in ts):
+        return xs
+    i0 = min(e[0] for t in ts for e in t)
+    j0 = min(e[1] for t in ts for e in t)
+    k0 = min(e[2] for t in ts for e in t)
+    polys = [_poly({(i - i0, j - j0, k - k0): c for (i, j, k), c in t.items()}) for t in ts]
+    g = polys[0]
+    for p in polys[1:]:
+        g = g.gcd(p)
+        if _unit(g) is not None:  # a unit of the Laurent ring divides out nothing
+            return xs
+    return [_laurent({(i + i0, j + j0, k + k0): c for (i, j, k), c in p.exquo(g).items()}) for p in polys]
+
+
+def unit_inverse(x: Scalar) -> Scalar | None:
+    """1/x when x is a unit of the Laurent ring (a +-monomial), else None."""
+    t = x._terms
+    unit = None if t is None else _unit(t)
+    if unit is None:
+        return None
+    (i, j, k), c = unit
+    return _laurent({(-i, -j, -k): c})
+
+
+ZERO = _laurent({})
+ONE = _laurent({(0, 0, 0): 1})
+q = _laurent({(1, 0, 0): 1})
+a = _laurent({(0, 1, 0): 1})
+b = _laurent({(0, 0, 1): 1})
+
+
 def scalar(value) -> Scalar:
     """Coerce an int, Fraction, string or Scalar into the scalar field."""
     if isinstance(value, Scalar):
         return value
     if isinstance(value, str):
         return scalar_from_str(value)
-    return _FIELD(value)
+    if isinstance(value, int):
+        return _const(value)
+    return _from_field(_FIELD(value))
 
 
 def scalar_from_str(text: str) -> Scalar:
@@ -50,7 +352,7 @@ def scalar_from_str(text: str) -> Scalar:
     if not expr.free_symbols <= _ALLOWED_SYMBOLS:
         bad = expr.free_symbols - _ALLOWED_SYMBOLS
         raise ValueError(f"unknown symbols in scalar: {sorted(map(str, bad))}")
-    return _FIELD.from_expr(expr)
+    return _from_field(_FIELD.from_expr(expr))
 
 
 def scalar_str(x: Scalar) -> str:
@@ -201,7 +503,7 @@ def _from_zring(rp) -> ZPoly:
     out = []
     for k in range(top + 1):
         num = _FIELD.ring.from_dict(coeffs.get(k, {}))
-        out.append(_FIELD.new(num, _FIELD.ring.one))
+        out.append(_from_field(_FIELD.new(num, _FIELD.ring.one)))
     return ZPoly(out)
 
 

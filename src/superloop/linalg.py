@@ -1,13 +1,15 @@
 """Sparse exact linear algebra over the scalar field.
 
 Matrices are stored as ``{(row, col): Scalar}`` with zero entries absent;
-vectors as ``{index: Scalar}``.  Everything is exact; Gaussian elimination
-divides freely since scalars form a field.
+vectors as ``{index: Scalar}``.  Everything is exact.  Elimination is
+fraction-free: it stays in the Laurent ring the entries almost always
+lie in, and divides only where a caller needs field values (a solution
+of ``solve_span``, a kernel basis of ``joint_nullspace``).
 """
 
 from __future__ import annotations
 
-from .coeffs import ONE, ZERO, Scalar, scalar
+from .coeffs import ONE, ZERO, Scalar, remove_content, scalar, unit_inverse
 
 
 class Mat:
@@ -32,21 +34,6 @@ class Mat:
     @classmethod
     def identity(cls, n: int) -> "Mat":
         return cls(n, n, {(i, i): ONE for i in range(n)})
-
-    @classmethod
-    def from_rows(cls, rows) -> "Mat":
-        data = {}
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        for i, row in enumerate(rows):
-            for j, val in enumerate(row):
-                val = scalar(val)
-                if val != ZERO:
-                    data[i, j] = val
-        return cls(nrows, ncols, data)
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.data.get((i, j), ZERO)
 
     def is_zero(self) -> bool:
         return not self.data
@@ -136,20 +123,31 @@ def kron_super(A: Mat, B: Mat, parity1: list[int], parity2: list[int]) -> Mat:
     return Mat(A.nrows * n2, A.ncols * m2, data)
 
 
-def vec_sub_scaled(target: dict, src: dict, factor: Scalar) -> dict:
-    """target - factor*src for sparse vectors."""
-    out = dict(target)
-    for k, v in src.items():
-        val = out.get(k, ZERO) - factor * v
-        if val == ZERO:
-            out.pop(k, None)
-        else:
+def _eliminate(vec: dict, row: dict, lead: int) -> dict:
+    """lead(row)*vec - vec[lead]*row, which clears vec[lead] without a division."""
+    f, p = vec[lead], row[lead]
+    out = dict(vec) if p == ONE else {k: p * v for k, v in vec.items()}
+    for k, v in row.items():
+        val = out.get(k, ZERO) - f * v
+        if val:
             out[k] = val
+        else:
+            del out[k]
     return out
 
 
 class RowReducer:
-    """Incremental echelon form for sparse vectors over the scalar field."""
+    """Incremental echelon form for sparse vectors, fraction-free.
+
+    A vector v is reduced by the pivot row p of its least index by
+    cross-multiplication, v <- lead(p)*v - lead(v)*p, so elimination of
+    Laurent rows never divides.  A new pivot row whose lead is not a unit
+    of the Laurent ring is divided by the gcd of its entries, which keeps
+    pivots from growing with every row they absorb; one whose lead is a
+    unit (a +-monomial) is then scaled to lead 1, which is exact.  ``reduce``
+    returns a nonzero scalar multiple of the residual a field elimination
+    gives.
+    """
 
     def __init__(self):
         self.pivots: dict[int, dict] = {}
@@ -161,7 +159,7 @@ class RowReducer:
             row = self.pivots.get(lead)
             if row is None:
                 return vec
-            vec = vec_sub_scaled(vec, row, vec[lead])
+            vec = _eliminate(vec, row, lead)
         return vec
 
     def add(self, vec: dict) -> bool:
@@ -170,8 +168,12 @@ class RowReducer:
         if not vec:
             return False
         lead = min(vec)
-        inv = ONE / vec[lead]
-        self.pivots[lead] = {k: inv * v for k, v in vec.items()}
+        if unit_inverse(vec[lead]) is None:
+            vec = dict(zip(vec, remove_content(list(vec.values()))))
+        inv = unit_inverse(vec[lead])
+        if inv is not None and inv != ONE:
+            vec = {k: inv * v for k, v in vec.items()}
+        self.pivots[lead] = vec
         return True
 
     def contains(self, vec: dict) -> bool:
@@ -191,7 +193,7 @@ def joint_nullspace(mats: list[Mat], dim: int) -> list[dict]:
             rows.setdefault(i, {})[j] = val
         for row in rows.values():
             red.add(row)
-    # Back-substitute: echelon rows (normalised, pivot coefficient 1).
+    # Back-substitute through the echelon rows, dividing by each pivot's lead.
     pivots = red.pivots
     pivot_cols = set(pivots)
     free_cols = [j for j in range(dim) if j not in pivot_cols]
@@ -202,7 +204,7 @@ def joint_nullspace(mats: list[Mat], dim: int) -> list[dict]:
             row = pivots[col]
             s = sum((v * vec.get(k, ZERO) for k, v in row.items() if k != col), start=ZERO)
             if s != ZERO:
-                vec[col] = -s
+                vec[col] = -s / row[col]
         basis.append({k: v for k, v in vec.items() if v != ZERO})
     return basis
 
@@ -214,16 +216,20 @@ def solve_span(columns: list[dict], target: dict) -> list[Scalar] | None:
     """
     # Augment each column with a unit tag keyed above every row index, so
     # elimination clears the rows first and the combination can be read off.
+    # The target carries its own tag T above the column tags: reduction
+    # scales it by some r, so x_j = -resid[tag_j] / resid[T].
     tag = 1 + max((k for vec in (*columns, target) for k in vec), default=0)
+    top = tag + len(columns)
     red = RowReducer()
     for j, col in enumerate(columns):
         red.add({**col, tag + j: ONE})
-    resid = red.reduce(target)
+    resid = red.reduce({**target, top: ONE})
     if any(k < tag for k in resid):
         return None
+    r = resid.pop(top)
     sol = [ZERO] * len(columns)
     for k, v in resid.items():
-        sol[k - tag] = -v
+        sol[k - tag] = -v / r
     return sol
 
 

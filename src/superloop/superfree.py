@@ -10,6 +10,7 @@ only decided through guided rewriting or module-action oracles.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -167,8 +168,8 @@ class Elem:
     def map_symbols(self, fn: Callable[[GenSym], tuple[Scalar, GenSym]]) -> "Elem":
         """Apply a generator-wise relabeling word by word (algebra map).
 
-        A field multiply by ONE costs as much as any other, so signs equal
-        to ONE are not multiplied in.
+        Signs equal to ONE are not multiplied in, which saves one scalar
+        product per factor.
         """
         terms: dict = {}
         for word, coeff in self.terms.items():
@@ -1068,11 +1069,15 @@ def appendixA_check(n_max: int, window: Iterable[int]) -> dict:
     def record(name: str, ok: bool, detail: str = ""):
         checks.append({"name": name, "status": "pass" if ok else "fail", "detail": detail})
 
+    # the second term of each recursion difference is the first term of a
+    # neighbouring one, so build each element once per call
+    lam, mu = functools.cache(lambda_elem), functools.cache(mu_elem)
+
     for bb, cc in itertools.product(window, repeat=2):
-        base = _normalize_commuting(lambda_elem(0, bb, cc))
+        base = _normalize_commuting(lam(0, bb, cc))
         record(f"lambda(0,{bb},{cc}) = 0", base.is_zero())
         for n in range(1, n_max + 1):
-            diff = lambda_elem(n, bb, cc) - lambda_elem(n - 1, bb, cc + 1)
+            diff = lam(n, bb, cc) - lam(n - 1, bb, cc + 1)
             red = reduce_lambda_step(diff, cc)
             record(
                 f"lambda({n},{bb},{cc}) = lambda({n-1},{bb},{cc+1})",
@@ -1085,7 +1090,7 @@ def appendixA_check(n_max: int, window: Iterable[int]) -> dict:
     base_ok: dict[int, bool] = {}
     base_diff: dict[int, Elem] = {}
     for n in range(1, n_max + 1):
-        diff = mu_elem(0, 0, n, 0) - mu_elem(0, 0, n - 1, 1)
+        diff = mu(0, 0, n, 0) - mu(0, 0, n - 1, 1)
         base_diff[n] = diff
         base_ok[n] = mu_recursion_certificate(diff)
 
@@ -1093,11 +1098,11 @@ def appendixA_check(n_max: int, window: Iterable[int]) -> dict:
         return e.map_symbols(lambda g: (ONE, xp(g.node, g.index + offs[g.node])))
 
     for aa, cc, dd in itertools.product(window, repeat=3):
-        base = _normalize_commuting(mu_elem(aa, cc, 0, dd))
+        base = _normalize_commuting(mu(aa, cc, 0, dd))
         record(f"mu({aa},{cc},0,{dd}) = 0", base.is_zero())
         offs = {1: aa, 2: dd, 3: cc}
         for n in range(1, n_max + 1):
-            diff = mu_elem(aa, cc, n, dd) - mu_elem(aa, cc, n - 1, dd + 1)
+            diff = mu(aa, cc, n, dd) - mu(aa, cc, n - 1, dd + 1)
             ok = base_ok[n] and diff == translate(base_diff[n], offs)
             record(
                 f"mu({aa},{cc},{n},{dd}) = mu({aa},{cc},{n-1},{dd+1})",

@@ -12,7 +12,7 @@ import pytest
 
 from superloop import modrep, pbw, weyl
 from superloop.cli import random_torsion_triple
-from superloop.coeffs import ONE, ZERO, ZPoly, a, b, q, qint_base, scalar
+from superloop.coeffs import ONE, ZPoly, a, b, q, qint_base, scalar
 from superloop.linalg import RowReducer
 from superloop.modrep import (
     evaluation_pullback,
@@ -22,9 +22,10 @@ from superloop.modrep import (
     relation_report,
     tensor,
 )
-from superloop.superfree import AlgebraSignature, Elem, appendixA_check
+from superloop.superfree import Elem, appendixA_check
 from superloop.weyl import (
     TorsionTriple,
+    WeylOddSlice,
     identity_triple,
     monoid_product,
     series_to_torsion,
@@ -108,6 +109,7 @@ def test_criterion_3_tensor_monoid_compatibility(modules):
 
 def test_criterion_4_odd_slice_spectrum():
     rng = random.Random(SEED)
+    perturb = random.Random(SEED + 1)
     pool = [scalar(1), scalar(-1), scalar(2), q, -q, q**-1, q + q**-1]
     ok = True
     produced = 0
@@ -122,9 +124,16 @@ def test_criterion_4_odd_slice_spectrum():
         ok &= sl.d == Q.degree
         ok &= sl.theta == -Pprev.coeff(1)
         ok &= slice_spectrum_identity(Q, sl)
-        # lower-bound witness: the slice plus the highest-weight line
-        # already exceeds deg Q
-        ok &= Q.degree < sl.d + 1
+        # negative controls: shifting a diagonal entry of hM1 changes the
+        # charpoly by a monic minor of degree d - 1, and shifting one
+        # coefficient of Q changes Q*; either must break the identity
+        i = perturb.randrange(sl.d)
+        rows = [list(row) for row in sl.hM1]
+        rows[i][i] += ONE
+        ok &= not slice_spectrum_identity(Q, WeylOddSlice(sl.d, sl.theta, tuple(map(tuple, rows))))
+        k = perturb.randint(1, d)
+        Q_bad = ZPoly([c + ONE if j == k else c for j, c in enumerate(Q.coeffs)])
+        ok &= not slice_spectrum_identity(Q_bad, sl)
     _report(4, "odd-slice dimension and exact reciprocal charpoly, 20 samples", ok)
 
 

@@ -1,7 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.fields import field
 
 from superloop.coeffs import (
     NonExpandable,
@@ -9,6 +11,7 @@ from superloop.coeffs import (
     ZERO,
     ZPoly,
     a,
+    b,
     expand_ratio,
     poly_coprime,
     poly_gcd,
@@ -144,3 +147,121 @@ def test_zpoly_compose_reciprocal():
     # p(z - 3) = 1 + 2(z - 3) + q(z - 3)^2
     shifted = p.compose(ZPoly([scalar(-3), ONE]))
     assert shifted == ZPoly([9 * q - 5, 2 - 6 * q, q])
+
+
+# -- two routes: every scalar operation against sympy's field ZZ(q,a,b) --
+
+_F = field("q,a,b", ZZ)[0]
+_Fq, _Fa, _Fb = _F.gens
+
+
+def _canonical(f):
+    """The reduced form sympy's field gives every result but a negative power."""
+    return _F.new(f.numer, f.denom)
+
+
+def _field_str(f) -> str:
+    num, den = f.numer, f.denom
+    return str(num) if den == _F.ring.one else f"({num})/({den})"
+
+
+def _check(x, f):
+    """x is the scalar route's result, f the field's."""
+    f = _canonical(_F(f))  # sympy's zero plus an int is that int
+    assert x.numer == f.numer and x.denom == f.denom
+    assert scalar_str(x) == _field_str(f)
+    laurent = len(f.denom) == 1 and f.denom.LC == 1
+    assert (x._terms is not None) == laurent  # one form per value
+    again = scalar(f)
+    assert x == again and hash(x) == hash(again)
+
+
+@st.composite
+def _laurent(draw, max_terms=4):
+    """A Laurent polynomial built on both routes from the same terms."""
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(-2, 2)] * 3), st.integers(-4, 4).filter(bool), max_size=max_terms
+    ))
+    x, f = ZERO, _F.zero
+    for (i, j, k), c in terms.items():
+        x += c * q**i * a**j * b**k
+        f += c * _Fq**i * _Fa**j * _Fb**k
+    return x, f
+
+
+# denominators that fall back to the field (2, 2q, q - 1, ...) or come back
+# to the ring with a sign flip (-q, and -q/(q+1) to a negative power)
+_SPECIAL = [
+    (q**-1, _Fq**-1),
+    (-q, -_Fq),
+    (2 * q, 2 * _Fq),
+    (-2 * q, -2 * _Fq),
+    (scalar(2), _F(2)),
+    (q - 1, _Fq - 1),
+    (-q / (q + 1), -_Fq / (_Fq + 1)),
+    (q * a / (2 - q), _Fq * _Fa / (2 - _Fq)),
+    (b / (a * b + 3), _Fb / (_Fa * _Fb + 3)),
+]
+
+
+@st.composite
+def _any_scalar(draw):
+    kind = draw(st.sampled_from(["laurent", "special", "ratio"]))
+    if kind == "laurent":
+        return draw(_laurent())
+    if kind == "special":
+        return draw(st.sampled_from(_SPECIAL))
+    (x, f), (y, g) = draw(_laurent(2)), draw(_laurent(3).filter(lambda p: p[1] != 0))
+    return x / y, f / g
+
+
+_ints = st.integers(-3, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_any_scalar(), _any_scalar(), _ints, st.integers(-3, 3))
+def test_scalar_ops_two_routes(xf, yg, n, e):
+    (x, f), (y, g) = xf, yg
+    _check(x, f)
+    assert scalar_from_str(scalar_str(x)) == x
+    _check(x + y, f + g)
+    _check(n + x, n + f)
+    _check(x + n, f + n)
+    _check(x - y, f - g)
+    _check(n - x, n - f)
+    _check(x - n, f - n)
+    _check(-x, -f)
+    _check(x * y, f * g)
+    _check(n * x, n * f)
+    _check(x * n, f * n)
+    if g != 0:
+        _check(x / y, f / g)
+    if f != 0:
+        _check(n / x, n / f)
+    if n:
+        _check(x / n, f / n)
+    if f != 0 or e > 0:
+        _check(x**e, f**e)
+    else:
+        with pytest.raises(ZeroDivisionError if e < 0 else ValueError):
+            x**e
+    assert (x == y) == (_canonical(f) == _canonical(g))
+    assert (x == n) == (_canonical(f) == n)
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+def test_scalar_forms_examples():
+    assert (ONE / (-q))._terms == {(-1, 0, 0): -1}
+    assert ((-q / (q + 1)) ** -1) == -1 - q**-1
+    assert (2 * q + 4) / 2 == q + 2 and ((2 * q + 4) / 2)._terms is not None
+    assert (ONE / (2 * q))._terms is None
+    assert scalar_str(ONE / (2 * q)) == "(1)/(2*q)"
+    assert scalar_str(scalar(-2) ** -1) == "(-1)/(2)"
+    assert scalar("(q^2-1)/(q-1)")._terms == {(1, 0, 0): 1, (0, 0, 0): 1}
+    with pytest.raises(ZeroDivisionError):
+        ONE / ZERO
+    with pytest.raises(ZeroDivisionError):
+        ZERO**-1
+    with pytest.raises(ValueError, match="0\\*\\*0"):
+        ZERO**0

@@ -3,7 +3,7 @@ import pytest
 from superloop import pbw
 from superloop.coeffs import ONE, q
 from superloop.linalg import RowReducer
-from superloop.superfree import AlgebraSignature, Elem, kay, kinv, qbracket, xm, xp
+from superloop.superfree import AlgebraSignature, Elem, kay, kinv, xm, xp
 
 SIG21 = AlgebraSignature(2, 1)
 SIG31 = AlgebraSignature(3, 1)

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from superloop.coeffs import ONE, ZERO, q, scalar
+from superloop.coeffs import ONE, q, scalar
 from superloop.linalg import RowReducer
 from superloop.superfree import (
     AlgebraSignature,
