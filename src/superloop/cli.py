@@ -83,6 +83,8 @@ def _eval_point(cfg: RunConfig, which: str = "a"):
 
 
 def _eval_module(cfg: RunConfig, which: str = "a"):
+    if cfg.M == cfg.N:
+        raise ConfigError(f"{cfg.suite} builds evaluation modules; need M != N")
     glm = modrep.fundamental(cfg.M, cfg.N)
     return modrep.evaluation_pullback(glm, _eval_point(cfg, which))
 
@@ -118,41 +120,28 @@ def _check(name: str, ok: bool, witness=None) -> dict:
 
 
 def _suite_verify_relations(cfg: RunConfig) -> list[dict]:
-    if cfg.M == cfg.N:
-        raise ConfigError("verify-relations builds an evaluation module; need M != N")
     lm = _eval_module(cfg)
     # pm-mixed reaches h_{i,s} with |s| up to twice the window
     if 2 * cfg.window > H_BOUND:
         raise ConfigError(f"verify-relations needs window <= {H_BOUND // 2}")
-    rep = modrep.relation_report(lm, window=cfg.window, include_chevalley=cfg.chevalley)
-    checks = [
+    runs = [("relations", lm, cfg.window)]
+    if cfg.tensor:
+        tm = modrep.tensor(lm, _eval_module(cfg, "b"))
+        runs.append(("tensor-relations", tm, min(cfg.window, 1)))
+    return [
         _check(
-            f"relations({cfg.M},{cfg.N}) {c['name']}",
+            f"{label}({cfg.M},{cfg.N}) {c['name']}",
             c["status"] == "pass",
             {"instances": c["instances"], "failures": c["failures"]},
         )
-        for c in rep["checks"]
+        for label, module, window in runs
+        for c in modrep.relation_report(
+            module, window=window, include_chevalley=cfg.chevalley
+        )["checks"]
     ]
-    if cfg.tensor:
-        other = _eval_module(cfg, "b")
-        tm = modrep.tensor(lm, other)
-        trep = modrep.relation_report(
-            tm, window=min(cfg.window, 1), include_chevalley=cfg.chevalley
-        )
-        checks += [
-            _check(
-                f"tensor-relations({cfg.M},{cfg.N}) {c['name']}",
-                c["status"] == "pass",
-                {"instances": c["instances"], "failures": c["failures"]},
-            )
-            for c in trep["checks"]
-        ]
-    return checks
 
 
 def _suite_highest_weight(cfg: RunConfig) -> list[dict]:
-    if cfg.M == cfg.N:
-        raise ConfigError("highest-weight needs M != N")
     lm = _eval_module(cfg)
     hw = modrep.highest_weight(lm, window=cfg.window, degree_bound=cfg.degree_bound)
     expected = _vector_highest_weight(cfg.M, cfg.N, _eval_point(cfg))
@@ -160,8 +149,6 @@ def _suite_highest_weight(cfg: RunConfig) -> list[dict]:
 
 
 def _suite_tensor_hw(cfg: RunConfig) -> list[dict]:
-    if cfg.M == cfg.N:
-        raise ConfigError("tensor-hw needs M != N")
     m1 = _eval_module(cfg, "a")
     m2 = _eval_module(cfg, "b")
     tm = modrep.tensor(m1, m2)
@@ -283,8 +270,6 @@ def _suite_monoid(cfg: RunConfig) -> list[dict]:
 
 
 def _suite_pbw_rank(cfg: RunConfig) -> list[dict]:
-    if cfg.M == cfg.N:
-        raise ConfigError("pbw-rank builds evaluation modules; need M != N")
     lm = _eval_module(cfg)
     modules = [(f"fundamental({cfg.M},{cfg.N})", lm)]
     if cfg.tensor:
@@ -323,8 +308,6 @@ def _suite_appendix_a(cfg: RunConfig) -> list[dict]:
 
 
 def _suite_coproduct(cfg: RunConfig) -> list[dict]:
-    if cfg.M == cfg.N:
-        raise ConfigError("coproduct-check needs M != N")
     m1 = _eval_module(cfg, "a")
     m2 = _eval_module(cfg, "b")
     tm = modrep.tensor(m1, m2)

@@ -17,15 +17,14 @@ form, so ``==``, ``hash`` and dict keys compare values.  Division by a
 value that is not a +-monomial, and every operation with a field operand
 go through the field.  A Laurent value caches its field form, which
 mixed operations and printing use.  On top of the scalars the module
-provides dense polynomials and truncated one-sided Laurent series in a
-formal variable ``z``.
+provides dense polynomials in a formal variable ``z`` and truncated
+one-sided expansions of their ratios.
 
 No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import sympy
@@ -529,37 +528,13 @@ def poly_coprime(p: ZPoly, r: ZPoly) -> bool:
     return poly_gcd(p, r).degree == 0
 
 
-@dataclass(frozen=True)
-class ZSeries:
-    """Truncated power series in z (direction '+') or z^-1 (direction '-').
-
-    ``coeffs[k]`` is the coefficient of z^k resp. z^-k; nothing beyond
-    ``order`` is ever read or trusted.
-    """
-
-    direction: str
-    order: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        if self.direction not in ("+", "-"):
-            raise ValueError("direction must be '+' or '-'")
-        if self.order < 0 or len(self.coeffs) != self.order + 1:
-            raise ValueError("coefficient list must cover exactly 0..order")
-
-    def coeff(self, k: int) -> Scalar:
-        """Coefficient of z^k (plus) or z^-k (minus), 0 <= k <= order."""
-        if not 0 <= k <= self.order:
-            raise IndexError(f"series truncated at order {self.order}")
-        return self.coeffs[k]
-
-
-def expand_ratio(c, Q: ZPoly, P: ZPoly, direction: str, order: int) -> ZSeries:
+def expand_ratio(c, Q: ZPoly, P: ZPoly, direction: str, order: int) -> tuple:
     """Truncated geometric expansion of c*Q(z)/P(z).
 
     Direction '+' expands in the power series ring in z and requires
     P(0) = 1; direction '-' expands in z^-1 and requires deg P = deg Q
-    with nonzero leading coefficients.
+    with nonzero leading coefficients.  Returns the coefficients of
+    z^0 .. z^order resp. z^0 .. z^-order.
     """
     c = scalar(c)
     if order < 0:
@@ -573,7 +548,7 @@ def expand_ratio(c, Q: ZPoly, P: ZPoly, direction: str, order: int) -> ZSeries:
             for k in range(1, n + 1):
                 s -= P.coeff(k) * out[n - k]
             out.append(s)
-        return ZSeries("+", order, tuple(out))
+        return tuple(out)
     if direction == "-":
         if P.is_zero() or P.degree != Q.degree:
             raise NonExpandable("minus-direction expansion needs deg P = deg Q, both nonzero")
@@ -588,5 +563,5 @@ def expand_ratio(c, Q: ZPoly, P: ZPoly, direction: str, order: int) -> ZSeries:
                 pk = prev[k] if k <= d else ZERO
                 s -= pk * out[n - k]
             out.append(s / lead)
-        return ZSeries("-", order, tuple(out))
+        return tuple(out)
     raise NonExpandable(f"unknown direction {direction!r}")

@@ -667,15 +667,11 @@ def apply_relation_at(sig: AlgebraSignature, e: Elem, rule: RelRule, word: Word,
 def relation_instances(
     sig: AlgebraSignature,
     window: Iterable[int],
-    h_window: Iterable[int] | None = None,
     families: Iterable[str] | None = None,
 ) -> list[RelRule]:
     """Deterministic enumeration of relation instances over a loop window."""
     window = sorted(window)
-    if h_window is None:
-        h_window = [s for s in window if s != 0]
-    else:
-        h_window = sorted(s for s in h_window if s != 0)
+    h_window = [s for s in window if s != 0]
     wanted = set(families) if families is not None else None
     nodes = range(1, sig.n_nodes + 1)
     out: list[RelRule] = []

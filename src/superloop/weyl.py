@@ -73,10 +73,10 @@ def torsion_to_series(t: TorsionTriple, order: int) -> dict[int, Scalar]:
     window: dict[int, Scalar] = {}
     for n in range(order + 1):
         if n == 0:
-            window[0] = (plus.coeff(0) - minus.coeff(0)) / denom
+            window[0] = (plus[0] - minus[0]) / denom
         else:
-            window[n] = plus.coeff(n) / denom
-            window[-n] = -minus.coeff(n) / denom
+            window[n] = plus[n] / denom
+            window[-n] = -minus[n] / denom
     return window
 
 
@@ -215,12 +215,10 @@ def monoid_product(h1: HighestWeight, h2: HighestWeight) -> HighestWeight:
     if Q.degree > 0:
         g = poly_gcd(Q, Pden)
         if g.degree > 0:
+            # poly_gcd gives g(0) = 1 here (g divides Q, and Q(0) = 1), so
+            # both quotients keep constant term 1
             Q = Q.divmod(g)[0]
             Pden = Pden.divmod(g)[0]
-            # re-normalise constant terms (gcd division preserves them here,
-            # but guard against a unit sneaking in)
-            Q = Q.scale(ONE / Q.coeff(0))
-            Pden = Pden.scale(ONE / Pden.coeff(0))
     torsion = TorsionTriple(t1.c * t2.c, Q, Pden)
     k0 = None
     if h1.k0_eigen is not None and h2.k0_eigen is not None:

@@ -76,8 +76,14 @@ def test_cli_zero_evaluation_point_rejected():
     assert run_main(["highest-weight", "--M", "2", "--N", "1", "--a", "0"]) == 2
 
 
-def test_cli_equal_ranks_rejected():
-    assert run_main(["verify-relations", "--M", "2", "--N", "2"]) == 2
+@pytest.mark.parametrize(
+    "suite", ["verify-relations", "highest-weight", "tensor-hw", "pbw-rank", "coproduct-check"]
+)
+def test_cli_equal_ranks_rejected(capsys, suite):
+    assert run_main([suite, "--M", "2", "--N", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "M != N" in json.loads(captured.err)["error"]
 
 
 def test_cli_config_file_merge(tmp_path, capsys):

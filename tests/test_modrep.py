@@ -3,8 +3,9 @@ from helpers import mat_from_rows
 
 from superloop import modrep, pbw, weyl
 from superloop.coeffs import ONE, ZERO, ZPoly, a, b, q, qint_base, scalar
-from superloop.linalg import Mat, operator_parity
+from superloop.linalg import Mat, kron_super, operator_parity
 from superloop.modrep import (
+    LoopModule,
     ModuleError,
     check_gl_relations,
     check_relation,
@@ -379,6 +380,46 @@ def test_coproduct_formula_topline(ev21, ev21b, tensor21):
     assert modrep.check_coproduct_formula(1, 1, ev21, ev21b, part="x+", product=tensor21)
     assert modrep.check_coproduct_formula(2, -1, ev21, ev21b, part="x-", product=tensor21)
     assert modrep.check_coproduct_formula(2, 1, ev21, ev21b, part="phi", product=tensor21)
+    # |n| = 2 reaches the phi sums of x+ at n <= -2 and of x- at n >= 2
+    for part, j, n in (("x+", 1, -2), ("x+", 2, 2), ("x-", 1, 2), ("x-", 2, -2)):
+        assert modrep.check_coproduct_formula(j, n, ev21, ev21b, part=part, product=tensor21)
+
+
+def _perturbed(tm: LoopModule, key: tuple, mat: Mat) -> LoopModule:
+    """A copy of the product module whose current ``key`` acts by ``mat``."""
+    return LoopModule(tm.sig, tm.parity, {**tm._cache, key: mat})
+
+
+@pytest.mark.parametrize(
+    "key, part, j, n",
+    [
+        (("X+", 1, 1), "x+", 1, 1),
+        (("X-", 2, -1), "x-", 2, -1),
+        (("phi", 1, 1, 1), "phi", 1, 1),
+        (("X+", 1, 0), "x+", 1, 0),
+    ],
+)
+def test_coproduct_formula_rejects_scaled_current(ev21, ev21b, tensor21, key, part, j, n):
+    bad = _perturbed(tensor21, key, tensor21.gen(key).scale(q))
+    assert not modrep.check_coproduct_formula(j, n, ev21, ev21b, part=part, product=bad)
+
+
+@pytest.mark.parametrize("s", [1, -1])
+def test_cartan_coproduct_rejects_shifted_z(ev21, ev21b, tensor21, s):
+    # the z column of node i = 1 lives at node 2; adding it moves z off +-(q - q^-1)
+    left = ev21.gen(("X-", 2, 1 if s > 0 else 0)) * ev21.gen(("Kinv", 2))
+    right = ev21b.gen(("K", 2)) * ev21b.gen(("X+", 2, 0 if s > 0 else -1))
+    zcol = kron_super(left, right, ev21.parity, ev21b.parity)
+    key = ("H", 1, s)
+    bad = _perturbed(tensor21, key, tensor21.gen(key) + zcol)
+    res = modrep.cartan_coproduct_constants(1, ev21, ev21b, sign=s, product=bad)
+    assert (res["solvable"], res["z_unique"], res["z_matches"]) == (True, True, False)
+
+
+def test_cartan_coproduct_rejects_scaled_h(ev21, ev21b, tensor21):
+    key = ("H", 1, 1)
+    bad = _perturbed(tensor21, key, tensor21.gen(key).scale(q))
+    assert modrep.cartan_coproduct_constants(1, ev21, ev21b, product=bad) == {"solvable": False}
 
 
 def test_cartan_coproduct_constants(ev21, ev21b, tensor21):
