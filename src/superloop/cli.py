@@ -379,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--height", type=int, default=None)
         p.add_argument("--tensor", action="store_true", default=None)
         p.add_argument("--chevalley", action="store_true", default=None)
-        p.add_argument("--Q", type=str, default=None, help="comma-separated Weyl polynomial coefficients")
+        p.add_argument("--Q", type=str, default=None, help="comma-separated recurrence polynomial coefficients")
         p.add_argument("--Pprev", type=str, default=None, help="neighbour polynomial coefficients")
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--config", type=str, default=None, help="JSON file mirroring the flags")

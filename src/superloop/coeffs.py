@@ -20,25 +20,32 @@ mixed operations and printing use.  On top of the scalars the module
 provides dense polynomials in a formal variable ``z`` and truncated
 one-sided expansions of their ratios.
 
+sympy is imported by ``_sym`` at the first value that leaves the Laurent
+ring, the first parse or the first print: ``appendix-a`` never loads it;
+the evaluation-module suites (``qint_base``) and ``monoid`` (``poly_gcd``) do.
+
 No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
+import functools
+from types import SimpleNamespace
 from typing import Iterable
 
-import sympy
-from sympy.polys.domains import ZZ
-from sympy.polys.fields import field
-from sympy.polys.rings import ring
-
-_FIELD = field("q,a,b", ZZ)[0]
-_ZRING, _Z, _RQ, _RA, _RB = ring("z,q,a,b", ZZ)
-_poly = _FIELD.ring.zero.new
-_frac = _FIELD.zero.raw_new
 _new = object.__new__
 
-_ALLOWED_SYMBOLS = set(sympy.symbols("q a b"))
+
+@functools.cache
+def _sym() -> SimpleNamespace:
+    """sympy's ``sympify``, field ZZ(q,a,b), ring ZZ[z,q,a,b] and symbols q, a, b."""
+    from sympy import sympify
+    from sympy.polys.domains import ZZ
+    from sympy.polys.fields import field
+    from sympy.polys.rings import ring
+
+    F = field("q,a,b", ZZ)[0]
+    return SimpleNamespace(sympify=sympify, field=F, zring=ring("z,q,a,b", ZZ)[0], symbols=set(F.symbols))
 
 
 class NonExpandable(ValueError):
@@ -247,7 +254,7 @@ def _from_field(f) -> Scalar:
                 x._field = f
             return x
     if den.LC < 0:
-        f = _frac(-f.numer, -den)
+        f = f.raw_new(-f.numer, -den)
     x = _new(Scalar)
     x._terms = None
     x._field = f
@@ -257,16 +264,18 @@ def _from_field(f) -> Scalar:
 def _field_form(x: Scalar):
     f = x._field
     if f is None:
+        F = _sym().field
         t = x._terms
         if not t:
-            f = _FIELD.zero
+            f = F.zero
         else:
             i0 = min(0, min(e[0] for e in t))
             j0 = min(0, min(e[1] for e in t))
             k0 = min(0, min(e[2] for e in t))
             # each shifted variable has an exponent 0 in the numerator: coprime
-            num = _poly({(i - i0, j - j0, k - k0): c for (i, j, k), c in t.items()})
-            f = _frac(num, _poly({(-i0, -j0, -k0): 1}))
+            # dtype: the raw constructors (a read of ring.zero builds a polynomial)
+            num = F.ring.dtype({(i - i0, j - j0, k - k0): c for (i, j, k), c in t.items()})
+            f = F.dtype(num, F.ring.dtype({(-i0, -j0, -k0): 1}))
         x._field = f
     return f
 
@@ -308,7 +317,8 @@ def remove_content(xs: list[Scalar]) -> list[Scalar]:
     i0 = min(e[0] for t in ts for e in t)
     j0 = min(e[1] for t in ts for e in t)
     k0 = min(e[2] for t in ts for e in t)
-    polys = [_poly({(i - i0, j - j0, k - k0): c for (i, j, k), c in t.items()}) for t in ts]
+    poly = _sym().field.ring.dtype
+    polys = [poly({(i - i0, j - j0, k - k0): c for (i, j, k), c in t.items()}) for t in ts]
     g = polys[0]
     for p in polys[1:]:
         g = g.gcd(p)
@@ -342,22 +352,23 @@ def scalar(value) -> Scalar:
         return scalar_from_str(value)
     if isinstance(value, int):
         return _const(value)
-    return _from_field(_FIELD(value))
+    return _from_field(_sym().field(value))
 
 
 def scalar_from_str(text: str) -> Scalar:
     """Parse a scalar from an expression string in q, a, b."""
-    expr = sympy.sympify(text.replace("^", "**"), rational=True)
-    if not expr.free_symbols <= _ALLOWED_SYMBOLS:
-        bad = expr.free_symbols - _ALLOWED_SYMBOLS
+    sym = _sym()
+    expr = sym.sympify(text.replace("^", "**"), rational=True)
+    if not expr.free_symbols <= sym.symbols:
+        bad = expr.free_symbols - sym.symbols
         raise ValueError(f"unknown symbols in scalar: {sorted(map(str, bad))}")
-    return _from_field(_FIELD.from_expr(expr))
+    return _from_field(sym.field.from_expr(expr))
 
 
 def scalar_str(x: Scalar) -> str:
     """Serialise a scalar as ``num/den`` with fixed (lex) monomial order."""
     num, den = x.numer, x.denom
-    if den == _FIELD.ring.one:
+    if den == 1:
         return str(num)
     return f"({num})/({den})"
 
@@ -481,28 +492,30 @@ class ZPoly:
 
 def _to_zring(p: ZPoly):
     """Clear denominators: a ZZ[z,q,a,b] representative of a scalar multiple."""
-    den = _FIELD.ring.one
+    sym = _sym()
+    den = sym.field.ring.one
     for c in p.coeffs:
         g = den.gcd(c.denom)
         den = den * c.denom.exquo(g)
-    out = _ZRING.zero
+    out = sym.zring.zero
     for k, c in enumerate(p.coeffs):
         if c == ZERO:
             continue
         num = c.numer * den.exquo(c.denom)
-        out += _ZRING.from_dict({(k,) + mono: coeff for mono, coeff in num.terms()})
+        out += sym.zring.from_dict({(k,) + mono: coeff for mono, coeff in num.terms()})
     return out
 
 
 def _from_zring(rp) -> ZPoly:
+    F = _sym().field
     coeffs: dict[int, dict] = {}
     for mono, coeff in rp.terms():
         coeffs.setdefault(mono[0], {})[mono[1:]] = coeff
     top = max(coeffs) if coeffs else -1
     out = []
     for k in range(top + 1):
-        num = _FIELD.ring.from_dict(coeffs.get(k, {}))
-        out.append(_from_field(_FIELD.new(num, _FIELD.ring.one)))
+        num = F.ring.from_dict(coeffs.get(k, {}))
+        out.append(_from_field(F.new(num, F.ring.one)))
     return ZPoly(out)
 
 

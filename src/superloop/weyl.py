@@ -262,8 +262,8 @@ def star_product_window(
 
 @dataclass(frozen=True)
 class WeylOddSlice:
-    """The weight space lambda - alpha_M: dimension d = deg Q, with the
-    level-one Cartan loop action hM1 = shift + theta."""
+    """The weight space lambda - alpha_M: dimension d = deg R for the recurrence
+    polynomial R, with the level-one Cartan loop action hM1 = shift + theta."""
 
     d: int
     theta: Scalar
@@ -277,25 +277,26 @@ class WeylOddSlice:
         }
 
 
-def weyl_odd_slice(Q: ZPoly, P_prev: ZPoly) -> WeylOddSlice:
-    """Model the odd slice for Weyl polynomial Q and neighbour polynomial P_{M-1}.
+def weyl_odd_slice(recurrence: ZPoly, P_prev: ZPoly) -> WeylOddSlice:
+    """Model the odd slice for recurrence polynomial R and neighbour polynomial P_{M-1}.
 
     Basis w_0..w_{d-1} are the odd lowering operators at loop degrees
     0..d-1 applied to the highest weight vector; the recurrence
-    sum_s a_{d-s} w_{n+s} = 0 turns the shift into a companion matrix S,
-    and hM1 = S + theta with theta = -(coefficient of z in P_{M-1}).
+    sum_s a_{d-s} w_{n+s} = 0 of R = sum_s a_s z^s turns the shift into a
+    companion matrix S, and hM1 = S + theta with theta = -(coefficient of z
+    in P_{M-1}).  For a highest weight, R is the torsion triple's P, not Q.
     """
-    if Q.coeff(0) != ONE:
-        raise ValueError("Q must have constant term 1")
+    if recurrence.coeff(0) != ONE:
+        raise ValueError("the recurrence polynomial must have constant term 1")
     theta = -P_prev.coeff(1)
-    d = Q.degree
+    d = recurrence.degree
     if d <= 0:
         return WeylOddSlice(0, theta, ())
     rows = [[ZERO] * d for _ in range(d)]
     for n in range(d - 1):
         rows[n + 1][n] = ONE  # S w_n = w_{n+1}
     for s in range(d):
-        rows[s][d - 1] = -Q.coeff(d - s)  # w_d = -sum_s a_{d-s} w_s
+        rows[s][d - 1] = -recurrence.coeff(d - s)  # w_d = -sum_s a_{d-s} w_s
     for i in range(d):
         rows[i][i] += theta
     return WeylOddSlice(d, theta, tuple(tuple(r) for r in rows))
@@ -341,11 +342,12 @@ def charpoly(rows: Sequence[Sequence[Scalar]]) -> ZPoly:
     return det(entries)
 
 
-def slice_spectrum_identity(Q: ZPoly, slice_: WeylOddSlice) -> bool:
-    """Check det(zI - hM1) = Q*(z - theta) with Q* the reciprocal of Q."""
+def slice_spectrum_identity(recurrence: ZPoly, slice_: WeylOddSlice) -> bool:
+    """Check det(zI - hM1) = R*(z - theta), R* the reciprocal of the recurrence
+    polynomial R (for a highest weight, the torsion triple's P, not Q)."""
     if slice_.d == 0:
-        return Q.degree == 0
+        return recurrence.degree == 0
     lhs = charpoly(slice_.hM1)
     shift = ZPoly([-slice_.theta, ONE])  # z - theta
-    rhs = Q.reciprocal().compose(shift)
+    rhs = recurrence.reciprocal().compose(shift)
     return lhs == rhs

@@ -2,6 +2,7 @@ import json
 from dataclasses import replace
 
 import pytest
+from helpers import run_fresh
 
 from superloop import cli, modrep
 from superloop.coeffs import ONE, ZPoly, q
@@ -126,6 +127,27 @@ def test_appendix_a_cli(capsys):
     assert report["passed"]
     assert report["config"]["M"] == 2 and report["config"]["N"] == 2
     assert run_main(["appendix-a", "--M", "3", "--N", "1"]) == 2
+
+
+def test_sympy_loaded_only_by_suites_that_need_the_field(capsys):
+    # appendix-a's scalars all stay Laurent, so it never imports sympy
+    lines = run_fresh(
+        "import contextlib, io, json, sys\n"
+        "from superloop import cli\n"
+        "def run(argv):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = cli.main(argv)\n"
+        "    print(json.dumps([code, 'sympy' in sys.modules, out.getvalue()]))\n"
+        "print(json.dumps('sympy' in sys.modules))\n"
+        "run(['appendix-a', '--nmax', '1', '--window', '1'])\n"
+        "run(['highest-weight', '--M', '2', '--N', '1'])\n"
+    )
+    after_import, appendix, highest = map(json.loads, lines)
+    assert after_import is False
+    assert appendix[:2] == [0, False] and json.loads(appendix[2])["passed"]
+    assert run_main(["highest-weight", "--M", "2", "--N", "1"]) == 0
+    assert highest == [0, True, capsys.readouterr().out]
 
 
 def test_appendix_a_rejects_explicit_default_signature(capsys):

@@ -1,6 +1,9 @@
+import ast
 import random
+from fractions import Fraction
 
 import pytest
+from helpers import SRC, run_fresh
 from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.fields import field
@@ -17,6 +20,7 @@ from superloop.coeffs import (
     poly_gcd,
     q,
     qint_base,
+    remove_content,
     scalar,
     scalar_from_str,
     scalar_str,
@@ -57,6 +61,53 @@ def test_scalar_string_roundtrip():
     assert scalar("(q^2-1)/(q-1)") == q + 1
     with pytest.raises(ValueError):
         scalar_from_str("q + t")
+
+
+# each expression is the first call to need sympy in a fresh interpreter
+FIELD_ENTRY_POINTS = {
+    "divide": "ONE / (q + 1)",
+    "parse": "scalar_from_str('1/(q+1)')",
+    "print": "scalar_str(q**-1 + a)",
+    "numer": "(q + 1).numer",
+    "fraction": "scalar(Fraction(1, 2))",
+    "remove_content": "remove_content([q**2 + q, a * q + a])",
+    "poly_gcd": "poly_gcd(ZPoly([1, q]), ZPoly([1, q]) * ZPoly([1, a]))",
+}
+
+
+@pytest.mark.parametrize("expr", FIELD_ENTRY_POINTS.values(), ids=FIELD_ENTRY_POINTS)
+def test_field_entry_point_loads_the_field(expr):
+    lines = run_fresh(
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from superloop.coeffs import ONE, ZPoly, a, poly_gcd, q, remove_content, scalar, scalar_from_str, scalar_str\n"
+        "print('sympy' in sys.modules)\n"
+        f"print(repr({expr}))\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    assert lines == ["False", repr(eval(expr)), "True"]
+
+
+def test_sympy_not_imported_at_module_level():
+    """Only ``coeffs._sym`` imports sympy, on first use; no module imports it when loaded."""
+
+    def imports_at_load(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                yield child, [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                yield child, [child.module or ""]
+            yield from imports_at_load(child)
+
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted((SRC / "superloop").rglob("*.py"))
+        for node, names in imports_at_load(ast.parse(path.read_text()))
+        if any(name.split(".")[0] == "sympy" for name in names)
+    ]
+    assert found == []
 
 
 def test_poly_gcd_examples():
@@ -259,6 +310,8 @@ def test_scalar_forms_examples():
     assert scalar_str(ONE / (2 * q)) == "(1)/(2*q)"
     assert scalar_str(scalar(-2) ** -1) == "(-1)/(2)"
     assert scalar("(q^2-1)/(q-1)")._terms == {(1, 0, 0): 1, (0, 0, 0): 1}
+    assert remove_content([q**2 + q, a * q + a]) == [q, a]  # content q + 1
+    assert remove_content([q**2, a * q]) == [q**2, a * q]  # a unit divides out nothing
     with pytest.raises(ZeroDivisionError):
         ONE / ZERO
     with pytest.raises(ZeroDivisionError):
