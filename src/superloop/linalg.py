@@ -231,15 +231,3 @@ def solve_span(columns: list[dict], target: dict) -> list[Scalar] | None:
     for k, v in resid.items():
         sol[k - tag] = -v / r
     return sol
-
-
-def operator_parity(m: Mat, parity: list[int]) -> int | None:
-    """0/1 when the matrix is parity-homogeneous for the basis parity, else None."""
-    seen = None
-    for (i, j), _ in m.data.items():
-        p = (parity[i] + parity[j]) % 2
-        if seen is None:
-            seen = p
-        elif seen != p:
-            return None
-    return 0 if seen is None else seen

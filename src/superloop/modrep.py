@@ -42,14 +42,6 @@ class ModuleError(ValueError):
     """Raised when a module fails construction or an extraction precondition."""
 
 
-def supertrace(m: Mat, parity: Sequence[int]) -> Scalar:
-    out = ZERO
-    for (i, j), val in m.data.items():
-        if i == j:
-            out += (-ONE if parity[i] else ONE) * val
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the finite quantum superalgebra and its fundamental module
 # ---------------------------------------------------------------------------

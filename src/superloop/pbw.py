@@ -2,8 +2,8 @@
 
 Positive roots are the segments alpha_i + ... + alpha_j ordered by
 (i, j); root vectors are iterated twisted brackets of the plus currents.
-The maps tau1 (plus-to-minus isomorphism), tau2 (anti-automorphism) and
-the Dynkin-diagram flip pi_{M,N} act word by word on free elements.
+The plus-to-minus isomorphism tau1 acts word by word on free elements.
+The Dynkin-diagram flip acts on modules instead (``modrep.pi_pullback``).
 """
 
 from __future__ import annotations
@@ -13,22 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .coeffs import ONE
-from .superfree import (
-    AlgebraSignature,
-    Elem,
-    GenSym,
-    KAY,
-    KAY_INV,
-    AITCH,
-    X_MINUS,
-    X_PLUS,
-    aitch,
-    kay,
-    kinv,
-    qbracket,
-    xm,
-    xp,
-)
+from .superfree import AlgebraSignature, Elem, GenSym, X_PLUS, qbracket, xm, xp
 
 
 @dataclass(frozen=True, order=True)
@@ -41,14 +26,6 @@ class Root:
     def __post_init__(self):
         if not 1 <= self.i <= self.j:
             raise ValueError("need 1 <= i <= j")
-
-    def weight(self, sig: AlgebraSignature) -> tuple[int, ...]:
-        if self.j > sig.n_nodes:
-            raise ValueError("root out of range for signature")
-        return tuple(1 if self.i <= k <= self.j else 0 for k in range(1, sig.n_nodes + 1))
-
-    def parity(self, sig: AlgebraSignature) -> int:
-        return 1 if self.i <= sig.M <= self.j else 0
 
 
 def positive_roots(sig: AlgebraSignature) -> list[Root]:
@@ -76,14 +53,6 @@ class PBWMonomial:
         roots = [f[0] for f in self.factors]
         if any(r2 < r1 for r1, r2 in zip(roots, roots[1:])):
             raise ValueError("factors must respect the root order")
-
-    def weight(self, sig: AlgebraSignature) -> tuple[int, ...]:
-        n = sig.n_nodes
-        tot = [0] * n
-        for root, _ in self.factors:
-            for k, v in enumerate(root.weight(sig)):
-                tot[k] += v
-        return tuple(tot)
 
 
 def monomial_elem(sig: AlgebraSignature, mono: PBWMonomial) -> Elem:
@@ -157,57 +126,12 @@ def all_words(
 
 
 # ---------------------------------------------------------------------------
-# canonical (anti-)isomorphisms
+# the plus-to-minus isomorphism
 # ---------------------------------------------------------------------------
-
-
-def _require_xplus(e: Elem, who: str):
-    for word in e.terms:
-        if any(g.kind != X_PLUS for g in word):
-            raise ValueError(f"{who} is defined on the X^+ subalgebra only")
 
 
 def tau1(e: Elem) -> Elem:
     """Algebra map X^+_{i,n} -> X^-_{i,-n}."""
-    _require_xplus(e, "tau1")
+    if any(g.kind != X_PLUS for word in e.terms for g in word):
+        raise ValueError("tau1 is defined on the X^+ subalgebra only")
     return e.map_symbols(lambda g: (ONE, xm(g.node, -g.index)))
-
-
-def tau2(e: Elem) -> Elem:
-    """Anti-automorphism X^+_{i,n} -> X^+_{i,-n}: words reverse, indices flip."""
-    _require_xplus(e, "tau2")
-    terms = {}
-    for word, coeff in e.terms.items():
-        new = tuple(xp(g.node, -g.index) for g in reversed(word))
-        terms[new] = terms.get(new, 0) + coeff
-    return Elem(terms)
-
-
-def pi_MN(sig: AlgebraSignature, e: Elem) -> Elem:
-    """The Dynkin-diagram flip onto the (N, M) superalgebra.
-
-    X^+_{i,n} -> X^+_{M+N-i,-n}; X^-, h pick up (-1)^{p(alpha_i)};
-    K_i -> K_{M+N-i}^{-1}.  K_0 symbols are rejected.
-    """
-    if sig.M * sig.N == 0:
-        raise ValueError("pi needs M, N > 0")
-    flip = sig.M + sig.N
-
-    def relabel(g: GenSym):
-        if g.node == 0:
-            raise ValueError("pi is not defined on K_0 or affine symbols")
-        sgn = -ONE if sig.parity_node(g.node) else ONE
-        j = flip - g.node
-        if g.kind == X_PLUS:
-            return ONE, xp(j, -g.index)
-        if g.kind == X_MINUS:
-            return sgn, xm(j, -g.index)
-        if g.kind == AITCH:
-            return sgn, aitch(j, -g.index)
-        if g.kind == KAY:
-            return ONE, kinv(j)
-        if g.kind == KAY_INV:
-            return ONE, kay(j)
-        raise ValueError(f"pi is not defined on {g.kind} symbols")
-
-    return e.map_symbols(relabel)

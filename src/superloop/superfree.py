@@ -3,9 +3,12 @@
 Words in the generator symbols carry a Z2 parity, a weight in the root
 lattice and a loop degree.  The module houses the defining-relation
 catalog of the quantum loop superalgebra of sl(M,N), quantum brackets,
-the phi-series expansion and a guided (position-directed) rewriting
-engine.  No automatic normal form is imposed: algebra-level equality is
-only decided through guided rewriting or module-action oracles.
+the phi-series expansion and the (2,2) oscillation replay.  The catalog
+holds values only: ``relation_value`` writes each relation once and
+evaluates it on free words or on a module's matrices.  No automatic
+normal form is imposed: an algebra identity is decided by the replay's
+guided reduction and exact certificates over degree-2 relations, or by
+the action on a module.
 """
 
 from __future__ import annotations
@@ -166,7 +169,7 @@ class Elem:
         return Elem(terms)
 
     def map_symbols(self, fn: Callable[[GenSym], tuple[Scalar, GenSym]]) -> "Elem":
-        """Apply a generator-wise relabeling word by word (algebra map).
+        """Apply a generator-wise substitution word by word (algebra map).
 
         Signs equal to ONE are not multiplied in, which saves one scalar
         product per factor.
@@ -452,9 +455,7 @@ class RelRule:
     """A single defining-relation instance.
 
     ``family`` names the template, ``indices`` the node/loop instance and
-    ``sign`` picks the +- branch where the template has one.  The rule is
-    oriented: ``relation_lead`` designates the leading word rewritten
-    left-to-right by ``apply_relation_at``.
+    ``sign`` picks the +- branch where the template has one.
     """
 
     family: str
@@ -464,12 +465,6 @@ class RelRule:
 
 def _x(sign: int, i: int, n: int) -> GenSym:
     return xp(i, n) if sign > 0 else xm(i, n)
-
-
-# Families written as "lead word - replacement", the lead first with
-# coefficient 1.  The others are bracket expressions: their lead is their
-# least word, and relation_elem scales it to coefficient 1.
-_ORIENTED = frozenset({"cartan", "kx", "hx", "pm-mixed", "deg2-zero", "deg2-shift"})
 
 
 def relation_value(sig: AlgebraSignature, rule: RelRule, word: Callable):
@@ -628,40 +623,12 @@ def relation_value(sig: AlgebraSignature, rule: RelRule, word: Callable):
 
 
 def relation_elem(sig: AlgebraSignature, rule: RelRule) -> Elem:
-    """The element of the free superalgebra that vanishes in the quotient."""
-    rel = relation_value(sig, rule, Elem.monomial)
-    if rule.family in _ORIENTED:
-        return rel
-    if rel.is_zero():
-        raise ValueError("degenerate relation instance")
-    c0 = rel.terms[min(rel.terms)]
-    return rel if c0 == ONE else rel.scale(ONE / c0)
+    """The element of the free superalgebra that vanishes in the quotient.
 
-
-def _lead(rule: RelRule, rel: Elem) -> Word:
-    return next(iter(rel.terms)) if rule.family in _ORIENTED else min(rel.terms)
-
-
-def relation_lead(sig: AlgebraSignature, rule: RelRule) -> Word:
-    return _lead(rule, relation_elem(sig, rule))
-
-
-def apply_relation_at(sig: AlgebraSignature, e: Elem, rule: RelRule, word: Word, pos: int) -> Elem:
-    """Rewrite one occurrence of the rule's leading word inside ``word``.
-
-    The result equals ``e`` in the quotient algebra.
+    The replay's single entry to the catalog, which the benchmark's tracer
+    times under this name.
     """
-    word = tuple(word)
-    coeff = e.terms.get(word)
-    if coeff is None:
-        raise ValueError("word not present in element")
-    rel = relation_elem(sig, rule)
-    lead = _lead(rule, rel)
-    if word[pos : pos + len(lead)] != lead:
-        raise ValueError(f"leading word {lead} not found at position {pos}")
-    prefix = Elem.monomial(word[:pos], coeff)
-    suffix = Elem.monomial(word[pos + len(lead):])
-    return e - prefix * rel * suffix
+    return relation_value(sig, rule, Elem.monomial)
 
 
 def relation_instances(
@@ -836,22 +803,6 @@ def _b_coeff(s: int) -> Scalar:
     return q**s - q ** (s - 2)
 
 
-def oscillation_R(a: int, b: int, c: int, d: int) -> Elem:
-    """The degree-4 oscillation word combination R(a,b,c,d) at (2,2)."""
-    m = Elem.monomial
-    return (
-        m((xp(1, a), xp(2, b), xp(3, c), xp(2, d)))
-        + m((xp(3, c), xp(2, b), xp(1, a), xp(2, d)))
-        + m((xp(2, b), xp(1, a), xp(2, d), xp(3, c)))
-        + m((xp(2, b), xp(3, c), xp(2, d), xp(1, a)))
-        - m((xp(2, b), xp(1, a), xp(3, c), xp(2, d)), q + q**-1)
-    )
-
-
-def oscillation_R_sym(a: int, b: int, c: int, d: int) -> Elem:
-    return oscillation_R(a, b, c, d) + oscillation_R(a, d, c, b)
-
-
 def lambda_elem(n: int, b: int, c: int) -> Elem:
     """Coefficient of z^n after commuting K_1 h_1(z) through R(.,b,c,b)."""
     if n < 0:
@@ -986,7 +937,8 @@ def reduce_lambda_step(e: Elem, c_low: int) -> Elem:
         )
 
     def rewrite(g1: GenSym, g2: GenSym) -> Elem:
-        # the deg2-shift instance whose lead word is g1 g2
+        # g1 g2 = X_{2,b} X_{3,c} enters the deg2-shift value (2, b - 1, 3, c)
+        # with coefficient 1
         rel = relation_elem(SIG22, RelRule("deg2-shift", (2, g1.index - 1, 3, g2.index)))
         return Elem.monomial((g1, g2)) - rel
 

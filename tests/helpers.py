@@ -23,12 +23,17 @@ def mat_from_rows(rows) -> Mat:
     return Mat(len(rows), len(rows[0]) if rows else 0, data)
 
 
-def run_fresh(code: str) -> list[str]:
-    """The stdout lines of ``code`` run in a new interpreter that imports superloop from SRC."""
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A new interpreter run with ``args``, importing superloop from SRC."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_fresh(code: str) -> list[str]:
+    """The stdout lines of ``code`` run in a new interpreter that imports superloop from SRC."""
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()

@@ -83,7 +83,7 @@ def test_criterion_2_evaluation_highest_weight(modules):
         ok &= hw.c == ONE and hw.torsion == identity_triple()
     # (1,2): the evaluation module is the Dynkin-flip pullback; the flip
     # inverts loop degrees, so the evaluation point transports to q^-2 a^-1
-    # and the nontrivial polynomial sits at the relabelled node 2.
+    # and the nontrivial polynomial sits at the flipped node 2.
     flipped = pi_pullback(evaluation_pullback(fundamental(2, 1), q**-2 * a**-1))
     hw = highest_weight(flipped)
     ok &= hw.P[2] == ZPoly([ONE, -q * a])

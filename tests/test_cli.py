@@ -2,7 +2,7 @@ import json
 from dataclasses import replace
 
 import pytest
-from helpers import run_fresh
+from helpers import run_fresh, run_python
 
 from superloop import cli, modrep
 from superloop.coeffs import ONE, ZPoly, q
@@ -128,11 +128,16 @@ def test_monoid_determinism(capsys):
 
 
 def test_appendix_a_cli(capsys):
-    code = run_main(["appendix-a", "--nmax", "1", "--window", "1"])
+    argv = ["appendix-a", "--nmax", "1", "--window", "1"]
+    code = run_main(list(argv))
     assert code == 0
-    report = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    report = json.loads(out)
     assert report["passed"]
     assert report["config"]["M"] == 2 and report["config"]["N"] == 2
+    # run as a module in a new interpreter: the same report and nothing on stderr
+    proc = run_python("-m", "superloop.cli", *argv)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", out)
     assert run_main(["appendix-a", "--M", "3", "--N", "1"]) == 2
 
 

@@ -9,7 +9,6 @@ from superloop.linalg import (
     RowReducer,
     joint_nullspace,
     kron_super,
-    operator_parity,
     solve_span,
 )
 
@@ -77,12 +76,6 @@ def test_kron_super_signs():
     # block for j1 = 0 (even): plain B; block for j1 = 1 (odd): -B
     assert K.data.get((0, 1), ZERO) == ONE and K.data.get((1, 0), ZERO) == ONE
     assert K.data.get((2, 3), ZERO) == -ONE and K.data.get((3, 2), ZERO) == -ONE
-
-
-def test_operator_parity():
-    assert operator_parity(mat_from_rows([[1, 0], [0, 1]]), [0, 1]) == 0
-    assert operator_parity(mat_from_rows([[0, 1], [0, 0]]), [0, 1]) == 1
-    assert operator_parity(mat_from_rows([[1, 1], [0, 0]]), [0, 1]) is None
 
 
 # -- two routes: the fraction-free reducer against field elimination --

@@ -3,7 +3,7 @@ import pytest
 from superloop import pbw
 from superloop.coeffs import ONE, q
 from superloop.linalg import RowReducer
-from superloop.superfree import AlgebraSignature, Elem, kay, kinv, xm, xp
+from superloop.superfree import AlgebraSignature, Elem, kay, xm, xp
 
 SIG21 = AlgebraSignature(2, 1)
 SIG31 = AlgebraSignature(3, 1)
@@ -68,27 +68,6 @@ def test_tau1():
     assert pbw.tau1(e) == mono(xm(1, -1), xm(2, 0)).scale(q)
     with pytest.raises(ValueError):
         pbw.tau1(mono(kay(1)))
-
-
-def test_tau2_antimap():
-    assert pbw.tau2(mono(xp(1, 1), xp(2, 0))) == mono(xp(2, 0), xp(1, -1))
-    e = mono(xp(1, 1)) + mono(xp(1, 0), xp(2, 2)).scale(q)
-    f = mono(xp(2, -1))
-    assert pbw.tau2(e * f) == pbw.tau2(f) * pbw.tau2(e)
-    assert pbw.tau2(pbw.tau2(e)) == e
-
-
-def test_pi_examples():
-    # X^-_{M,n} -> -X^-_{N,-n} since the node is odd
-    assert pbw.pi_MN(SIG21, mono(xm(2, 5))) == mono(xm(1, -5)).scale(-1)
-    assert pbw.pi_MN(SIG21, mono(kay(1))) == mono(kinv(2))
-    e = mono(xp(1, 2))
-    back = pbw.pi_MN(AlgebraSignature(1, 2), pbw.pi_MN(SIG21, e))
-    assert back == e
-    with pytest.raises(ValueError):
-        pbw.pi_MN(SIG21, mono(kay(0)))
-    with pytest.raises(ValueError):
-        pbw.pi_MN(AlgebraSignature(2, 0), mono(xp(1, 0)))
 
 
 def test_tau1_of_root_vector_is_negative_root_vector():

@@ -12,7 +12,6 @@ from superloop.superfree import (
     RelRule,
     aitch,
     appendixA_check,
-    apply_relation_at,
     ceil_bracket,
     chevalley_instances,
     e0p,
@@ -22,15 +21,12 @@ from superloop.superfree import (
     lambda_elem,
     mu_elem,
     mu_recursion_certificate,
-    oscillation_R,
-    oscillation_R_sym,
     phi_coeff,
     phi_push_past,
     qbracket,
     reduce_lambda_step,
     relation_elem,
     relation_instances,
-    relation_lead,
     xm,
     xp,
     _MU_PAIRS,
@@ -180,42 +176,12 @@ def test_relation_elem_hx():
 def test_relation_elem_pm_mixed_offdiag():
     rel = relation_elem(SIG21, RelRule("pm-mixed", (1, 0, 2, 0)))
     assert rel == mono(xp(1, 0), xm(2, 0)) - mono(xm(2, 0), xp(1, 0))
-
-
-def test_apply_relation_cartan():
-    w = (kay(1), kinv(1), xp(1, 0))
-    e = Elem.monomial(w, q)
-    out = apply_relation_at(SIG21, e, RelRule("cartan", ("inv", 1)), w, 0)
-    assert out == mono(xp(1, 0)).scale(q)
-
-
-def test_apply_relation_deg2_shift_oriented_form():
-    # X_{2,b} X_{3,c} -> q X_{3,c} X_{2,b} + q X_{2,b-1} X_{3,c+1} - X_{3,c+1} X_{2,b-1}
-    b, c = 0, 0
-    w = (xp(2, b), xp(3, c))
-    e = Elem.monomial(w)
-    rule = RelRule("deg2-shift", (2, b - 1, 3, c), 1)
-    assert relation_lead(SIG22, rule) == w
-    out = apply_relation_at(SIG22, e, rule, w, 0)
-    expected = (
-        mono(xp(3, c), xp(2, b)).scale(q)
-        + mono(xp(2, b - 1), xp(3, c + 1)).scale(q)
-        - mono(xp(3, c + 1), xp(2, b - 1))
+    # on the diagonal at total degree 0 both phi series correct by K and K^-1
+    rel = relation_elem(SIG21, RelRule("pm-mixed", (1, 1, 1, -1)))
+    correction = mono(kay(1)) - mono(kinv(1))
+    assert rel == mono(xp(1, 1), xm(1, -1)) - mono(xm(1, -1), xp(1, 1)) - correction.scale(
+        ONE / (q - q**-1)
     )
-    assert out == expected
-
-
-def test_apply_relation_pm_mixed_structure():
-    w = (xp(1, 1), xm(1, -1), xp(2, 0))
-    e = Elem.monomial(w)
-    rule = RelRule("pm-mixed", (1, 1, 1, -1))
-    out = apply_relation_at(SIG21, e, rule, w, 0)
-    # swapped word plus the K-correction word survive
-    assert (xm(1, -1), xp(1, 1), xp(2, 0)) in out.terms
-    assert (kay(1), xp(2, 0)) in out.terms
-    assert (kinv(1), xp(2, 0)) in out.terms
-    with pytest.raises(ValueError):
-        apply_relation_at(SIG21, e, rule, w, 1)
 
 
 def test_relation_elem_invalid_instances():
@@ -258,15 +224,6 @@ def test_phi_push_past_adjacent_node_coefficients():
         phi_push_past(SIG22, 1, e, -1)
 
 
-def test_oscillation_words():
-    r = oscillation_R(0, 1, 2, 3)
-    assert r.nterms() == 5
-    sym = oscillation_R_sym(0, 1, 2, 3)
-    assert sym.nterms() == 10
-    # weight is alpha_1 + 2 alpha_2 + alpha_3
-    assert SIG22.elem_weight(r) == (1, 2, 1)
-
-
 def test_degree4_twist_orders_differ_by_deg2_zero_ideal():
     # T(x, y) = [[[a, b]_x, c]_y, b] with b the odd node: the two twist
     # orders differ by an element of the ideal of b^2 and [a, c]
@@ -290,6 +247,16 @@ def test_lambda_recursion_explicit():
     diff = lambda_elem(1, 0, 0) - lambda_elem(0, 0, 1)
     assert not diff.is_zero()
     assert reduce_lambda_step(diff, 0).is_zero()
+    # the step rewrites X_{2,b} X_{3,c} by the deg2-shift instance (2, b-1, 3, c):
+    # q X_{3,c} X_{2,b} + q X_{2,b-1} X_{3,c+1} - X_{3,c+1} X_{2,b-1}
+    b, c = 0, 0
+    rel = relation_elem(SIG22, RelRule("deg2-shift", (2, b - 1, 3, c), 1))
+    expected = (
+        mono(xp(3, c), xp(2, b)).scale(q)
+        + mono(xp(2, b - 1), xp(3, c + 1)).scale(q)
+        - mono(xp(3, c + 1), xp(2, b - 1))
+    )
+    assert mono(xp(2, b), xp(3, c)) - rel == expected
 
 
 def test_mu_base_case():

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -90,7 +91,14 @@ def test_series_to_torsion_errors():
 
 
 def _annihilator_by_elimination(window, degree_bound):
-    """The per-degree route: one exact solve of the Hankel system for d = 0, 1, ..."""
+    """The per-degree route: one exact solve of the Hankel system for d = 0, 1, ...
+
+    The systems are solved on the window times the lcm of its denominators:
+    an annihilator does not change under a nonzero scalar, and the scaled
+    entries are polynomials, which the elimination handles without the field.
+    """
+    lcm = scalar(functools.reduce(lambda x, y: x.lcm(y), {v.denom for v in window.values()}))
+    window = {m: v * lcm for m, v in window.items()}
     lo, hi = min(window), max(window)
     for d in range(degree_bound + 1):
         ms = range(lo + d, hi + 1)
