@@ -330,10 +330,11 @@ def _divide(x: Scalar, y: Scalar) -> Scalar:
 def remove_content(xs: list[Scalar]) -> list[Scalar]:
     """The Laurent values xs divided by their greatest common divisor.
 
-    Values that are not all Laurent polynomials come back unchanged.
+    Values that are not all Laurent polynomials, or that are all zero,
+    come back unchanged.
     """
     ts = [x._terms for x in xs]
-    if any(t is None for t in ts):
+    if any(t is None for t in ts) or not any(ts):
         return xs
     i0 = min(e[0] for t in ts for e in t)
     j0 = min(e[1] for t in ts for e in t)

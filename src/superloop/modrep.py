@@ -19,11 +19,13 @@ from .coeffs import ONE, ZERO, Scalar, ZPoly, expand_ratio, q, qint_base, scalar
 from .linalg import Mat, RowReducer, joint_nullspace, kron_super, solve_span
 from .superfree import (
     AlgebraSignature,
+    E0_MINUS,
+    E0_PLUS,
     Elem,
     GenSym,
+    KAY,
+    KAY_INV,
     RelRule,
-    X_MINUS,
-    X_PLUS,
     chevalley_instances,
     e0m,
     e0p,
@@ -192,19 +194,11 @@ class LoopModule:
 
     def gen_sym(self, g: GenSym) -> Mat:
         self.sig.check_symbol(g)
-        if g.kind == X_PLUS:
-            return self.gen(("X+", g.node, g.index))
-        if g.kind == X_MINUS:
-            return self.gen(("X-", g.node, g.index))
-        if g.kind == "K":
-            return self.gen(("K", g.node))
-        if g.kind == "Kinv":
-            return self.gen(("Kinv", g.node))
-        if g.kind == "H":
-            return self.gen(("H", g.node, g.index))
-        if g.kind == "E0+":
-            return self.gen(("E0+",))
-        return self.gen(("E0-",))
+        if g.kind in (KAY, KAY_INV):
+            return self.gen((g.kind, g.node))
+        if g.kind in (E0_PLUS, E0_MINUS):
+            return self.gen((g.kind,))
+        return self.gen((g.kind, g.node, g.index))
 
     def elem_matrix(self, e: Elem) -> Mat:
         out = Mat.zeros(self.dim, self.dim)

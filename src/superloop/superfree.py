@@ -5,17 +5,18 @@ lattice and a loop degree.  The module houses the defining-relation
 catalog of the quantum loop superalgebra of sl(M,N), quantum brackets,
 the phi-series expansion and the (2,2) oscillation replay.  The catalog
 holds values only: ``relation_value`` writes each relation once and
-evaluates it on free words or on a module's matrices.  No automatic
-normal form is imposed: an algebra identity is decided by the replay's
-guided reduction and exact certificates over degree-2 relations, or by
-the action on a module.
+evaluates it on free words or on a module's matrices; ``_admissible``
+states each family's domain once, for the evaluator and the enumerators.
+No automatic normal form is imposed: an algebra identity is decided by
+the replay's guided reduction and exact certificates over degree-2
+relations, or by the action on a module.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Iterable, Sequence
 
 from .coeffs import ONE, ZERO, Scalar, q, qint_base, scalar, scalar_str
@@ -467,6 +468,44 @@ def _x(sign: int, i: int, n: int) -> GenSym:
     return xp(i, n) if sign > 0 else xm(i, n)
 
 
+def _admissible(sig: AlgebraSignature, family: str, indices: tuple) -> bool:
+    """Whether ``indices`` name an instance of ``family`` on ``sig``.
+
+    The one statement of each family's domain: the enumerators keep the
+    instances it accepts and ``relation_value`` refuses the rest.
+    """
+    if family == "cartan":  # h symbols carry nonzero loop indices
+        sub, *ix = indices
+        h_loops = {"inv": (), "vni": (), "kk": (), "kh": ix[2:], "hh": ix[1::2]}
+        return sub in h_loops and 0 not in h_loops[sub]
+    if family == "hx":
+        return indices[1] != 0
+    if family == "deg2-zero":
+        return sig.c(indices[0], indices[2]) == 0
+    if family == "deg2-shift":
+        return sig.c(indices[0], indices[2]) != 0
+    if family == "serre3":
+        i, _, _, j, _ = indices
+        return abs(sig.c(i, j)) == 1 and i != sig.M
+    if family == "oscillation4":
+        return sig.M > 1 and sig.N > 1
+    if family == "chev-zero":
+        return sig.affine_c(*indices) == 0
+    if family == "chev-serre3":
+        i, j = indices
+        return abs(sig.affine_c(i, j)) == 1 and i not in (0, sig.M)
+    if family == "chev-deg4":
+        return sig.M + sig.N > 3
+    if family == "chev-deg5":
+        return (sig.M, sig.N) == (2, 1)
+    return True
+
+
+def _signs(family: str) -> tuple[int, ...]:
+    """The signs a family is listed with: both where it has a +- branch."""
+    return (1,) if family in ("cartan", "pm-mixed", "chev-mixed") else (1, -1)
+
+
 def relation_value(sig: AlgebraSignature, rule: RelRule, word: Callable):
     """The value of a defining relation, which vanishes in the quotient.
 
@@ -476,6 +515,8 @@ def relation_value(sig: AlgebraSignature, rule: RelRule, word: Callable):
     ``_word_matrix`` the action of the relation on the module.
     """
     fam, idx, sgn = rule.family, rule.indices, rule.sign
+    if not _admissible(sig, fam, idx):
+        raise ValueError(f"{fam} {idx} is not a relation instance on ({sig.M},{sig.N})")
 
     def gen(g: GenSym) -> tuple:
         """A generator's value with its parity, the operand of ``br``."""
@@ -509,11 +550,9 @@ def relation_value(sig: AlgebraSignature, rule: RelRule, word: Callable):
         elif sub == "kh":
             i, j, s = ix
             g, h = kay(i), aitch(j, s)
-        elif sub == "hh":
+        else:
             i, s, j, t = ix
             g, h = aitch(i, s), aitch(j, t)
-        else:
-            raise ValueError(f"unknown cartan subfamily {sub!r}")
         return word((g, h)) - word((h, g))
     if fam == "kx":
         i, j, n = idx
@@ -521,8 +560,6 @@ def relation_value(sig: AlgebraSignature, rule: RelRule, word: Callable):
         return word((kay(i), x)) - word((x, kay(i))).scale(q ** (sgn * sig.c(i, j)))
     if fam == "hx":
         i, s, j, n = idx
-        if s == 0:
-            raise ValueError("h index must be nonzero")
         x, h = _x(sgn, j, n), aitch(i, s)
         coeff = scalar(sgn) * qint_base(s * sig.l(i) * sig.c(i, j), sig.l(i)) / scalar(s)
         return word((h, x)) - word((x, h)) - word((_x(sgn, j, n + s),)).scale(coeff)
@@ -538,23 +575,16 @@ def relation_value(sig: AlgebraSignature, rule: RelRule, word: Callable):
         return rel
     if fam == "deg2-zero":
         i, m, j, n = idx
-        if sig.c(i, j) != 0:
-            raise ValueError("deg2-zero needs (alpha_i, alpha_j) = 0")
         a, b = _x(sgn, i, m), _x(sgn, j, n)
         koszul = -ONE if (sig.parity_node(i) and sig.parity_node(j)) else ONE
         return word((a, b)) - word((b, a)).scale(koszul)
     if fam == "deg2-shift":
         i, m, j, n = idx
-        cij = sig.c(i, j)
-        if cij == 0:
-            raise ValueError("deg2-shift needs (alpha_i, alpha_j) != 0")
         a0, a1, b0, b1 = _x(sgn, i, m), _x(sgn, i, m + 1), _x(sgn, j, n), _x(sgn, j, n + 1)
         twisted = word((b0, a1)) + word((a0, b1))
-        return word((a1, b0)) - twisted.scale(q ** (sgn * cij)) + word((b1, a0))
+        return word((a1, b0)) - twisted.scale(q ** (sgn * sig.c(i, j))) + word((b1, a0))
     if fam == "serre3":
         i, m, n, j, k = idx
-        if abs(sig.c(i, j)) != 1 or i == sig.M:
-            raise ValueError("serre3 needs (alpha_i,alpha_j) = +-1 and i != M")
 
         def half(m1, m2):
             return br(X(i, m1), br(X(i, m2), X(j, k), q**-1), q)[0]
@@ -562,8 +592,6 @@ def relation_value(sig: AlgebraSignature, rule: RelRule, word: Callable):
         return half(m, n) + half(n, m)
     if fam == "oscillation4":
         m, n, k, u = idx
-        if sig.M < 2 or sig.N < 2:
-            raise ValueError("oscillation relation needs M, N > 1")
         M = sig.M
 
         def half(n1, n2):
@@ -579,27 +607,17 @@ def relation_value(sig: AlgebraSignature, rule: RelRule, word: Callable):
         rel = br(chev(i, +1), chev(j, -1), ONE)[0]
         if i == j:
             qi = sig.q_affine(i)
-            if i == 0:
-                kk = k0(1) - k0(-1)
-            else:
-                kk = word((kay(i),)) - word((kinv(i),))
+            kk = k0(1) - k0(-1) if i == 0 else word((kay(i),)) - word((kinv(i),))
             rel = rel - kk.scale(ONE / (qi - qi**-1))
         return rel
     if fam == "chev-zero":
         i, j = idx
-        if sig.affine_c(i, j) != 0:
-            raise ValueError("chev-zero needs a vanishing Cartan pairing")
         return br(chev(i), chev(j), ONE)[0]
     if fam == "chev-serre3":
         i, j = idx
-        if abs(sig.affine_c(i, j)) != 1 or i in (0, sig.M):
-            raise ValueError("chev-serre3 needs pairing +-1 and i not in {0, M}")
         return br(chev(i), br(chev(i), chev(j), q**-1), q)[0]
     if fam == "chev-deg4":
-        variant = idx[0]
-        if sig.M + sig.N <= 3:
-            raise ValueError("degree-4 Chevalley relations need M+N > 3")
-        if variant == 0:
+        if idx[0] == 0:
             # the odd node M with its affine-cycle neighbours
             cyc = lambda k: k % (sig.M + sig.N)
             seq = (cyc(sig.M - 1), sig.M, cyc(sig.M + 1), sig.M)
@@ -608,8 +626,6 @@ def relation_value(sig: AlgebraSignature, rule: RelRule, word: Callable):
         g = [chev(s) for s in seq]
         return br(br(br(g[0], g[1], q**-1), g[2], q), g[3], ONE)[0]
     if fam == "chev-deg5":
-        if (sig.M, sig.N) != (2, 1):
-            raise ValueError("the degree-5 relation is specific to (2,1)")
         e0, e1, e2 = chev(0), chev(1), chev(2)
 
         def side(first, second):
@@ -636,85 +652,46 @@ def relation_instances(
     window: Iterable[int],
     families: Iterable[str] | None = None,
 ) -> list[RelRule]:
-    """Deterministic enumeration of relation instances over a loop window."""
+    """Deterministic enumeration of relation instances over a loop window.
+
+    Each family runs over its index space and keeps what ``_admissible``
+    accepts; where a relation is symmetric in two indices, one order is
+    listed.
+    """
     window = sorted(window)
-    h_window = [s for s in window if s != 0]
-    wanted = set(families) if families is not None else None
     nodes = range(1, sig.n_nodes + 1)
-    out: list[RelRule] = []
 
-    def want(name: str) -> bool:
-        return wanted is None or name in wanted
+    def cartan():
+        yield from ((sub, i) for i in nodes for sub in ("inv", "vni"))
+        for i, j in product(nodes, nodes):
+            if i < j:
+                yield "kk", i, j
+            for s in window:
+                yield "kh", i, j, s
+                yield from (("hh", i, s, j, t) for t in window if (i, s) < (j, t))
 
-    if want("cartan"):
-        for i in nodes:
-            out.append(RelRule("cartan", ("inv", i)))
-            out.append(RelRule("cartan", ("vni", i)))
-        for i in nodes:
-            for j in nodes:
-                if i < j:
-                    out.append(RelRule("cartan", ("kk", i, j)))
-                for s in h_window:
-                    out.append(RelRule("cartan", ("kh", i, j, s)))
-                    for t in h_window:
-                        if (i, s) < (j, t):
-                            out.append(RelRule("cartan", ("hh", i, s, j, t)))
-    if want("kx"):
-        for i in nodes:
-            for j in nodes:
-                for n in window:
-                    for sgn in (1, -1):
-                        out.append(RelRule("kx", (i, j, n), sgn))
-    if want("hx"):
-        for i in nodes:
-            for s in h_window:
-                for j in nodes:
-                    for n in window:
-                        for sgn in (1, -1):
-                            out.append(RelRule("hx", (i, s, j, n), sgn))
-    if want("pm-mixed"):
-        for i in nodes:
-            for j in nodes:
-                for m in window:
-                    for n in window:
-                        out.append(RelRule("pm-mixed", (i, m, j, n)))
-    if want("deg2-zero"):
-        for i in nodes:
-            for j in nodes:
-                if sig.c(i, j) == 0:
-                    for m in window:
-                        for n in window:
-                            for sgn in (1, -1):
-                                out.append(RelRule("deg2-zero", (i, m, j, n), sgn))
-    if want("deg2-shift"):
-        for i in nodes:
-            for j in nodes:
-                if sig.c(i, j) != 0:
-                    for m in window:
-                        for n in window:
-                            for sgn in (1, -1):
-                                out.append(RelRule("deg2-shift", (i, m, j, n), sgn))
-    if want("serre3"):
-        for i in nodes:
-            for j in nodes:
-                if abs(sig.c(i, j)) == 1 and i != sig.M:
-                    for m in window:
-                        for n in window:
-                            if m > n:
-                                continue  # symmetric in (m, n)
-                            for k in window:
-                                for sgn in (1, -1):
-                                    out.append(RelRule("serre3", (i, m, n, j, k), sgn))
-    if want("oscillation4") and sig.M > 1 and sig.N > 1:
-        for m in window:
-            for n in window:
-                for k in window:
-                    for u in window:
-                        if n > u:
-                            continue  # symmetric in (n, u)
-                        for sgn in (1, -1):
-                            out.append(RelRule("oscillation4", (m, n, k, u), sgn))
-    return out
+    pairs = [(i, m, j, n) for i, j, m, n in product(nodes, nodes, window, window)]
+    spaces = {
+        "cartan": cartan(),
+        "kx": product(nodes, nodes, window),
+        "hx": product(nodes, window, nodes, window),
+        "pm-mixed": pairs,
+        "deg2-zero": pairs,
+        "deg2-shift": pairs,
+        "serre3": (
+            (i, m, n, j, k)
+            for i, j, m, n, k in product(nodes, nodes, window, window, window)
+            if m <= n
+        ),
+        "oscillation4": (ix for ix in product(window, repeat=4) if ix[1] <= ix[3]),
+    }
+    wanted = spaces if families is None else set(families)
+    return [
+        RelRule(fam, idx, sgn)
+        for fam, space in spaces.items() if fam in wanted
+        for idx in space if _admissible(sig, fam, idx)
+        for sgn in _signs(fam)
+    ]
 
 
 def chevalley_instances(sig: AlgebraSignature) -> list[RelRule]:
@@ -722,26 +699,18 @@ def chevalley_instances(sig: AlgebraSignature) -> list[RelRule]:
     if sig.M == sig.N:
         raise ValueError("the Chevalley presentation needs M != N")
     nodes = range(0, sig.n_nodes + 1)
-    out: list[RelRule] = []
-    for i in nodes:
-        for j in nodes:
-            for sgn in (1, -1):
-                out.append(RelRule("chev-kx", (i, j), sgn))
-            out.append(RelRule("chev-mixed", (i, j)))
-            if sig.affine_c(i, j) == 0 and i <= j:
-                for sgn in (1, -1):
-                    out.append(RelRule("chev-zero", (i, j), sgn))
-            if abs(sig.affine_c(i, j)) == 1 and i not in (0, sig.M):
-                for sgn in (1, -1):
-                    out.append(RelRule("chev-serre3", (i, j), sgn))
-    if sig.M + sig.N > 3:
-        for variant in (0, 1):
-            for sgn in (1, -1):
-                out.append(RelRule("chev-deg4", (variant,), sgn))
-    if (sig.M, sig.N) == (2, 1):
-        for sgn in (1, -1):
-            out.append(RelRule("chev-deg5", (), sgn))
-    return out
+    listed = [
+        (fam, (i, j))
+        for i, j in product(nodes, nodes)
+        for fam in ("chev-kx", "chev-mixed", "chev-zero", "chev-serre3")
+        if fam != "chev-zero" or i <= j
+    ]
+    listed += [("chev-deg4", (0,)), ("chev-deg4", (1,)), ("chev-deg5", ())]
+    return [
+        RelRule(fam, idx, sgn)
+        for fam, idx in listed if _admissible(sig, fam, idx)
+        for sgn in _signs(fam)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -985,7 +954,7 @@ def mu_recursion_certificate(diff: Elem) -> bool:
     }
     red = RowReducer()
     for i, j in _MU_PAIRS:
-        fam = "deg2-zero" if SIG22.c(i, j) == 0 else "deg2-shift"
+        fam = "deg2-zero" if _admissible(SIG22, "deg2-zero", (i, 0, j, 0)) else "deg2-shift"
         other = ({1, 2, 3} - {i, j}).pop()
         for m in boxes[i]:
             for n in boxes[j]:
@@ -1021,7 +990,7 @@ def appendixA_check(n_max: int, window: Iterable[int]) -> dict:
     # neighbouring one, so build each element once per call
     lam, mu = functools.cache(lambda_elem), functools.cache(mu_elem)
 
-    for bb, cc in itertools.product(window, repeat=2):
+    for bb, cc in product(window, repeat=2):
         base = _normalize_commuting(lam(0, bb, cc))
         record(f"lambda(0,{bb},{cc}) = 0", base.is_zero())
         for n in range(1, n_max + 1):
@@ -1045,7 +1014,7 @@ def appendixA_check(n_max: int, window: Iterable[int]) -> dict:
     def translate(e: Elem, offs: dict[int, int]) -> Elem:
         return e.map_symbols(lambda g: (ONE, xp(g.node, g.index + offs[g.node])))
 
-    for aa, cc, dd in itertools.product(window, repeat=3):
+    for aa, cc, dd in product(window, repeat=3):
         base = _normalize_commuting(mu(aa, cc, 0, dd))
         record(f"mu({aa},{cc},0,{dd}) = 0", base.is_zero())
         offs = {1: aa, 2: dd, 3: cc}

@@ -317,6 +317,8 @@ def test_scalar_forms_examples():
     assert scalar("(q^2-1)/(q-1)")._terms == {(1, 0, 0): 1, (0, 0, 0): 1}
     assert remove_content([q**2 + q, a * q + a]) == [q, a]  # content q + 1
     assert remove_content([q**2, a * q]) == [q**2, a * q]  # a unit divides out nothing
+    assert remove_content([ZERO, ZERO]) == [ZERO, ZERO]  # no content to divide out
+    assert remove_content([]) == []
     with pytest.raises(ZeroDivisionError):
         ONE / ZERO
     with pytest.raises(ZeroDivisionError):

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -185,25 +186,41 @@ def test_relation_elem_pm_mixed_offdiag():
 
 
 def test_relation_elem_invalid_instances():
-    with pytest.raises(ValueError):
-        relation_elem(SIG21, RelRule("deg2-zero", (1, 0, 2, 0), 1))  # pairing != 0
-    with pytest.raises(ValueError):
-        relation_elem(SIG21, RelRule("oscillation4", (0, 0, 0, 0), 1))  # needs M,N > 1
-    with pytest.raises(ValueError):
-        relation_elem(SIG21, RelRule("serre3", (2, 0, 0, 1, 0), 1))  # i = M
-    with pytest.raises(ValueError):
+    # one instance outside each family's domain
+    outside = [
+        (SIG21, RelRule("cartan", ("kh", 1, 2, 0))),  # h index 0
+        (SIG21, RelRule("cartan", ("kq", 1, 2))),  # no such subfamily
+        (SIG21, RelRule("hx", (1, 0, 1, 0), 1)),  # h index 0
+        (SIG21, RelRule("deg2-zero", (1, 0, 2, 0), 1)),  # pairing != 0
+        (SIG21, RelRule("deg2-shift", (2, 0, 2, 0), 1)),  # pairing = 0
+        (SIG21, RelRule("serre3", (2, 0, 0, 1, 0), 1)),  # i = M
+        (SIG21, RelRule("oscillation4", (0, 0, 0, 0), 1)),  # needs M, N > 1
+        (SIG21, RelRule("chev-zero", (1, 1), 1)),  # pairing 2
+        (SIG21, RelRule("chev-serre3", (0, 1), 1)),  # i = 0
+        (SIG21, RelRule("chev-deg4", (0,), 1)),  # needs M + N > 3
+        (SIG31, RelRule("chev-deg5", (), 1)),  # (2,1) only
+    ]
+    for sig, rule in outside:
+        with pytest.raises(ValueError, match="is not a relation instance"):
+            relation_elem(sig, rule)
+    with pytest.raises(ValueError, match="unknown relation family"):
         relation_elem(SIG21, RelRule("no-such-family", (), 1))
 
 
 def test_relation_instances_enumeration():
     rules = relation_instances(SIG21, range(-1, 2))
-    fams = {r.family for r in rules}
-    assert fams == {"cartan", "kx", "hx", "pm-mixed", "deg2-zero", "deg2-shift", "serre3"}
     # no oscillation family below M, N > 1
-    assert not [r for r in rules if r.family == "oscillation4"]
+    assert Counter(r.family for r in rules) == {
+        "cartan": 19, "kx": 24, "hx": 48, "pm-mixed": 36,
+        "deg2-zero": 18, "deg2-shift": 54, "serre3": 36,
+    }
     assert [r for r in relation_instances(SIG22, [0]) if r.family == "oscillation4"]
-    chev = chevalley_instances(SIG21)
-    assert any(r.family == "chev-deg5" for r in chev)
+    assert Counter(r.family for r in chevalley_instances(SIG21)) == {
+        "chev-kx": 18, "chev-mixed": 9, "chev-zero": 4, "chev-serre3": 4, "chev-deg5": 2,
+    }
+    assert Counter(r.family for r in chevalley_instances(SIG31)) == {
+        "chev-kx": 32, "chev-mixed": 16, "chev-zero": 8, "chev-serre3": 8, "chev-deg4": 4,
+    }
     with pytest.raises(ValueError):
         chevalley_instances(SIG22)
 

@@ -1,6 +1,6 @@
 import ast
 
-from helpers import SRC
+from helpers import SRC, run_python
 
 # Definitions that no CLI suite reaches but that stay, each for its reason.
 KEPT = {
@@ -96,3 +96,32 @@ def test_no_unreached_definitions():
     defined = {node.name for tree in trees.values() for _, node, _ in _definitions(tree)}
     assert set(KEPT) <= defined, "a kept name no longer exists: drop it from KEPT"
     assert unreached_definitions(trees) == []
+
+
+# Installs the benchmark's tracer, which wraps package names from outside, and
+# runs a relation suite and the replay through the wrapped entry point.
+TRACED_RUN = """
+import contextlib, io, sys
+sys.dont_write_bytecode = True
+sys.path.insert(0, sys.argv[1])
+import tracer
+from superloop import cli
+traced = tracer.Tracer()
+traced.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        cli.main(["verify-relations", "--M", "2", "--N", "1", "--window", "1"]),
+        cli.main(["appendix-a", "--nmax", "1", "--window", "1"]),
+    ]
+print(codes)
+print(sorted(traced.calls))
+"""
+
+
+def test_traced_names_exist():
+    # a rename under src/ that the tracer still wraps fails install() here
+    proc = run_python("-c", TRACED_RUN, str(SRC.parent / "bench"))
+    assert proc.returncode == 0, proc.stderr
+    codes, names = proc.stdout.splitlines()
+    assert codes == "[0, 0]"
+    assert "'superfree.guided_reduce'" in names and "'modrep.relation_report'" in names
