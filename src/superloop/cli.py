@@ -220,25 +220,26 @@ def _suite_monoid(cfg: RunConfig) -> list[dict]:
     checks = []
     order = max(cfg.order, 2 * cfg.degree_bound + 2)
     worked = TorsionTriple(q, ZPoly([ONE, -(q**-2)]), ZPoly([ONE, -ONE]))
-    win = weyl.torsion_to_series(worked, order)
+    win, scale = weyl.torsion_to_series(worked, order)
+    f = {k: v / scale for k, v in sorted(win.items())}
     checks.append(
         _check(
             "worked example f == 1",
-            all(v == ONE for v in win.values()),
-            {"window": {str(k): scalar_str(v) for k, v in sorted(win.items())}},
+            all(v == ONE for v in f.values()),
+            {"window": {str(k): scalar_str(v) for k, v in f.items()}},
         )
     )
     checks.append(
         _check(
             "worked example roundtrip",
-            weyl.series_to_torsion(win, q, cfg.degree_bound) == worked,
+            weyl.series_to_torsion(win, q, cfg.degree_bound, scale) == worked,
         )
     )
     triples = [random_torsion_triple(rng, cfg.degree_bound) for _ in range(cfg.count)]
     ok_rt = True
     for t in triples:
-        w = weyl.torsion_to_series(t, order)
-        back = weyl.series_to_torsion(w, t.c, cfg.degree_bound)
+        w, s = weyl.torsion_to_series(t, order)
+        back = weyl.series_to_torsion(w, t.c, cfg.degree_bound, s)
         if back != t:
             ok_rt = False
             checks.append(_check("roundtrip", False, t.to_json()))
@@ -263,10 +264,11 @@ def _suite_monoid(cfg: RunConfig) -> list[dict]:
     for t1, t2 in zip(triples, triples[1:]):
         w1 = weyl.torsion_to_series(t1, 2 * order)
         w2 = weyl.torsion_to_series(t2, 2 * order)
-        direct = weyl.star_product_window(w1, w2, t1.c, t2.c, order)
+        direct, s = weyl.star_product_window(w1, w2, t1.c, t2.c, order)
         prod = weyl.monoid_product(_hw_of(t1), _hw_of(t2)).torsion
-        wp = weyl.torsion_to_series(prod, order)
-        ok_star &= all(direct[n] == wp[n] for n in range(-order, order + 1))
+        wp, sp = weyl.torsion_to_series(prod, order)
+        # both windows are scaled: compare direct / s with wp / sp
+        ok_star &= all(direct[n] * sp == s * wp[n] for n in range(-order, order + 1))
     checks.append(_check("star product matches series product", ok_star))
     return checks
 

@@ -349,6 +349,21 @@ def remove_content(xs: list[Scalar]) -> list[Scalar]:
     return [_laurent({(i + i0, j + j0, k + k0): c for (i, j, k), c in p.exquo(g).items()}) for p in polys]
 
 
+def clear_denominators(xs: list[Scalar]) -> list[Scalar]:
+    """xs times the lcm of their reduced denominators: Laurent values in the same ratios.
+
+    Values that are all Laurent polynomials come back unchanged.
+    """
+    if all(x._terms is not None for x in xs):
+        return xs
+    F = _sym().field
+    den = F.ring.one
+    for x in xs:
+        den = den.lcm(x.denom)
+    m = _from_field(F.new(den, F.ring.one))
+    return [x * m for x in xs]
+
+
 def unit_inverse(x: Scalar) -> Scalar | None:
     """1/x when x is a unit of the Laurent ring (a +-monomial), else None."""
     t = x._terms

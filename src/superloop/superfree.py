@@ -686,6 +686,9 @@ def relation_instances(
         "oscillation4": (ix for ix in product(window, repeat=4) if ix[1] <= ix[3]),
     }
     wanted = spaces if families is None else set(families)
+    unknown = sorted(wanted - spaces.keys())
+    if unknown:
+        raise ValueError(f"unknown relation families: {unknown}")
     return [
         RelRule(fam, idx, sgn)
         for fam, space in spaces.items() if fam in wanted

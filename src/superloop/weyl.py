@@ -18,10 +18,11 @@ from .coeffs import (
     ZERO,
     Scalar,
     ZPoly,
-    expand_ratio,
+    clear_denominators,
     poly_coprime,
     poly_gcd,
     q,
+    remove_content,
     scalar_str,
 )
 
@@ -61,23 +62,42 @@ def identity_triple() -> TorsionTriple:
     return TorsionTriple(ONE, ZPoly.one(), ZPoly.one())
 
 
-def torsion_to_series(t: TorsionTriple, order: int) -> dict[int, Scalar]:
-    """Expand c Q/P both ways and take the two-sided window of f.
+def torsion_to_series(t: TorsionTriple, order: int) -> tuple[dict[int, Scalar], Scalar]:
+    """The two-sided window of f, scaled so that it needs no division.
 
-    Returns {n: f_n for |n| <= order} with
-    (q - q^-1) f = iota_+(c Q/P) - iota_-(c Q/P).
+    f is given by (q - q^-1) f = iota_+(c Q/P) - iota_-(c Q/P).  Returns
+    (g, s) with g = {n: s f_n for |n| <= order} and
+    s = c (q - q^-1) lead(P)^(order + 1): the plus side is then the
+    expansion of c^2 Q/P in z, which P(0) = 1 keeps division-free, and the
+    minus side is -lead^(order - n) u_n for u_n = lead^(n + 1) [z^-n](c^2 Q/P),
+    whose recurrence divides by nothing either.  Neither the annihilator
+    nor the triple changes under the scale, and g is Laurent whenever
+    c^2 Q and P are.
     """
-    plus = expand_ratio(t.c, t.Q, t.P, "+", order)
-    minus = expand_ratio(t.c, t.Q, t.P, "-", order)
-    denom = q - q**-1
-    window: dict[int, Scalar] = {}
+    c2 = t.c * t.c
+    cq = [c2 * x for x in t.Q.coeffs]
+    P = t.P.coeffs
+    d = len(P) - 1
+    lead = P[-1]
+    powers = [ONE]  # lead^k, k = 0..order + 1
+    for _ in range(order + 1):
+        powers.append(powers[-1] * lead)
+    top = powers[order + 1]
+    plus: list[Scalar] = []  # [z^n](c^2 Q/P)
+    minus: list[Scalar] = []  # u_n
     for n in range(order + 1):
-        if n == 0:
-            window[0] = (plus[0] - minus[0]) / denom
-        else:
-            window[n] = plus[n] / denom
-            window[-n] = -minus[n] / denom
-    return window
+        s = cq[n] if n <= d else ZERO
+        r = cq[d - n] * powers[n] if n <= d else ZERO
+        for k in range(1, min(n, d) + 1):
+            s -= P[k] * plus[n - k]
+            r -= P[d - k] * powers[k - 1] * minus[n - k]
+        plus.append(s)
+        minus.append(r)
+    window = {0: top * (c2 - ONE)}
+    for n in range(1, order + 1):
+        window[n] = top * plus[n]
+        window[-n] = -powers[order - n] * minus[n]
+    return window, t.c * (q - q**-1) * top
 
 
 def _minimal_annihilator(window: Mapping[int, Scalar], degree_bound: int) -> ZPoly | None:
@@ -86,24 +106,32 @@ def _minimal_annihilator(window: Mapping[int, Scalar], degree_bound: int) -> ZPo
     P annihilates f when sum_s p_s f_{m-s} = 0 for every m with all the
     touched coefficients inside the window.  One Berlekamp-Massey pass
     over f_lo..f_hi gives the shortest recurrence (Massey 1969); its
-    length L is the least degree any annihilator can have.  The answer is
-    None when L exceeds the bound, when the window has fewer than 2L + 1
-    terms and so does not pin the recurrence down, or when the connection
-    polynomial has degree below L, so that no degree-L annihilator exists.
+    length L is the least degree any annihilator can have.  The pass is
+    inversionless (conn <- prev_disc conn - disc z^gap prev, as in
+    Reed-Solomon decoders): the connection polynomial is only known up to
+    a scalar, its content is removed after each update to stop the
+    coefficients swelling, and it is divided by its constant term once at
+    the end.  The answer is None when L exceeds the bound, when the window
+    has fewer than 2L + 1 terms and so does not pin the recurrence down, or
+    when the connection polynomial has degree below L, so that no degree-L
+    annihilator exists.
     """
     lo, hi = min(window), max(window)
-    f = [window[m] for m in range(lo, hi + 1)]
+    # the pass multiplies values up and content removal shrinks only Laurent
+    # ones: clear denominators first, which scales the window and no annihilator
+    f = clear_denominators([window[m] for m in range(lo, hi + 1)])
     conn, prev = [ONE], [ONE]  # current and last-lengthened connection polynomials
     length, gap, prev_disc = 0, 1, ONE
-    for n, fn in enumerate(f):
-        disc = fn + sum((conn[s] * f[n - s] for s in range(1, len(conn))), start=ZERO)
+    for n in range(len(f)):
+        # conn[0] is not 1 here, so it enters the discrepancy
+        disc = sum((conn[s] * f[n - s] for s in range(len(conn))), start=ZERO)
         if disc == ZERO:
             gap += 1
             continue
-        factor = disc / prev_disc
-        update = conn + [ZERO] * (gap + len(prev) - len(conn))
+        update = [prev_disc * x for x in conn] + [ZERO] * (gap + len(prev) - len(conn))
         for s, p in enumerate(prev):
-            update[s + gap] -= factor * p
+            update[s + gap] -= disc * p
+        update = remove_content(update)
         if 2 * length <= n:
             conn, prev = update, conn
             length, gap, prev_disc = n + 1 - length, 1, disc
@@ -112,7 +140,7 @@ def _minimal_annihilator(window: Mapping[int, Scalar], degree_bound: int) -> ZPo
         else:
             conn = update
             gap += 1
-    cand = ZPoly(conn)
+    cand = ZPoly([x / conn[0] for x in conn])
     if len(f) < 2 * length + 1 or cand.degree < length:
         return None
     return cand if _annihilates(cand, window) else None
@@ -129,31 +157,32 @@ def _annihilates(p: ZPoly, window: Mapping[int, Scalar]) -> bool:
 
 
 def series_to_torsion(
-    window: Mapping[int, Scalar], c: Scalar, degree_bound: int = 4
+    window: Mapping[int, Scalar], c: Scalar, degree_bound: int = 4, scale: Scalar = ONE
 ) -> TorsionTriple:
-    """Recover the canonical (c, Q, P) from a symmetric f-coefficient window.
+    """Recover the canonical (c, Q, P) from a symmetric window of scale * f.
 
     P is the minimal-degree annihilator of the window; Q comes from the
     truncation of c^-1 P(z) (c + (q - q^-1) sum_{n>0} f_n z^n), verified
-    to close up at degree deg P.
+    to close up at degree deg P.  With g = scale * f that is the truncation
+    of P(z) (c scale + (q - q^-1) sum_{n>0} g_n z^n), whose d + 1 kept
+    coefficients are the only values divided, by c scale.
     """
     lo, hi = min(window), max(window)
     if hi < degree_bound or -lo < degree_bound or hi - lo + 1 < 2 * degree_bound + 1:
         raise TorsionError("window too short for the requested degree bound")
-    f0 = window.get(0, ZERO)
-    if f0 != (c - c**-1) / (q - q**-1):
+    u = q - q**-1
+    if window.get(0, ZERO) * u * c != scale * (c * c - ONE):
         raise TorsionError("f_0 must equal (c - c^-1)/(q - q^-1)")
     P = _minimal_annihilator(window, degree_bound)
     if P is None:
         raise TorsionError(f"no annihilator of degree <= {degree_bound} found")
     d = P.degree
-    series = ZPoly([c] + [(q - q**-1) * window[n] for n in range(1, hi + 1)])
-    prod = P * series
-    coeffs = [c**-1 * prod.coeff(k) for k in range(hi + 1)]
+    cs = c * scale
+    prod = P * ZPoly([cs] + [u * window[n] for n in range(1, hi + 1)])
     for k in range(d + 1, hi + 1):
-        if coeffs[k] != ZERO:
+        if prod.coeff(k) != ZERO:
             raise TorsionError("torsion construction did not truncate; window inconsistent")
-    Q = ZPoly(coeffs[: d + 1])
+    Q = ZPoly([prod.coeff(k) / cs for k in range(d + 1)])
     return TorsionTriple(c, Q, P)
 
 
@@ -227,20 +256,27 @@ def monoid_product(h1: HighestWeight, h2: HighestWeight) -> HighestWeight:
 
 
 def star_product_window(
-    f: Mapping[int, Scalar], g: Mapping[int, Scalar], c: Scalar, d: Scalar, order: int
-) -> dict[int, Scalar]:
+    f: tuple[Mapping[int, Scalar], Scalar],
+    g: tuple[Mapping[int, Scalar], Scalar],
+    c: Scalar,
+    d: Scalar,
+    order: int,
+) -> tuple[dict[int, Scalar], Scalar]:
     """The series-level product (f+g+ - f-g-)/(q - q^-1) on a window.
 
-    f+- = c^{+-1} +- (q - q^-1) sum_{s >= 1} f_{+-s} z^{+-s}; the output
-    window is only guaranteed for |n| <= order when both inputs cover
-    |n| <= order.
+    f and g are (window, scale) pairs as ``torsion_to_series`` returns
+    them; f+- = c^{+-1} +- (q - q^-1) sum_{s >= 1} f_{+-s} z^{+-s}.  The
+    result is the pair of the product window times its scale, the
+    product of both scales and q - q^-1, so nothing is divided.  It is
+    only guaranteed for |n| <= order when both inputs cover |n| <= order.
     """
     u = q - q**-1
 
     def sides(h, e):
-        """Coefficients of z^k in h+ and of z^-k in h-, k = 0..order."""
-        plus = [e] + [u * h.get(k, ZERO) for k in range(1, order + 1)]
-        minus = [e**-1] + [-u * h.get(-k, ZERO) for k in range(1, order + 1)]
+        """Coefficients of z^k in s h+ and of z^-k in s h-, k = 0..order."""
+        window, s = h
+        plus = [e * s] + [u * window.get(k, ZERO) for k in range(1, order + 1)]
+        minus = [s / e] + [-u * window.get(-k, ZERO) for k in range(1, order + 1)]
         return plus, minus
 
     fp, fm = sides(f, c)
@@ -251,8 +287,8 @@ def star_product_window(
         m = abs(n)
         plus = sum((fp[k] * gp[m - k] for k in range(m + 1)), start=ZERO) if n >= 0 else ZERO
         minus = sum((fm[k] * gm[m - k] for k in range(m + 1)), start=ZERO) if n <= 0 else ZERO
-        out[n] = (plus - minus) / u
-    return out
+        out[n] = plus - minus
+    return out, f[1] * g[1] * u
 
 
 # ---------------------------------------------------------------------------

@@ -142,12 +142,12 @@ def test_criterion_5_torsion_roundtrip_and_monoid():
     triples = [random_torsion_triple(rng, 4) for _ in range(20)]
     ok = True
     for t in triples:
-        win = torsion_to_series(t, 10)
-        ok &= series_to_torsion(win, t.c, 4) == t
+        win, s = torsion_to_series(t, 10)
+        ok &= series_to_torsion(win, t.c, 4, s) == t
     worked = TorsionTriple(q, ZPoly([ONE, -(q**-2)]), ZPoly([ONE, -ONE]))
-    win = torsion_to_series(worked, 9)
-    ok &= all(v == ONE for v in win.values())
-    ok &= series_to_torsion(win, q, 4) == worked
+    win, s = torsion_to_series(worked, 9)
+    ok &= all(v / s == ONE for v in win.values())
+    ok &= series_to_torsion(win, q, 4, s) == worked
     hw = lambda t: weyl.HighestWeight({}, t, {})
     ident = identity_triple()
     for t in triples[:8]:

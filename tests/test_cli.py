@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 from helpers import run_fresh, run_python
 
-from superloop import cli, modrep
+from superloop import cli, modrep, weyl
 from superloop.coeffs import ONE, ZPoly, q
 from superloop.weyl import TorsionTriple
 
@@ -125,6 +125,20 @@ def test_monoid_determinism(capsys):
     run_main(["monoid", "--count", "4", "--seed", "9"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_monoid_star_check_fails_on_perturbed_window(monkeypatch):
+    # the star check cross-multiplies two scaled windows; f_1 + 1 must fail it alone
+    star = weyl.star_product_window
+
+    def perturbed(*args):
+        window, scale = star(*args)
+        return {**window, 1: window[1] + scale}, scale
+
+    monkeypatch.setattr(weyl, "star_product_window", perturbed)
+    report = cli.run(cli.RunConfig(suite="monoid", count=3, seed=9, degree_bound=2))
+    failed = [c["name"] for c in report["checks"] if c["status"] != "pass"]
+    assert failed == ["star product matches series product"]
 
 
 def test_appendix_a_cli(capsys):

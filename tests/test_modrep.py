@@ -133,6 +133,12 @@ def test_chevalley_suite_21(ev21):
     assert "chev-deg5" in names
 
 
+def test_unknown_relation_family_rejected(ev21):
+    # a misspelled family would otherwise list no instances and pass vacuously
+    with pytest.raises(ValueError, match=r"unknown relation families: \['deg2-zeros'\]"):
+        relation_report(ev21, window=1, families=["deg2-zero", "deg2-zeros"])
+
+
 def test_single_relation_check(ev21):
     assert check_relation(ev21, RelRule("deg2-shift", (1, 0, 2, 1), -1))
     assert check_relation(ev21, RelRule("pm-mixed", (2, 2, 2, -2)))

@@ -24,6 +24,12 @@ from superloop.weyl import (
 WORKED = TorsionTriple(q, ZPoly([1, -(q**-2)]), ZPoly([1, -1]))
 
 
+def f_window(t, order):
+    """The f-window {n: g_n / s} of the scaled pair (g, s)."""
+    g, s = torsion_to_series(t, order)
+    return {n: v / s for n, v in g.items()}
+
+
 def test_triple_invariants():
     with pytest.raises(TorsionError):
         TorsionTriple(ZERO, ZPoly.one(), ZPoly.one())
@@ -42,35 +48,64 @@ def test_triple_invariants():
 def test_identity_series_is_zero():
     # the degree-0 triples: c Q/P is the unit c = +-1, whose f-series is 0
     for t in (identity_triple(), TorsionTriple(-ONE, ZPoly.one(), ZPoly.one())):
-        win = torsion_to_series(t, 6)
+        win, s = torsion_to_series(t, 6)
         assert sorted(win) == list(range(-6, 7))
         assert all(v == ZERO for v in win.values())
-        assert series_to_torsion(win, t.c, 3) == t
+        assert series_to_torsion(win, t.c, 3, s) == t
 
 
 def test_worked_example_series():
     plus = expand_ratio(WORKED.c, WORKED.Q, WORKED.P, "+", 6)
     minus = expand_ratio(WORKED.c, WORKED.Q, WORKED.P, "-", 6)
     assert plus[0] == q and minus[0] == q**-1
-    win = torsion_to_series(WORKED, 6)
-    assert all(v == ONE for v in win.values())
-    assert series_to_torsion(win, q, 4) == WORKED
+    win, s = torsion_to_series(WORKED, 6)
+    assert all(v == s for v in win.values())
+    assert series_to_torsion(win, q, 4, s) == WORKED
+    assert series_to_torsion(f_window(WORKED, 6), q, 4) == WORKED
+
+
+def _field_f_window(t, order):
+    """f by the field formula: (q - q^-1) f = iota_+(c Q/P) - iota_-(c Q/P)."""
+    plus = expand_ratio(t.c, t.Q, t.P, "+", order)
+    minus = expand_ratio(t.c, t.Q, t.P, "-", order)
+    u = q - q**-1
+    win = {0: (plus[0] - minus[0]) / u}
+    for n in range(1, order + 1):
+        win[n], win[-n] = plus[n] / u, -minus[n] / u
+    return win
+
+
+def test_scaled_window_two_routes():
+    # the first five triples the monoid suite draws on seeds 0-3 at its default degree bound
+    triples = []
+    for seed in range(4):
+        rng = random.Random(seed)
+        triples += [random_torsion_triple(rng, 4) for _ in range(5)]
+    for t in triples:
+        for order in (10, 13):
+            g, s = torsion_to_series(t, order)
+            assert s._terms is not None and all(v._terms is not None for v in g.values())
+            assert {n: v / s for n, v in g.items()} == _field_f_window(t, order)
 
 
 def test_f0_constraint():
     for t in (WORKED, identity_triple(), TorsionTriple(scalar(2), ZPoly([1, scalar(3)]), ZPoly([1, scalar(12)]))):
-        win = torsion_to_series(t, 5)
-        assert win[0] == (t.c - t.c**-1) / (q - q**-1)
-    win = torsion_to_series(WORKED, 5)
-    with pytest.raises(TorsionError):
-        series_to_torsion(win, scalar(2), 2)
+        win, s = torsion_to_series(t, 5)
+        assert win[0] / s == (t.c - t.c**-1) / (q - q**-1)
+    win, s = torsion_to_series(WORKED, 5)
+    assert s != ONE
+    for c in (scalar(2), q**-1, -q):
+        with pytest.raises(TorsionError, match="f_0 must equal"):
+            series_to_torsion(win, c, 2, s)
+        with pytest.raises(TorsionError, match="f_0 must equal"):
+            series_to_torsion(f_window(WORKED, 5), c, 2)
 
 
 def test_annihilation_property():
     rng = random.Random(11)
     for _ in range(6):
         t = random_torsion_triple(rng, 3)
-        win = torsion_to_series(t, 8)
+        win = f_window(t, 8)
         d = t.P.degree
         for m in range(-8 + d, 9):
             acc = sum((t.P.coeff(s) * win[m - s] for s in range(d + 1)), start=ZERO)
@@ -78,7 +113,7 @@ def test_annihilation_property():
 
 
 def test_series_to_torsion_errors():
-    win = torsion_to_series(WORKED, 6)
+    win = f_window(WORKED, 6)
     with pytest.raises(TorsionError, match="window too short"):
         series_to_torsion(win, q, 7)  # window shorter than 2*bound+1
     with pytest.raises(TorsionError, match="f_0 must equal"):
@@ -121,7 +156,7 @@ def test_annihilator_two_routes():
     for _ in range(5):
         t = random_torsion_triple(rng, bound)
         for order in (2 * bound + 2, 2 * bound + 5):
-            win = torsion_to_series(t, order)
+            win = f_window(t, order)
             windows += [win, {**win, order: win[order] + ONE}]
     # recurrences of degree exactly bound and bound + 1: (1 - z)^d annihilates
     # the polynomial sequence n^(d-1) and nothing of lower degree does
@@ -142,8 +177,8 @@ def test_roundtrip_random_triples():
     rng = random.Random(5)
     for _ in range(8):
         t = random_torsion_triple(rng, 4)
-        win = torsion_to_series(t, 10)
-        assert series_to_torsion(win, t.c, 4) == t
+        win, s = torsion_to_series(t, 10)
+        assert series_to_torsion(win, t.c, 4, s) == t
 
 
 def _hw(t):
@@ -170,10 +205,10 @@ def test_monoid_star_formula_window():
     for t1, t2, order in cases:
         w1 = torsion_to_series(t1, 2 * order)
         w2 = torsion_to_series(t2, 2 * order)
-        direct = star_product_window(w1, w2, t1.c, t2.c, order)
+        direct, s = star_product_window(w1, w2, t1.c, t2.c, order)
         prod = monoid_product(_hw(t1), _hw(t2)).torsion
         assert prod.P.degree == t1.P.degree + t2.P.degree
-        assert direct == torsion_to_series(prod, order)
+        assert {n: v / s for n, v in direct.items()} == f_window(prod, order)
 
 
 def test_monoid_node_mismatch():
