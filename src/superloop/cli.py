@@ -206,9 +206,10 @@ def random_torsion_triple(rng: random.Random, max_degree: int = 4) -> TorsionTri
         Q = ZPoly(qcoeffs)
         if Q.degree != d:
             continue
-        if d and not weyl.poly_coprime(Q, P):
+        try:
+            return TorsionTriple(c, Q, P)
+        except weyl.NotCoprimeError:
             continue
-        return TorsionTriple(c, Q, P)
 
 
 def _hw_of(t: TorsionTriple) -> HighestWeight:
@@ -236,9 +237,10 @@ def _suite_monoid(cfg: RunConfig) -> list[dict]:
         )
     )
     triples = [random_torsion_triple(rng, cfg.degree_bound) for _ in range(cfg.count)]
+    # one window per triple and one product per consecutive pair, shared by the checks
+    series = [weyl.torsion_to_series(t, order) for t in triples]
     ok_rt = True
-    for t in triples:
-        w, s = weyl.torsion_to_series(t, order)
+    for t, (w, s) in zip(triples, series):
         back = weyl.series_to_torsion(w, t.c, cfg.degree_bound, s)
         if back != t:
             ok_rt = False
@@ -249,24 +251,21 @@ def _suite_monoid(cfg: RunConfig) -> list[dict]:
         weyl.monoid_product(_hw_of(t), _hw_of(ident)).torsion == t for t in triples
     )
     checks.append(_check("identity law", ok_id))
+    products = [weyl.monoid_product(_hw_of(t1), _hw_of(t2)) for t1, t2 in zip(triples, triples[1:])]
     ok_comm = True
     ok_assoc = True
-    for t1, t2, t3 in zip(triples, triples[1:], triples[2:]):
-        p12 = weyl.monoid_product(_hw_of(t1), _hw_of(t2))
+    for t1, t2, t3, p12, p23 in zip(triples, triples[1:], triples[2:], products, products[1:]):
         p21 = weyl.monoid_product(_hw_of(t2), _hw_of(t1))
         ok_comm &= p12.torsion == p21.torsion
         left = weyl.monoid_product(p12, _hw_of(t3)).torsion
-        right = weyl.monoid_product(_hw_of(t1), weyl.monoid_product(_hw_of(t2), _hw_of(t3))).torsion
+        right = weyl.monoid_product(_hw_of(t1), p23).torsion
         ok_assoc &= left == right
     checks.append(_check("commutativity", ok_comm))
     checks.append(_check("associativity", ok_assoc))
     ok_star = True
-    for t1, t2 in zip(triples, triples[1:]):
-        w1 = weyl.torsion_to_series(t1, 2 * order)
-        w2 = weyl.torsion_to_series(t2, 2 * order)
+    for t1, t2, w1, w2, p12 in zip(triples, triples[1:], series, series[1:], products):
         direct, s = weyl.star_product_window(w1, w2, t1.c, t2.c, order)
-        prod = weyl.monoid_product(_hw_of(t1), _hw_of(t2)).torsion
-        wp, sp = weyl.torsion_to_series(prod, order)
+        wp, sp = weyl.torsion_to_series(p12.torsion, order)
         # both windows are scaled: compare direct / s with wp / sp
         ok_star &= all(direct[n] * sp == s * wp[n] for n in range(-order, order + 1))
     checks.append(_check("star product matches series product", ok_star))

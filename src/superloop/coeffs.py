@@ -327,41 +327,43 @@ def _divide(x: Scalar, y: Scalar) -> Scalar:
     return _field_op(operator.truediv, x, y)
 
 
-def remove_content(xs: list[Scalar]) -> list[Scalar]:
-    """The Laurent values xs divided by their greatest common divisor.
-
-    Values that are not all Laurent polynomials, or that are all zero,
-    come back unchanged.
-    """
-    ts = [x._terms for x in xs]
-    if any(t is None for t in ts) or not any(ts):
-        return xs
+def _shift(ts: list[dict]) -> tuple[tuple, list[dict]]:
+    """The least exponents (i0, j0, k0) of q, a, b over the Laurent dicts ts,
+    and ts divided by q^i0 a^j0 b^k0: polynomial terms, ready for sympy rings."""
     i0 = min(e[0] for t in ts for e in t)
     j0 = min(e[1] for t in ts for e in t)
     k0 = min(e[2] for t in ts for e in t)
+    return (i0, j0, k0), [{(i - i0, j - j0, k - k0): c for (i, j, k), c in t.items()} for t in ts]
+
+
+def remove_content(xs: list[Scalar]) -> list[Scalar]:
+    """Primitive Laurent values in the ratios of xs.
+
+    Values with denominators are first multiplied by the lcm of their
+    reduced denominators; the Laurent values are then divided by their
+    greatest common divisor.  Values that are all zero come back
+    unchanged, and Laurent values whose gcd is a unit are not divided.
+    """
+    if any(x._terms is None for x in xs):
+        F = _sym().field
+        den = F.ring.one
+        for x in xs:
+            if x._terms is None:
+                den = den.lcm(x.denom)
+        m = _from_field(F.new(den, F.ring.one))
+        xs = [x * m for x in xs]
+    ts = [x._terms for x in xs]
+    if not any(ts):
+        return xs
+    (i0, j0, k0), ts = _shift(ts)
     poly = _sym().field.ring.dtype
-    polys = [poly({(i - i0, j - j0, k - k0): c for (i, j, k), c in t.items()}) for t in ts]
+    polys = [poly(t) for t in ts]
     g = polys[0]
     for p in polys[1:]:
         g = g.gcd(p)
         if _unit(g) is not None:  # a unit of the Laurent ring divides out nothing
             return xs
     return [_laurent({(i + i0, j + j0, k + k0): c for (i, j, k), c in p.exquo(g).items()}) for p in polys]
-
-
-def clear_denominators(xs: list[Scalar]) -> list[Scalar]:
-    """xs times the lcm of their reduced denominators: Laurent values in the same ratios.
-
-    Values that are all Laurent polynomials come back unchanged.
-    """
-    if all(x._terms is not None for x in xs):
-        return xs
-    F = _sym().field
-    den = F.ring.one
-    for x in xs:
-        den = den.lcm(x.denom)
-    m = _from_field(F.new(den, F.ring.one))
-    return [x * m for x in xs]
 
 
 def unit_inverse(x: Scalar) -> Scalar | None:
@@ -530,40 +532,25 @@ class ZPoly:
 
 
 def _to_zring(p: ZPoly):
-    """Clear denominators: a ZZ[z,q,a,b] representative of a scalar multiple."""
-    sym = _sym()
-    den = sym.field.ring.one
-    for c in p.coeffs:
-        g = den.gcd(c.denom)
-        den = den * c.denom.exquo(g)
-    out = sym.zring.zero
-    for k, c in enumerate(p.coeffs):
-        if c == ZERO:
-            continue
-        num = c.numer * den.exquo(c.denom)
-        out += sym.zring.from_dict({(k,) + mono: coeff for mono, coeff in num.terms()})
-    return out
+    """A ZZ[z,q,a,b] representative of a nonzero scalar multiple of p."""
+    _, ts = _shift([c._terms for c in remove_content(list(p.coeffs))])
+    return _sym().zring.from_dict({(k, *e): c for k, t in enumerate(ts) for e, c in t.items()})
 
 
 def _from_zring(rp) -> ZPoly:
-    F = _sym().field
     coeffs: dict[int, dict] = {}
-    for mono, coeff in rp.terms():
-        coeffs.setdefault(mono[0], {})[mono[1:]] = coeff
-    top = max(coeffs) if coeffs else -1
-    out = []
-    for k in range(top + 1):
-        num = F.ring.from_dict(coeffs.get(k, {}))
-        out.append(_from_field(F.new(num, F.ring.one)))
-    return ZPoly(out)
+    for (k, *e), c in rp.items():
+        coeffs.setdefault(k, {})[tuple(e)] = c
+    return ZPoly(_laurent(coeffs.get(k, {})) for k in range(max(coeffs, default=-1) + 1))
 
 
 def poly_gcd(p: ZPoly, r: ZPoly) -> ZPoly:
     """Monic-at-0 gcd over the scalar field.
 
-    Computed integrally in ZZ[z,q,a,b] after clearing denominators, then
-    normalised so the constant term is 1 when nonzero (else the leading
-    coefficient is 1).  gcd(0, 0) is rejected.
+    Computed integrally in ZZ[z,q,a,b] on primitive Laurent multiples of
+    both (``remove_content``), then normalised so the constant term is 1
+    when nonzero (else the leading coefficient is 1).  gcd(0, 0) is
+    rejected.
     """
     if p.is_zero() and r.is_zero():
         raise ValueError("gcd(0, 0) is undefined")

@@ -142,11 +142,11 @@ class RowReducer:
     A vector v is reduced by the pivot row p of its least index by
     cross-multiplication, v <- lead(p)*v - lead(v)*p, so elimination of
     Laurent rows never divides.  A new pivot row whose lead is not a unit
-    of the Laurent ring is divided by the gcd of its entries, which keeps
-    pivots from growing with every row they absorb; one whose lead is a
-    unit (a +-monomial) is then scaled to lead 1, which is exact.  ``reduce``
-    returns a nonzero scalar multiple of the residual a field elimination
-    gives.
+    of the Laurent ring is made a primitive Laurent row (``remove_content``),
+    which keeps pivots from growing with every row they absorb; one whose
+    lead is a unit (a +-monomial) is then scaled to lead 1, which is
+    exact.  ``reduce`` returns a nonzero scalar multiple of the residual a
+    field elimination gives.
     """
 
     def __init__(self):

@@ -12,7 +12,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .coeffs import ONE
 from .superfree import AlgebraSignature, Elem, GenSym, X_PLUS, qbracket, xm, xp
 
 
@@ -134,4 +133,4 @@ def tau1(e: Elem) -> Elem:
     """Algebra map X^+_{i,n} -> X^-_{i,-n}."""
     if any(g.kind != X_PLUS for word in e.terms for g in word):
         raise ValueError("tau1 is defined on the X^+ subalgebra only")
-    return e.map_symbols(lambda g: (ONE, xm(g.node, -g.index)))
+    return e.map_symbols(lambda g: xm(g.node, -g.index))

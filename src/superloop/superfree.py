@@ -169,21 +169,11 @@ class Elem:
                 terms[word] = terms.get(word, ZERO) + c1 * c2
         return Elem(terms)
 
-    def map_symbols(self, fn: Callable[[GenSym], tuple[Scalar, GenSym]]) -> "Elem":
-        """Apply a generator-wise substitution word by word (algebra map).
-
-        Signs equal to ONE are not multiplied in, which saves one scalar
-        product per factor.
-        """
+    def map_symbols(self, fn: Callable[[GenSym], GenSym]) -> "Elem":
+        """Apply a generator-wise substitution word by word (algebra map)."""
         terms: dict = {}
         for word, coeff in self.terms.items():
-            syms = []
-            for g in word:
-                s, g2 = fn(g)
-                if s != ONE:
-                    coeff = s * coeff
-                syms.append(g2)
-            key = tuple(syms)
+            key = tuple(map(fn, word))
             terms[key] = terms[key] + coeff if key in terms else coeff
         return Elem(terms)
 
@@ -1015,7 +1005,7 @@ def appendixA_check(n_max: int, window: Iterable[int]) -> dict:
         base_ok[n] = mu_recursion_certificate(diff)
 
     def translate(e: Elem, offs: dict[int, int]) -> Elem:
-        return e.map_symbols(lambda g: (ONE, xp(g.node, g.index + offs[g.node])))
+        return e.map_symbols(lambda g: xp(g.node, g.index + offs[g.node]))
 
     for aa, cc, dd in product(window, repeat=3):
         base = _normalize_commuting(mu(aa, cc, 0, dd))

@@ -18,7 +18,6 @@ from .coeffs import (
     ZERO,
     Scalar,
     ZPoly,
-    clear_denominators,
     poly_coprime,
     poly_gcd,
     q,
@@ -29,6 +28,10 @@ from .coeffs import (
 
 class TorsionError(ValueError):
     """Raised when data cannot be put in canonical torsion form."""
+
+
+class NotCoprimeError(TorsionError):
+    """Raised when a triple's Q and P share a factor."""
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,7 @@ class TorsionTriple:
         if self.Q.degree != self.P.degree:
             raise TorsionError("Q and P must have equal degree")
         if self.Q.degree > 0 and not poly_coprime(self.Q, self.P):
-            raise TorsionError("Q and P must be coprime")
+            raise NotCoprimeError("Q and P must be coprime")
         lead_q = self.Q.coeffs[-1]
         lead_p = self.P.coeffs[-1]
         if lead_q * self.c**2 != lead_p:
@@ -117,9 +120,11 @@ def _minimal_annihilator(window: Mapping[int, Scalar], degree_bound: int) -> ZPo
     annihilator exists.
     """
     lo, hi = min(window), max(window)
-    # the pass multiplies values up and content removal shrinks only Laurent
-    # ones: clear denominators first, which scales the window and no annihilator
-    f = clear_denominators([window[m] for m in range(lo, hi + 1)])
+    # updates shed content only from Laurent values: a field window becomes primitive
+    # Laurent values (a scaling); a Laurent window's own content costs gcds and saves none
+    f = [window[m] for m in range(lo, hi + 1)]
+    if any(x._terms is None for x in f):
+        f = remove_content(f)
     conn, prev = [ONE], [ONE]  # current and last-lengthened connection polynomials
     length, gap, prev_disc = 0, 1, ONE
     for n in range(len(f)):

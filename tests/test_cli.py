@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 from helpers import run_fresh, run_python
 
-from superloop import cli, modrep, weyl
+from superloop import cli, coeffs, modrep, weyl
 from superloop.coeffs import ONE, ZPoly, q
 from superloop.weyl import TorsionTriple
 
@@ -139,6 +139,42 @@ def test_monoid_star_check_fails_on_perturbed_window(monkeypatch):
     report = cli.run(cli.RunConfig(suite="monoid", count=3, seed=9, degree_bound=2))
     failed = [c["name"] for c in report["checks"] if c["status"] != "pass"]
     assert failed == ["star product matches series product"]
+
+
+@pytest.mark.parametrize("edge", [1, -1])
+def test_monoid_star_check_reads_factor_windows_to_their_edge(monkeypatch, edge):
+    # the factor windows are shared with the roundtrip; one change at n = +-order fails the star check alone
+    star = weyl.star_product_window
+
+    def perturbed(f, g, c, d, order):
+        window, scale = f
+        n = edge * order
+        return star(({**window, n: window[n] + scale}, scale), g, c, d, order)
+
+    monkeypatch.setattr(weyl, "star_product_window", perturbed)
+    report = cli.run(cli.RunConfig(suite="monoid", count=3, seed=9, degree_bound=2))
+    failed = [c["name"] for c in report["checks"] if c["status"] != "pass"]
+    assert failed == ["star product matches series product"]
+
+
+def test_monoid_suite_passes():
+    report = cli.run(cli.RunConfig(suite="monoid", count=3, seed=9, degree_bound=2))
+    assert report["checks"] and all(c["status"] == "pass" for c in report["checks"])
+
+
+def test_monoid_gcd_count(monkeypatch):
+    # one gcd question per product and per coprimality test; the checks share products
+    gcd = coeffs.poly_gcd
+    calls = []
+
+    def counting(p, r):
+        calls.append(None)
+        return gcd(p, r)
+
+    monkeypatch.setattr(coeffs, "poly_gcd", counting)
+    monkeypatch.setattr(weyl, "poly_gcd", counting)
+    assert cli.run(cli.RunConfig(suite="monoid", count=3, degree_bound=4, seed=19))["passed"]
+    assert len(calls) == 20
 
 
 def test_appendix_a_cli(capsys):

@@ -126,6 +126,38 @@ def test_poly_gcd_examples():
         poly_gcd(ZPoly.zero(), ZPoly.zero())
 
 
+def test_poly_gcd_of_field_multiples():
+    # g has a q^-1 coefficient and u a coefficient 1/2: both conversions to ZZ[z,q,a,b] matter
+    g = ZPoly([1, q**-1, a])
+    u = ZPoly([1, ONE / 2])
+    v = ZPoly([1, q + a])
+    assert poly_gcd((g * u).scale(3 * q), g * v) == g
+    assert poly_gcd(g * v, (g * u).scale(ONE / (q + 1))) == g
+
+
+def test_poly_gcd_builds_no_field_form_of_laurent_inputs():
+    g = ZPoly([1, q**-1, a])
+    p, r = g * ZPoly([1, q + 1]), g * ZPoly([q**-2, a - 2])
+    coeffs = p.coeffs + r.coeffs
+    assert all(c._terms is not None and c._field is None for c in coeffs)
+    assert poly_gcd(p, r) == g
+    assert all(c._field is None for c in coeffs)
+
+
+def test_remove_content_clears_denominators():
+    # the lcm of the denominators is 2 (q - 1); the cleared values share q + 1
+    xs = [(q + 1) / 2, q**-1 - q, (q + 1) / (q - 1)]
+    assert [x._terms is None for x in xs] == [True, False, True]
+    ys = remove_content(xs)
+    assert all(y._terms is not None for y in ys)
+    assert all(x * ys[0] == y * xs[0] for x, y in zip(xs, ys))
+    content = ys[0].numer
+    for y in ys[1:]:
+        content = content.gcd(y.numer)
+    assert len(content) == 1  # a monomial: a unit of the Laurent ring
+    assert ys == [q - 1, -2 * q**-1 * (q - 1) ** 2, scalar(2)]
+
+
 def test_poly_divmod():
     p = ZPoly([1, 2, 1])
     d = ZPoly([1, 1])
