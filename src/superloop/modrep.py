@@ -5,9 +5,10 @@ exact matrices and certified by an explicit relation check.  A LoopModule
 carries matrices for all loop currents: the Chevalley level is set by an
 evaluation pullback (or a coproduct, for tensor products), the level-one
 Cartan loops come from the twisted bracket words in the affine generators,
-and everything else is derived by commutator ladders and exact series
-inversion.  Every derived matrix can be cross-checked against the defining
-relations, which is what the verification suites do.
+the X currents by commutator ladders along an adjacent node, and the deeper
+Cartan loops from the phi series by Newton's identity.  Every derived matrix
+can be cross-checked against the defining relations, which is what the
+verification suites do.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .coeffs import ONE, ZERO, Scalar, ZPoly, expand_ratio, q, qint_base, scalar, scalar_str
+from .coeffs import ONE, ZERO, Scalar, ZPoly, expand_ratio, q, scalar, scalar_str
 from .linalg import Mat, RowReducer, joint_nullspace, kron_super, solve_span
 from .superfree import (
     AlgebraSignature,
@@ -161,8 +162,9 @@ class LoopModule:
     ``base`` seeds the cache (Chevalley-level matrices and the affine
     E0 pair); every other current is derived lazily: level +-1 Cartan
     loops from the affine bracket words, X currents by commutator
-    ladders, phi coefficients from the mixed relation, deeper Cartan
-    loops by exact logarithmic series inversion.  A module with a
+    ladders along an adjacent node, phi coefficients from the mixed
+    relation, deeper Cartan loops from the phi series by Newton's
+    identity.  A module with a
     ``source`` is the source's ``pi_pullback``: its X, H and K currents
     are read off the source through the Dynkin flip.
     """
@@ -242,26 +244,19 @@ class LoopModule:
             return self._h_deep(i, s)
         raise ModuleError(f"cannot derive {key}")
 
-    def _ladder_neighbor(self, j: int) -> int:
-        sig = self.sig
-        if sig.c(j, j) != 0:
-            return j
-        for i in (j - 1, j + 1):
-            if 1 <= i <= sig.n_nodes and sig.c(i, j) != 0:
-                return i
-        raise ModuleError(f"no ladder neighbour for node {j}")
-
     def _ladder(self, tag: str, j: int, n: int) -> Mat:
+        """X^+-_{j,n} = +-[H_{i,+-1}, X^+-_{j,n-+1}] / [l_i c_ij]_{q_i} along a node i next to j.
+
+        For adjacent nodes l_i c_ij = +-1, so the q-integer is that sign and
+        the step multiplies by it instead of dividing.
+        """
         sig = self.sig
-        i = self._ladder_neighbor(j)
-        div = qint_base(sig.l(i) * sig.c(i, j), sig.l(i))
+        i = j - 1 if j > 1 else j + 1
+        sign = sig.l(i) * sig.c(i, j) * (1 if tag == "X+" else -1)
         step = 1 if n > 0 else -1
         prev = self.gen((tag, j, n - step))
         h = self.gen(("H", i, step))
-        comm = h * prev - prev * h
-        if tag == "X+":
-            return comm.scale(ONE / div)
-        return comm.scale(-ONE / div)
+        return (h * prev - prev * h).scale(sign)
 
     def _h_one(self, i: int, s: int) -> Mat:
         sig = self.sig
@@ -291,16 +286,23 @@ class LoopModule:
         return comm.scale((qi - qi**-1) * (ONE if sign > 0 else -ONE))
 
     def _h_deep(self, i: int, s: int) -> Mat:
-        sig = self.sig
-        qi = sig.q_node(i)
-        order = abs(s)
-        if s > 0:
-            ys = [self.gen(("Kinv", i)) * self.gen(("phi", 1, i, k)) for k in range(1, order + 1)]
-        else:
-            ys = [self.gen(("K", i)) * self.gen(("phi", -1, i, -k)) for k in range(1, order + 1)]
-        log_c = _log_series_coefficient(ys, order, self.dim)
-        out = log_c.scale(ONE / (qi - qi**-1))
-        return out if s > 0 else out.scale(-ONE)
+        """H_{i,s} from the phi series alone, by Newton's identity.
+
+        Y = K_i^-+1 phi_i^+-(z) = exp(+-(q_i - q_i^-1) sum_r h_{i,+-r} z^r) has
+        commuting coefficients y_n, and m_n = n l_n, with l = log Y, obeys
+        m_n = n y_n - sum_{r<n} m_r y_{n-r}.  The one division is the last,
+        h_{i,s} = +-m_|s| / (|s| (q_i - q_i^-1)).
+        """
+        qi = self.sig.q_node(i)
+        sign = 1 if s > 0 else -1
+        head = self.gen(("Kinv", i) if s > 0 else ("K", i))
+        ys = {k: head * self.gen(("phi", sign, i, sign * k)) for k in range(1, abs(s) + 1)}
+        ms: dict[int, Mat] = {}
+        for n, y in ys.items():
+            ms[n] = y.scale(n)
+            for r in range(1, n):
+                ms[n] = ms[n] - ms[r] * ys[n - r]
+        return ms[abs(s)].scale(sign / (abs(s) * (qi - qi**-1)))
 
     def _derive_pi(self, key: tuple) -> Mat:
         src = self.source
@@ -353,30 +355,6 @@ class LoopModule:
             frontier = new
         self._alg_span = basis
         return basis
-
-
-def _log_series_coefficient(ys: list[Mat], order: int, dim: int) -> Mat:
-    """Coefficient of z^order in log(I + sum ys[k-1] z^k), exact."""
-    # power[p][n] = coefficient of z^n in Y(z)^p
-    coeffs = {1: {n: ys[n - 1] for n in range(1, order + 1)}}
-    for p in range(2, order + 1):
-        prev = coeffs[p - 1]
-        cur: dict[int, Mat] = {}
-        for n in range(p, order + 1):
-            acc = Mat.zeros(dim, dim)
-            for k in range(1, n - p + 2):
-                rest = prev.get(n - k)
-                if rest is not None:
-                    acc = acc + ys[k - 1] * rest
-            cur[n] = acc
-        coeffs[p] = cur
-    out = Mat.zeros(dim, dim)
-    for p in range(1, order + 1):
-        term = coeffs[p].get(order)
-        if term is None:
-            continue
-        out = out + term.scale(scalar((-1) ** (p + 1)) / scalar(p))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +520,8 @@ def highest_weight(
     The joint kernel of the raising currents over a stabilised loop
     window must be a line; the even-node polynomials are reconstructed
     from the measured phi eigen-series, the odd node through the torsion
-    triple of the measured two-sided window.
+    triple of the measured two-sided phi eigenvalues, which are the
+    window of f scaled by q - q^-1.
     """
     sig = lm.sig
     if degree_bound is None:
@@ -563,12 +542,11 @@ def highest_weight(
         P[i] = _reconstruct_poly(lm, v, i, sgn, d)
     c = _eigenvalue(lm.gen(("K", sig.M)), v)
     order = 2 * degree_bound + 2
-    u = q - q**-1
-    fwin: dict[int, Scalar] = {0: (c - c**-1) / u}
+    gwin: dict[int, Scalar] = {0: c - c**-1}
     for n in range(1, order + 1):
-        fwin[n] = _eigenvalue(lm.gen(("phi", 1, sig.M, n)), v) / u
-        fwin[-n] = -_eigenvalue(lm.gen(("phi", -1, sig.M, -n)), v) / u
-    torsion = series_to_torsion(fwin, c, degree_bound)
+        gwin[n] = _eigenvalue(lm.gen(("phi", 1, sig.M, n)), v)
+        gwin[-n] = -_eigenvalue(lm.gen(("phi", -1, sig.M, -n)), v)
+    torsion = series_to_torsion(gwin, c, degree_bound, scale=q - q**-1)
     try:
         k0 = _eigenvalue(lm.gen(("K0",)), v)
     except ModuleError:

@@ -120,8 +120,9 @@ def _minimal_annihilator(window: Mapping[int, Scalar], degree_bound: int) -> ZPo
     annihilator exists.
     """
     lo, hi = min(window), max(window)
-    # updates shed content only from Laurent values: a field window becomes primitive
-    # Laurent values (a scaling); a Laurent window's own content costs gcds and saves none
+    # updates shed content only from Laurent values: a field window (measured at a
+    # non-Laurent point, or an f-window) becomes primitive Laurent values, a scaling;
+    # a Laurent window's own content costs gcds and saves none
     f = [window[m] for m in range(lo, hi + 1)]
     if any(x._terms is None for x in f):
         f = remove_content(f)

@@ -1,5 +1,7 @@
+import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from helpers import run_fresh, run_python
@@ -11,6 +13,17 @@ from superloop.weyl import TorsionTriple
 
 def run_main(args):
     return cli.main(args)
+
+
+# sha256 of the stdout of each command listed in the README
+README_DIGESTS = json.loads((Path(__file__).parent / "readme_digests.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(README_DIGESTS))
+def test_readme_command_report_bytes(capsys, command):
+    assert run_main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == README_DIGESTS[command]
 
 
 def test_weyl_slice_cli(tmp_path, capsys):
@@ -46,6 +59,14 @@ def test_cli_rational_evaluation_point(capsys):
     assert run_main(["highest-weight", "--M", "1", "--N", "2", "--a", "3"]) == 0
     witness = json.loads(capsys.readouterr().out)["checks"][0]["witness"]
     assert (witness["c"], witness["Q"], witness["P_odd"]) == ("q", ["1", "-3"], ["1", "-3*q**2"])
+    # points outside the Laurent ring: the measured odd-node window is field-valued
+    assert run_main(["highest-weight", "--M", "1", "--N", "2", "--a", "1/2"]) == 0
+    witness = json.loads(capsys.readouterr().out)["checks"][0]["witness"]
+    odd = (witness["c"], witness["Q"], witness["P_odd"])
+    assert odd == ("q", ["1", "(-1)/(2)"], ["1", "(-q**2)/(2)"])
+    assert run_main(["highest-weight", "--M", "2", "--N", "1", "--a", "1/(q+1)"]) == 0
+    witness = json.loads(capsys.readouterr().out)["checks"][0]["witness"]
+    assert witness["P"]["1"] == ["1", "(-q)/(q + 1)"]
 
 
 @pytest.mark.parametrize(

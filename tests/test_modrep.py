@@ -1,7 +1,7 @@
 import pytest
 from helpers import mat_from_rows
 
-from superloop import modrep, pbw, weyl
+from superloop import coeffs, modrep, pbw, weyl
 from superloop.coeffs import ONE, ZERO, ZPoly, a, b, q, qint_base, scalar
 from superloop.linalg import Mat, kron_super
 from superloop.modrep import (
@@ -204,30 +204,53 @@ def test_two_route_cartan_loops(ev21, ev31):
             )
 
 
-def test_ladder_independence(ev31):
-    sig = ev31.sig
-    for j in range(1, sig.n_nodes + 1):
-        for step in (1, -1):
-            routes = []
-            for i in range(max(1, j - 1), min(sig.n_nodes, j + 1) + 1):
-                if sig.c(i, j) == 0:
-                    continue
-                div = qint_base(step * sig.l(i) * sig.c(i, j), sig.l(i)) / scalar(step)
-                h = ev31.gen(("H", i, step))
-                x = ev31.gen(("X+", j, 0))
-                routes.append((h * x - x * h).scale(ONE / div))
-            assert len(routes) >= 1
-            assert all(r == routes[0] for r in routes)
+def test_ladder_independence(ev21, ev12, ev31):
+    # [H_{i,+-1}, X+_{j,0}] / [l_i c_ij]_{q_i} for every node i linked to j, the
+    # self route included, against the module's own X+_{j,+-1}
+    for lm in (ev21, ev12, ev31):
+        sig = lm.sig
+        for j in range(1, sig.n_nodes + 1):
+            for step in (1, -1):
+                routes = []
+                for i in range(max(1, j - 1), min(sig.n_nodes, j + 1) + 1):
+                    if sig.c(i, j) == 0:
+                        continue
+                    div = qint_base(step * sig.l(i) * sig.c(i, j), sig.l(i)) / scalar(step)
+                    h = lm.gen(("H", i, step))
+                    x = lm.gen(("X+", j, 0))
+                    routes.append((h * x - x * h).scale(ONE / div))
+                assert len(routes) >= 1
+                assert all(r == lm.gen(("X+", j, step)) for r in routes)
 
 
-def test_phi_coeff_consistency(ev21):
-    # symbolic exp-word in the h symbols vs the mixed-relation route
-    for i in (1, 2):
-        for n in range(0, 4):
-            sym = ev21.elem_matrix(phi_coeff(SIG21, i, 1, n))
-            assert sym == ev21.gen(("phi", 1, i, n))
-            sym = ev21.elem_matrix(phi_coeff(SIG21, i, -1, -n))
-            assert sym == ev21.gen(("phi", -1, i, -n))
+def test_phi_coeff_consistency(ev21, ev12, ev31):
+    # symbolic exp-word in the h symbols vs the mixed-relation route; the h
+    # matrices up to |s| = 3 are the module's Newton-identity H currents
+    for lm in (ev21, ev12, ev31):
+        for i in range(1, lm.sig.n_nodes + 1):
+            for n in range(0, 4):
+                sym = lm.elem_matrix(phi_coeff(lm.sig, i, 1, n))
+                assert sym == lm.gen(("phi", 1, i, n))
+                sym = lm.elem_matrix(phi_coeff(lm.sig, i, -1, -n))
+                assert sym == lm.gen(("phi", -1, i, -n))
+
+
+@pytest.mark.parametrize(
+    ("M", "N", "tensor_square"), [(2, 1, False), (1, 2, False), (3, 1, False), (2, 1, True)]
+)
+def test_x_currents_stay_in_laurent_ring(M, N, tensor_square):
+    # the ladder multiplies by l_i c_ij = +-1 and never divides: no field operation
+    mod = fundamental(M, N)
+    lm = evaluation_pullback(mod, a)
+    if tensor_square:
+        lm = tensor(lm, evaluation_pullback(mod, b))
+    coeffs._field_op.cache_clear()
+    for j in range(1, lm.sig.n_nodes + 1):
+        for n in range(-3, 4):
+            lm.gen(("X+", j, n))
+            lm.gen(("X-", j, n))
+    info = coeffs._field_op.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
 
 
 def test_phi_push_past_module_oracle(ev31):
