@@ -173,8 +173,10 @@ def _suite_weyl_slice(cfg: RunConfig) -> list[dict]:
         raise ConfigError("weyl-slice needs --Q")
     Q = _parse_poly(cfg.Q)
     P_prev = _parse_poly(cfg.Pprev) if cfg.Pprev else ZPoly.one()
-    if Q.coeff(0) != ONE:
-        raise ConfigError("Q must have constant term 1")
+    # normalised to constant term 1, as in HighestWeight: theta = -[z]P_prev needs it
+    for name, poly in (("Q", Q), ("Pprev", P_prev)):
+        if poly.coeff(0) != ONE:
+            raise ConfigError(f"{name} must have constant term 1")
     sl = weyl.weyl_odd_slice(Q, P_prev)
     ok_dim = sl.d == Q.degree
     ok_spec = weyl.slice_spectrum_identity(Q, sl)
@@ -222,7 +224,8 @@ def _suite_monoid(cfg: RunConfig) -> list[dict]:
     order = max(cfg.order, 2 * cfg.degree_bound + 2)
     worked = TorsionTriple(q, ZPoly([ONE, -(q**-2)]), ZPoly([ONE, -ONE]))
     win, scale = weyl.torsion_to_series(worked, order)
-    f = {k: v / scale for k, v in sorted(win.items())}
+    # each entry should equal the scale: divide only those that differ
+    f = {k: ONE if v == scale else v / scale for k, v in sorted(win.items())}
     checks.append(
         _check(
             "worked example f == 1",

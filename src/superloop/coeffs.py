@@ -21,18 +21,14 @@ provides dense polynomials in a formal variable ``z`` and truncated
 one-sided expansions of their ratios.
 
 The field path of ``+``, ``-``, ``*`` and ``/`` runs through ``_field_op``,
-an LRU memo keyed on the operator and both operands: passes repeat the
-same field operations (1/[c]_q, s/(q_i - q_i^-1), scaling cached word
-matrices), and since each value has one form a cached result equals a
-recomputed one.  It keeps ``_FIELD_MEMO_SIZE`` entries, because each pins
-the field elements of its operands and result.  The Laurent paths never
-reach it.
+which the Laurent paths never reach.  Nothing is memoised: the relation
+catalog states its relations without division, so the field operations
+left in a pass rarely repeat.
 
-sympy is imported by ``_sym`` at the first value that leaves the Laurent
-ring, the first parse or the first print: ``appendix-a`` never loads it;
-the evaluation-module suites (the first relation check, dividing by
-q_i - q_i^-1 in ``superfree.relation_value``) and ``monoid``
-(``poly_gcd``) do.
+sympy is imported by ``_sym`` at the first gcd, parse, print or value that
+leaves the Laurent ring: ``appendix-a`` never loads it; the module suites
+do at a content removal (``RowReducer.add``), ``verify-relations`` at a
+field division (1/|s| in H_{i,s}) and ``monoid`` at ``poly_gcd``.
 
 No floating point is used anywhere.
 """
@@ -45,10 +41,6 @@ from types import SimpleNamespace
 from typing import Iterable
 
 _new = object.__new__
-# results kept by ``_field_op``; each entry pins the field elements of its
-# operands and result: 128 entries raised peak RSS by up to 0.4 MB, while a
-# dozen keep more than half of their time saving
-_FIELD_MEMO_SIZE = 12
 
 
 @functools.cache
@@ -295,9 +287,8 @@ def _field_form(x: Scalar):
     return f
 
 
-@functools.lru_cache(maxsize=_FIELD_MEMO_SIZE)
 def _field_op(op, x: Scalar, y: Scalar) -> Scalar:
-    """op(x, y) through the field; the same operands recur, so results are kept."""
+    """op(x, y) through the field."""
     return _from_field(op(_field_form(x), _field_form(y)))
 
 

@@ -503,6 +503,10 @@ def relation_value(sig: AlgebraSignature, rule: RelRule, word: Callable):
     evaluated by ``word``, whose values need ``+``, ``-``, ``*`` and
     ``scale``.  ``Elem.monomial`` gives the free element, a module's
     ``_word_matrix`` the action of the relation on the module.
+
+    A relation holds exactly when a nonzero multiple of its value vanishes:
+    diagonal ``pm-mixed`` and ``chev-mixed`` are stated times q_i - q_i^-1
+    and ``hx`` times s, so the value takes no division out of the ring.
     """
     fam, idx, sgn = rule.family, rule.indices, rule.sign
     if not _admissible(sig, fam, idx):
@@ -551,17 +555,17 @@ def relation_value(sig: AlgebraSignature, rule: RelRule, word: Callable):
     if fam == "hx":
         i, s, j, n = idx
         x, h = _x(sgn, j, n), aitch(i, s)
-        coeff = scalar(sgn) * qint_base(s * sig.l(i) * sig.c(i, j), sig.l(i)) / scalar(s)
-        return word((h, x)) - word((x, h)) - word((_x(sgn, j, n + s),)).scale(coeff)
+        coeff = sgn * qint_base(s * sig.l(i) * sig.c(i, j), sig.l(i))
+        return (word((h, x)) - word((x, h))).scale(s) - word((_x(sgn, j, n + s),)).scale(coeff)
     if fam == "pm-mixed":
         i, m, j, n = idx
         rel = br(gen(xp(i, m)), gen(xm(j, n)), ONE)[0]
         if i == j:
             qi = sig.q_node(i)
-            k = m + n
+            rel = rel.scale(qi - qi**-1)
             for s in (1, -1):
-                if s * k >= 0:
-                    rel = rel - phi_coeff(sig, i, s, k, word).scale(scalar(s) / (qi - qi**-1))
+                if s * (m + n) >= 0:
+                    rel = rel - phi_coeff(sig, i, s, m + n, word).scale(s)
         return rel
     if fam == "deg2-zero":
         i, m, j, n = idx
@@ -598,7 +602,7 @@ def relation_value(sig: AlgebraSignature, rule: RelRule, word: Callable):
         if i == j:
             qi = sig.q_affine(i)
             kk = k0(1) - k0(-1) if i == 0 else word((kay(i),)) - word((kinv(i),))
-            rel = rel - kk.scale(ONE / (qi - qi**-1))
+            rel = rel.scale(qi - qi**-1) - kk
         return rel
     if fam == "chev-zero":
         i, j = idx

@@ -1,11 +1,13 @@
 """Fixture constructors shared by the tests."""
 
+import contextlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import superloop
+from superloop import coeffs
 from superloop.coeffs import ZERO, scalar
 from superloop.linalg import Mat
 
@@ -21,6 +23,26 @@ def mat_from_rows(rows) -> Mat:
             if val != ZERO:
                 data[i, j] = val
     return Mat(len(rows), len(rows[0]) if rows else 0, data)
+
+
+@contextlib.contextmanager
+def count_field_ops():
+    """Record every call of ``coeffs._field_op`` inside the block.
+
+    Yields the list of recorded operators; the function is restored on exit.
+    """
+    field_op = coeffs._field_op
+    calls = []
+
+    def counted(op, x, y):
+        calls.append(op)
+        return field_op(op, x, y)
+
+    coeffs._field_op = counted
+    try:
+        yield calls
+    finally:
+        coeffs._field_op = field_op
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:

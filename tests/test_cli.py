@@ -4,7 +4,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from helpers import run_fresh, run_python
+from helpers import count_field_ops, run_fresh, run_python
 
 from superloop import cli, coeffs, modrep, weyl
 from superloop.coeffs import ONE, ZPoly, q
@@ -276,14 +276,32 @@ def test_cli_window_above_h_bound_rejected(capsys):
             ["tensor-hw", "--M", "1", "--N", "2", "--degree-bound", "1"],
             "no annihilator of degree <= 1",
         ),
+        (["weyl-slice", "--Q", "1,q", "--Pprev", "2,q"], "Pprev must have constant term 1"),
     ],
-    ids=["nmax-zero", "height-zero", "height-negative", "kernel-window", "degree-bound"],
+    ids=[
+        "nmax-zero", "height-zero", "height-negative", "kernel-window", "degree-bound",
+        "pprev-unnormalised",
+    ],
 )
 def test_out_of_range_input_exit_two(capsys, argv, message):
     assert run_main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in json.loads(captured.err)["error"]
+
+
+def test_finite_gates_and_module_suites_stay_in_laurent_ring():
+    # every relation the finite gate and these suites check is stated without division
+    for M, N in ((2, 1), (1, 2), (3, 1), (1, 3), (2, 2), (2, 3), (3, 2)):
+        with count_field_ops() as calls:
+            modrep.fundamental(M, N)
+        assert calls == [], (M, N)
+    for suite, tensor in (("coproduct-check", False), ("pbw-rank", True)):
+        for M, N in ((2, 1), (1, 2)):
+            with count_field_ops() as calls:
+                report = cli.run(cli.RunConfig(suite=suite, M=M, N=N, tensor=tensor))
+            assert report["passed"]
+            assert calls == [], (suite, M, N)
 
 
 def test_cli_tensor_relations_include_chevalley(capsys):

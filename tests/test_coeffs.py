@@ -1,7 +1,4 @@
 import ast
-import contextlib
-import io
-import operator
 import random
 from fractions import Fraction
 
@@ -11,13 +8,11 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.fields import field
 
-from superloop import cli
 from superloop.coeffs import (
     NonExpandable,
     ONE,
     ZERO,
     ZPoly,
-    _field_op,
     a,
     b,
     expand_ratio,
@@ -368,53 +363,3 @@ def test_qint_closed_form_two_routes(e):
         _check(x, (u**n - u**-n) / (u - u**-1))
     with pytest.raises(ValueError):
         qint_base(2, 0)
-
-
-# -- the memo of field-path operations --
-
-_FIELD_OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
-
-
-@settings(max_examples=100, deadline=None)
-@given(_any_scalar(), _any_scalar())
-def test_field_memo_transparent(xf, yg):
-    (x, f), (y, g) = xf, yg
-    ops = [op for op in _FIELD_OPS if op is not operator.truediv or g != 0]
-    cold = {}
-    for op in ops:
-        _field_op.cache_clear()
-        cold[op] = op(x, y)
-    _field_op.cache_clear()
-    for op in ops:  # keep every operation on x, y
-        op(x, y)
-    kept = _field_op.cache_info().misses
-    for op in ops:
-        warm = op(x, y)
-        assert warm == cold[op] and repr(warm) == repr(cold[op]) and hash(warm) == hash(cold[op])
-        _check(warm, op(f, g))
-    assert _field_op.cache_info()[:2] == (kept, kept)  # (hits, misses)
-
-
-def test_field_memo_hit_is_unchanged_by_later_arithmetic():
-    x, y = q / (q - 1), (a + q) / (2 * q)
-    first = x * y
-    # the kept result goes on as an operand, on both routes
-    first * first, first / x, first - y, -first, first**2
-    first.numer * first.denom, first.numer.gcd(first.denom)
-    hits = _field_op.cache_info().hits
-    hit = x * y
-    assert _field_op.cache_info().hits == hits + 1
-    _field_op.cache_clear()
-    fresh = x * y
-    assert hit.numer == fresh.numer and hit.denom == fresh.denom and hit == fresh
-    _check(hit, (_Fq / (_Fq - 1)) * ((_Fa + _Fq) / (2 * _Fq)))
-
-
-def test_field_memo_bounded():
-    maxsize = _field_op.cache_info().maxsize
-    assert maxsize is not None and maxsize > 0
-    _field_op.cache_clear()
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["verify-relations", "--M", "2", "--N", "1", "--window", "1"]) == 0
-    info = _field_op.cache_info()
-    assert info.hits > 0 and 0 < info.currsize <= maxsize

@@ -1,7 +1,7 @@
 import pytest
-from helpers import mat_from_rows
+from helpers import count_field_ops, mat_from_rows
 
-from superloop import coeffs, modrep, pbw, weyl
+from superloop import modrep, pbw, weyl
 from superloop.coeffs import ONE, ZERO, ZPoly, a, b, q, qint_base, scalar
 from superloop.linalg import Mat, kron_super
 from superloop.modrep import (
@@ -184,12 +184,14 @@ def test_tensor_relation_checks_not_vacuous(ev21, ev31, tensor21):
 
 @pytest.mark.parametrize("key", [("X+", 1, 1), ("X-", 2, -1), ("E0+",), ("E0-",)])
 def test_two_route_corrupted_current(fund21, key):
-    # negative control: one current scaled by q breaks relations on both routes alike
+    # negative control: one current scaled by q breaks the same relations on both routes
     lm = evaluation_pullback(fund21, a)
     lm._cache[key] = lm.gen(key).scale(q)
     by_matrix, by_elem = _route_failures(lm, chevalley=True)
-    assert by_matrix
     assert by_matrix == by_elem
+    # a scaled E0+- also breaks the affine Chevalley relation
+    families = {"deg2-shift", "hx", "pm-mixed"} | ({"chev-mixed"} if len(key) == 1 else set())
+    assert {r.family for r in by_matrix} == families
 
 
 def test_two_route_cartan_loops(ev21, ev31):
@@ -244,13 +246,12 @@ def test_x_currents_stay_in_laurent_ring(M, N, tensor_square):
     lm = evaluation_pullback(mod, a)
     if tensor_square:
         lm = tensor(lm, evaluation_pullback(mod, b))
-    coeffs._field_op.cache_clear()
-    for j in range(1, lm.sig.n_nodes + 1):
-        for n in range(-3, 4):
-            lm.gen(("X+", j, n))
-            lm.gen(("X-", j, n))
-    info = coeffs._field_op.cache_info()
-    assert (info.hits, info.misses) == (0, 0)
+    with count_field_ops() as calls:
+        for j in range(1, lm.sig.n_nodes + 1):
+            for n in range(-3, 4):
+                lm.gen(("X+", j, n))
+                lm.gen(("X-", j, n))
+    assert calls == []
 
 
 def test_phi_push_past_module_oracle(ev31):

@@ -15,6 +15,7 @@ from superloop.superfree import (
     appendixA_check,
     ceil_bracket,
     chevalley_instances,
+    e0m,
     e0p,
     floor_bracket,
     kay,
@@ -163,7 +164,7 @@ def test_relation_elem_deg2_zero_is_supercommutator():
 
 
 def test_relation_elem_hx():
-    # [h_{i,s}, X_{j,n}^+] = ([s l_i c_ij]_{q_i}/s) X_{j,n+s}^+
+    # s [h_{i,s}, X_{j,n}^+] = [s l_i c_ij]_{q_i} X_{j,n+s}^+
     rel = relation_elem(SIG21, RelRule("hx", (1, 1, 1, 0), 1))
     coeff = (q**2 - q**-2) / (q - q**-1)
     expected = (
@@ -172,17 +173,33 @@ def test_relation_elem_hx():
         - mono(xp(1, 1)).scale(coeff)
     )
     assert rel == expected
+    # at s = 2 the bracket is stated times 2
+    rel = relation_elem(SIG21, RelRule("hx", (1, 2, 1, 0), 1))
+    coeff = (q**4 - q**-4) / (q - q**-1)
+    bracket = mono(aitch(1, 2), xp(1, 0)) - mono(xp(1, 0), aitch(1, 2))
+    assert rel == bracket.scale(2) - mono(xp(1, 2)).scale(coeff)
 
 
 def test_relation_elem_pm_mixed_offdiag():
     rel = relation_elem(SIG21, RelRule("pm-mixed", (1, 0, 2, 0)))
     assert rel == mono(xp(1, 0), xm(2, 0)) - mono(xm(2, 0), xp(1, 0))
-    # on the diagonal at total degree 0 both phi series correct by K and K^-1
+    # on the diagonal at total degree 0 both phi series correct by K and K^-1;
+    # the bracket is stated times q - q^-1
     rel = relation_elem(SIG21, RelRule("pm-mixed", (1, 1, 1, -1)))
-    correction = mono(kay(1)) - mono(kinv(1))
-    assert rel == mono(xp(1, 1), xm(1, -1)) - mono(xm(1, -1), xp(1, 1)) - correction.scale(
-        ONE / (q - q**-1)
-    )
+    bracket = mono(xp(1, 1), xm(1, -1)) - mono(xm(1, -1), xp(1, 1))
+    assert rel == bracket.scale(q - q**-1) - (mono(kay(1)) - mono(kinv(1)))
+
+
+def test_relation_elem_chev_mixed_diagonal():
+    # (q_i - q_i^-1) [E_i, F_i] - (K_i - K_i^-1); E0+- are odd on (2,1)
+    rel = relation_elem(SIG21, RelRule("chev-mixed", (1, 1)))
+    bracket = mono(xp(1, 0), xm(1, 0)) - mono(xm(1, 0), xp(1, 0))
+    assert rel == bracket.scale(q - q**-1) - (mono(kay(1)) - mono(kinv(1)))
+    # K_0 = (K_1 K_2)^-1
+    rel = relation_elem(SIG21, RelRule("chev-mixed", (0, 0)))
+    bracket = mono(e0p(), e0m()) + mono(e0m(), e0p())
+    k0 = mono(kinv(1), kinv(2)) - mono(kay(1), kay(2))
+    assert rel == bracket.scale(q - q**-1) - k0
 
 
 def test_relation_elem_invalid_instances():
