@@ -3,32 +3,38 @@
 Scalars are elements of the rational function field Q(q, a, b) in the
 quantum parameter ``q`` and two evaluation parameters ``a``, ``b``.  Almost
 every scalar the program makes is a Laurent polynomial in q, a, b with
-integer coefficients, so ``Scalar`` holds each value in one of two forms:
+integer coefficients, and most others have an integer denominator, so
+``Scalar`` holds each value in one of three forms:
 
 * a Laurent polynomial, stored as ``{(i, j, k): int}`` for the terms
   c q^i a^j b^k with nonzero c; its arithmetic needs no gcd;
+* a Q-Laurent value n/d: an integer Laurent dict n over an integer
+  d >= 2 with gcd(content(n), d) = 1, the sign kept in the terms; its
+  arithmetic needs integer gcds only;
 * otherwise an element of sympy's field ``ZZ(q,a,b)`` with numerator and
   denominator in canonical reduced form (gcd cancelled, sign-normalised).
 
 Every value has exactly one form: a field result whose reduced
-denominator is one monomial with coefficient +-1 is put back in Laurent
-form, so ``==``, ``hash`` and dict keys compare values.  Division by a
-+-monomial stays in the ring; any other division, a negative power of a
-value that is not a +-monomial, and every operation with a field operand
-go through the field.  A Laurent value caches its field form, which
-mixed operations and printing use.  On top of the scalars the module
-provides dense polynomials in a formal variable ``z`` and truncated
-one-sided expansions of their ratios.
+denominator is one monomial is put back in Laurent form (coefficient
++-1) or Q-Laurent form (any other coefficient), so ``==``, ``hash`` and
+dict keys compare values.  Division by a +-monomial stays in the ring.
+``+``, ``-``, ``*`` and division by a single term keep Q-Laurent and
+Laurent operands in Q-Laurent form (``_ratio_op``); any other division, a
+negative power of a value that is not a +-monomial, any power of a
+Q-Laurent value and every operation with a field operand go through the
+field.  A value caches its field form, which mixed operations and
+printing use.  On top of the scalars the module provides dense
+polynomials in a formal variable ``z`` and truncated one-sided expansions
+of their ratios.
 
 The field path of ``+``, ``-``, ``*`` and ``/`` runs through ``_field_op``,
-which the Laurent paths never reach.  Nothing is memoised: the relation
-catalog states its relations without division, so the field operations
-left in a pass rarely repeat.
+which neither the Laurent nor the Q-Laurent paths reach.  Nothing is
+memoised.
 
 sympy is imported by ``_sym`` at the first gcd, parse, print or value that
-leaves the Laurent ring: ``appendix-a`` never loads it; the module suites
-do at a content removal (``RowReducer.add``), ``verify-relations`` at a
-field division (1/|s| in H_{i,s}) and ``monoid`` at ``poly_gcd``.
+is neither Laurent nor Q-Laurent: ``appendix-a`` and ``verify-relations``
+at an indeterminate ``a`` never load it; the other module suites do at a
+content removal (``RowReducer.add``) and ``monoid`` at ``poly_gcd``.
 
 No floating point is used anywhere.
 """
@@ -36,6 +42,7 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from types import SimpleNamespace
 from typing import Iterable
@@ -126,14 +133,17 @@ def _unit(t: dict) -> tuple | None:
 
 
 class Scalar:
-    """An exact element of Q(q, a, b), held as a Laurent polynomial or a field element.
+    """An exact element of Q(q, a, b): a Laurent polynomial, a Q-Laurent value or a field element.
 
-    ``_terms`` is the Laurent dict, or None for a field element; ``_field``
-    is the field element, or the cached field form of a Laurent value.
-    Both are never mutated.
+    ``_terms`` is the Laurent dict, or None for the other two forms.  When
+    it is None, ``_num`` and ``_den`` hold the numerator dict and the
+    integer denominator of a Q-Laurent value, or None for a field element;
+    a Laurent value leaves them unset.  ``_field`` is the field element, or
+    the cached field form of the other two.  No dict or field element is
+    ever mutated.
     """
 
-    __slots__ = ("_terms", "_field")
+    __slots__ = ("_terms", "_field", "_num", "_den")
 
     @property
     def numer(self):
@@ -153,12 +163,20 @@ class Scalar:
         t = self._terms
         if t is not None:
             return t == other._terms
-        return other._terms is None and self._field == other._field
+        if other._terms is not None:
+            return False
+        n = self._num
+        if n is not None:
+            return n == other._num and self._den == other._den
+        return other._num is None and self._field == other._field
 
     def __hash__(self) -> int:
         t = self._terms
         if t is not None:
             return hash(frozenset(t.items()))
+        n = self._num
+        if n is not None:
+            return hash((frozenset(n.items()), self._den))
         # not sympy's hash, which some of its in-place products leave stale
         f = self._field
         return hash((frozenset(f.numer.items()), frozenset(f.denom.items())))
@@ -179,7 +197,7 @@ class Scalar:
         s, t = self._terms, other._terms
         if s is not None and t is not None:
             return _laurent(_add(s, t))
-        return _field_op(operator.add, self, other)
+        return _ratio_op(operator.add, self, other)
 
     __radd__ = __add__
 
@@ -198,6 +216,9 @@ class Scalar:
         t = self._terms
         if t is not None:
             return _laurent({e: -c for e, c in t.items()})
+        n = self._num
+        if n is not None:
+            return _ratio({e: -c for e, c in n.items()}, self._den)
         return _from_field(-self._field)
 
     def __mul__(self, other):
@@ -208,7 +229,7 @@ class Scalar:
         s, t = self._terms, other._terms
         if s is not None and t is not None:
             return _laurent(_mul(s, t))
-        return _field_op(operator.mul, self, other)
+        return _ratio_op(operator.mul, self, other)
 
     __rmul__ = __mul__
 
@@ -246,6 +267,22 @@ def _laurent(terms: dict) -> Scalar:
     return x
 
 
+def _ratio(terms: dict, d: int) -> Scalar:
+    """The one form of terms/d, for an integer Laurent dict and an integer d >= 1."""
+    g = math.gcd(d, *terms.values())
+    if g == d:
+        return _laurent({e: c // d for e, c in terms.items()} if d > 1 else terms)
+    if g > 1:
+        terms = {e: c // g for e, c in terms.items()}
+        d //= g
+    x = _new(Scalar)
+    x._terms = None
+    x._field = None
+    x._num = terms
+    x._den = d
+    return x
+
+
 def _from_field(f) -> Scalar:
     """The one form of a reduced field element.
 
@@ -255,16 +292,18 @@ def _from_field(f) -> Scalar:
     den = f.denom
     if len(den) == 1:
         ((i, j, k), c), = den.items()
-        if c == 1 or c == -1:
-            x = _laurent({(r - i, s - j, t - k): c * v for (r, s, t), v in f.numer.items()})
-            if c == 1:
-                x._field = f
-            return x
+        sign = 1 if c > 0 else -1
+        terms = {(r - i, s - j, t - k): sign * v for (r, s, t), v in f.numer.items()}
+        x = _laurent(terms) if c == sign else _ratio(terms, sign * c)
+        if sign == 1:
+            x._field = f
+        return x
     if den.LC < 0:
         f = f.raw_new(-f.numer, -den)
     x = _new(Scalar)
     x._terms = None
     x._field = f
+    x._num = None
     return x
 
 
@@ -272,17 +311,20 @@ def _field_form(x: Scalar):
     f = x._field
     if f is None:
         F = _sym().field
-        t = x._terms
+        t, d = x._terms, 1
+        if t is None:
+            t, d = x._num, x._den
         if not t:
             f = F.zero
         else:
             i0 = min(0, min(e[0] for e in t))
             j0 = min(0, min(e[1] for e in t))
             k0 = min(0, min(e[2] for e in t))
-            # each shifted variable has an exponent 0 in the numerator: coprime
-            # dtype: the raw constructors (a read of ring.zero builds a polynomial)
+            # each shifted variable has an exponent 0 in the numerator and d is prime
+            # to its content: coprime.  dtype: the raw constructors (a read of
+            # ring.zero builds a polynomial)
             num = F.ring.dtype({(i - i0, j - j0, k - k0): c for (i, j, k), c in t.items()})
-            f = F.dtype(num, F.ring.dtype({(-i0, -j0, -k0): 1}))
+            f = F.dtype(num, F.ring.dtype({(-i0, -j0, -k0): d}))
         x._field = f
     return f
 
@@ -290,6 +332,40 @@ def _field_form(x: Scalar):
 def _field_op(op, x: Scalar, y: Scalar) -> Scalar:
     """op(x, y) through the field."""
     return _from_field(op(_field_form(x), _field_form(y)))
+
+
+def _ratio_parts(x: Scalar) -> tuple:
+    """(numerator dict, integer denominator) of a Laurent or Q-Laurent value; (None, 0) else."""
+    t = x._terms
+    if t is not None:
+        return t, 1
+    n = x._num
+    return (None, 0) if n is None else (n, x._den)
+
+
+def _ratio_op(op, x: Scalar, y: Scalar) -> Scalar:
+    """op(x, y) for operands that are not both Laurent.
+
+    ``+``, ``-``, ``*`` and division by a single term of two Laurent or
+    Q-Laurent operands stay in integer arithmetic; anything else goes
+    through the field.
+    """
+    s, d = _ratio_parts(x)
+    t, e = _ratio_parts(y)
+    if s is not None and t is not None:
+        if op is operator.mul:
+            return _ratio(_mul(s, t), d * e)
+        if op is not operator.truediv:
+            g = math.gcd(d, e)
+            s = s if e == g else {m: w * (e // g) for m, w in s.items()}
+            t = t if d == g else {m: w * (d // g) for m, w in t.items()}
+            return _ratio(_add(s, t) if op is operator.add else _sub(s, t), d // g * e)
+        if len(t) == 1:
+            ((i, j, k), c), = t.items()
+            if c < 0:
+                c, e = -c, -e
+            return _ratio({(r - i, u - j, v - k): w * e for (r, u, v), w in s.items()}, d * c)
+    return _field_op(op, x, y)
 
 
 def _const(n: int) -> Scalar:
@@ -305,7 +381,7 @@ def _subtract(x: Scalar, y: Scalar) -> Scalar:
     s, t = x._terms, y._terms
     if s is not None and t is not None:
         return _laurent(_sub(s, t))
-    return _field_op(operator.sub, x, y)
+    return _ratio_op(operator.sub, x, y)
 
 
 def _divide(x: Scalar, y: Scalar) -> Scalar:
@@ -315,7 +391,7 @@ def _divide(x: Scalar, y: Scalar) -> Scalar:
         if unit is not None:
             (i, j, k), c = unit
             return _laurent(_mul(s, {(-i, -j, -k): c}))
-    return _field_op(operator.truediv, x, y)
+    return _ratio_op(operator.truediv, x, y)
 
 
 def _shift(ts: list[dict]) -> tuple[tuple, list[dict]]:

@@ -281,28 +281,37 @@ class LoopModule:
         if n == 0:
             return self.gen(("K", i)) if sign > 0 else self.gen(("Kinv", i))
         qi = sig.q_node(i)
-        pi = sig.parity_node(i)
-        comm = super_comm(self.gen(("X+", i, n)), pi, self.gen(("X-", i, 0)), pi)
-        return comm.scale((qi - qi**-1) * (ONE if sign > 0 else -ONE))
+        return self._phi_bracket(i, n).scale((qi - qi**-1) * (ONE if sign > 0 else -ONE))
+
+    def _phi_bracket(self, i: int, n: int) -> Mat:
+        """[X^+_{i,n}, X^-_{i,0}], the z^n coefficient of phi_i^+-(z) over +-(q_i - q_i^-1)."""
+        pi = self.sig.parity_node(i)
+        return super_comm(self.gen(("X+", i, n)), pi, self.gen(("X-", i, 0)), pi)
 
     def _h_deep(self, i: int, s: int) -> Mat:
         """H_{i,s} from the phi series alone, by Newton's identity.
 
         Y = K_i^-+1 phi_i^+-(z) = exp(+-(q_i - q_i^-1) sum_r h_{i,+-r} z^r) has
-        commuting coefficients y_n, and m_n = n l_n, with l = log Y, obeys
-        m_n = n y_n - sum_{r<n} m_r y_{n-r}.  The one division is the last,
-        h_{i,s} = +-m_|s| / (|s| (q_i - q_i^-1)).
+        commuting coefficients y_n = (q_i - q_i^-1) y~_n, with
+        y~_n = +-K_i^-+1 [X^+_{i,+-n}, X^-_{i,0}].  m_n = n l_n, with l = log Y,
+        obeys m_n = n y_n - sum_{r<n} m_r y_{n-r}, so mu_n = m_n / (q_i - q_i^-1)
+        obeys mu_n = n y~_n - sum_{r<n} mu_r y_{n-r} and needs no division.
+        Then h_{i,s} = +-mu_|s| / |s|: the only denominator is the integer |s|.
         """
         qi = self.sig.q_node(i)
         sign = 1 if s > 0 else -1
         head = self.gen(("Kinv", i) if s > 0 else ("K", i))
-        ys = {k: head * self.gen(("phi", sign, i, sign * k)) for k in range(1, abs(s) + 1)}
-        ms: dict[int, Mat] = {}
-        for n, y in ys.items():
-            ms[n] = y.scale(n)
+        ys: dict[int, Mat] = {}
+        mus: dict[int, Mat] = {}
+        for n in range(1, abs(s) + 1):
+            y = head * self._phi_bracket(i, sign * n)
+            if sign < 0:
+                y = -y
+            mus[n] = y.scale(n)
             for r in range(1, n):
-                ms[n] = ms[n] - ms[r] * ys[n - r]
-        return ms[abs(s)].scale(sign / (abs(s) * (qi - qi**-1)))
+                mus[n] = mus[n] - mus[r] * ys[n - r]
+            ys[n] = y.scale(qi - qi**-1)
+        return mus[abs(s)].scale(scalar(sign) / abs(s))
 
     def _derive_pi(self, key: tuple) -> Mat:
         src = self.source

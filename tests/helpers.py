@@ -29,7 +29,9 @@ def mat_from_rows(rows) -> Mat:
 def count_field_ops():
     """Record every call of ``coeffs._field_op`` inside the block.
 
-    Yields the list of recorded operators; the function is restored on exit.
+    These are the ``+``, ``-``, ``*`` and ``/`` that go through sympy's field;
+    Laurent and Q-Laurent arithmetic never reaches it.  Yields the list of
+    recorded operators; the function is restored on exit.
     """
     field_op = coeffs._field_op
     calls = []

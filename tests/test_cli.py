@@ -17,6 +17,9 @@ def run_main(args):
 
 # sha256 of the stdout of each command listed in the README
 README_DIGESTS = json.loads((Path(__file__).parent / "readme_digests.json").read_text())
+# sha256 of the stdout of commands at rational evaluation points, whose
+# scalars take the Q-Laurent and field forms
+RATIONAL_POINT_DIGESTS = json.loads((Path(__file__).parent / "rational_point_digests.json").read_text())
 
 
 @pytest.mark.parametrize("command", sorted(README_DIGESTS))
@@ -24,6 +27,13 @@ def test_readme_command_report_bytes(capsys, command):
     assert run_main(command.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == README_DIGESTS[command]
+
+
+@pytest.mark.parametrize("command", sorted(RATIONAL_POINT_DIGESTS))
+def test_rational_point_report_bytes(capsys, command):
+    assert run_main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == RATIONAL_POINT_DIGESTS[command]
 
 
 def test_weyl_slice_cli(tmp_path, capsys):
@@ -224,11 +234,14 @@ def test_sympy_loaded_only_by_suites_that_need_the_field(capsys):
         "    print(json.dumps([code, 'sympy' in sys.modules, out.getvalue()]))\n"
         "print(json.dumps('sympy' in sys.modules))\n"
         "run(['appendix-a', '--nmax', '1', '--window', '1'])\n"
+        "run(['verify-relations', '--M', '2', '--N', '1', '--window', '1', '--chevalley'])\n"
         "run(['highest-weight', '--M', '2', '--N', '1'])\n"
     )
-    after_import, appendix, highest = map(json.loads, lines)
+    after_import, appendix, relations, highest = map(json.loads, lines)
     assert after_import is False
     assert appendix[:2] == [0, False] and json.loads(appendix[2])["passed"]
+    # verify-relations' denominators are integers: 1/|s| in H_{i,s}, 1/prod m_j! in phi
+    assert relations[:2] == [0, False] and json.loads(relations[2])["passed"]
     assert run_main(["highest-weight", "--M", "2", "--N", "1"]) == 0
     assert highest == [0, True, capsys.readouterr().out]
 
@@ -302,6 +315,23 @@ def test_finite_gates_and_module_suites_stay_in_laurent_ring():
                 report = cli.run(cli.RunConfig(suite=suite, M=M, N=N, tensor=tensor))
             assert report["passed"]
             assert calls == [], (suite, M, N)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--M", "2", "--N", "1", "--window", "2", "--chevalley"],
+        ["--M", "3", "--N", "1", "--window", "1"],
+        ["--M", "2", "--N", "1", "--window", "1", "--tensor"],
+    ],
+    ids=["chevalley-2-1", "3-1", "tensor-2-1"],
+)
+def test_verify_relations_makes_no_field_operations(capsys, argv):
+    # the integer denominators of phi_coeff and H_{i,s} stay in Q-Laurent form
+    with count_field_ops() as calls:
+        assert run_main(["verify-relations", *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+    assert calls == []
 
 
 def test_cli_tensor_relations_include_chevalley(capsys):

@@ -88,6 +88,18 @@ def test_field_entry_point_loads_the_field(expr):
     assert lines == ["False", repr(eval(expr)), "True"]
 
 
+def test_integer_denominators_do_not_load_the_field():
+    # +, -, * and division by a single term keep integer denominators off sympy
+    lines = run_fresh(
+        "import sys\n"
+        "from superloop.coeffs import ONE, a, b, q\n"
+        "x = (q + a) / 6 - ONE / (2 * q) + 4 / (6 * a * b)\n"
+        "print(x * 6 == q + a - 3 * q**-1 + 4 * a**-1 * b**-1, x / (-2 * a) == x * (-ONE / (2 * a)))\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    assert lines == ["True True", "False"]
+
+
 def test_sympy_not_imported_at_module_level():
     """Only ``coeffs._sym`` imports sympy, on first use; no module imports it when loaded."""
 
@@ -253,8 +265,10 @@ def _check(x, f):
     f = _canonical(_F(f))  # sympy's zero plus an int is that int
     assert x.numer == f.numer and x.denom == f.denom
     assert scalar_str(x) == _field_str(f)
-    laurent = len(f.denom) == 1 and f.denom.LC == 1
-    assert (x._terms is not None) == laurent  # one form per value
+    # one form per value: the reduced denominator c * monomial (c > 0) picks it
+    monomial = len(f.denom) == 1
+    assert (x._terms is not None) == (monomial and f.denom.LC == 1)
+    assert (x._terms is None and x._num is not None) == (monomial and f.denom.LC >= 2)
     again = scalar(f)
     assert x == again and hash(x) == hash(again)
 
@@ -272,9 +286,15 @@ def _laurent(draw, max_terms=4):
     return x, f
 
 
-# denominators that fall back to the field (2, 2q, q - 1, ...) or come back
-# to the ring with a sign flip (-q, and -q/(q+1) to a negative power)
+# denominators that fall back to the field (q - 1, 2 - q, ...), stay in
+# Q-Laurent form (2, 3, 2q, 6, 3ab as integer times monomial) or come back to
+# the ring with a sign flip (-q, and -q/(q+1) to a negative power)
 _SPECIAL = [
+    (ONE / 2, _F(1) / 2),
+    (q / 3, _Fq / 3),
+    (-ONE / (2 * q), -_F(1) / (2 * _Fq)),
+    ((q + a) / 6, (_Fq + _Fa) / 6),
+    (4 / (6 * a * b), _F(4) / (6 * _Fa * _Fb)),
     (q**-1, _Fq**-1),
     (-q, -_Fq),
     (2 * q, 2 * _Fq),
@@ -339,6 +359,11 @@ def test_scalar_forms_examples():
     assert ((-q / (q + 1)) ** -1) == -1 - q**-1
     assert (2 * q + 4) / 2 == q + 2 and ((2 * q + 4) / 2)._terms is not None
     assert (ONE / (2 * q))._terms is None
+    assert (ONE / (2 * q))._num == {(-1, 0, 0): 1} and (ONE / (2 * q))._den == 2
+    assert (-ONE / (2 * q))._num == {(-1, 0, 0): -1}  # the sign sits in the terms
+    assert (4 / (6 * a * b))._num == {(0, -1, -1): 2} and (4 / (6 * a * b))._den == 3
+    assert (q + a) / 6 + (q + a) / 3 == (q + a) / 2 and ((q + a) / 6) * 6 == q + a
+    assert ((q + a) / 6 * 6)._terms is not None
     assert scalar_str(ONE / (2 * q)) == "(1)/(2*q)"
     assert scalar_str(scalar(-2) ** -1) == "(-1)/(2)"
     assert scalar("(q^2-1)/(q-1)")._terms == {(1, 0, 0): 1, (0, 0, 0): 1}
