@@ -369,26 +369,25 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="superloop",
         description="Exact verification suites for quantum loop superalgebra computations.",
     )
-    sub = parser.add_subparsers(dest="suite", required=True)
-    for name in SUITES:
-        p = sub.add_parser(name)
-        p.add_argument("--M", type=int, default=None)
-        p.add_argument("--N", type=int, default=None)
-        p.add_argument("--a", type=str, default=None, help="evaluation point (exact expression)")
-        p.add_argument("--b", type=str, default=None, help="second evaluation point")
-        p.add_argument("--window", type=int, default=None)
-        p.add_argument("--order", type=int, default=None)
-        p.add_argument("--degree-bound", dest="degree_bound", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--count", type=int, default=None)
-        p.add_argument("--nmax", dest="n_max", type=int, default=None)
-        p.add_argument("--height", type=int, default=None)
-        p.add_argument("--tensor", action="store_true", default=None)
-        p.add_argument("--chevalley", action="store_true", default=None)
-        p.add_argument("--Q", type=str, default=None, help="comma-separated recurrence polynomial coefficients")
-        p.add_argument("--Pprev", type=str, default=None, help="neighbour polynomial coefficients")
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--config", type=str, default=None, help="JSON file mirroring the flags")
+    add = parser.add_argument
+    add("suite", choices=SUITES)
+    add("--M", type=int)
+    add("--N", type=int)
+    add("--a", type=str, help="evaluation point (exact expression)")
+    add("--b", type=str, help="second evaluation point")
+    add("--window", type=int)
+    add("--order", type=int)
+    add("--degree-bound", dest="degree_bound", type=int)
+    add("--seed", type=int)
+    add("--count", type=int)
+    add("--nmax", dest="n_max", type=int)
+    add("--height", type=int)
+    add("--tensor", action="store_true", default=None)
+    add("--chevalley", action="store_true", default=None)
+    add("--Q", type=str, help="comma-separated recurrence polynomial coefficients")
+    add("--Pprev", type=str, help="neighbour polynomial coefficients")
+    add("--out", type=str)
+    add("--config", type=str, help="JSON file mirroring the flags")
     return parser
 
 

@@ -4,36 +4,32 @@ Scalars are elements of the rational function field Q(q, a, b) in the
 quantum parameter ``q`` and two evaluation parameters ``a``, ``b``.  Almost
 every scalar the program makes is a Laurent polynomial in q, a, b with
 integer coefficients, and most others have an integer denominator, so
-``Scalar`` holds each value in one of three forms:
+``Scalar`` holds each value in one of two forms:
 
-* a Laurent polynomial, stored as ``{(i, j, k): int}`` for the terms
-  c q^i a^j b^k with nonzero c; its arithmetic needs no gcd;
-* a Q-Laurent value n/d: an integer Laurent dict n over an integer
-  d >= 2 with gcd(content(n), d) = 1, the sign kept in the terms; its
-  arithmetic needs integer gcds only;
+* a ring value n/d: an integer Laurent dict n, ``{(i, j, k): int}`` for
+  the terms c q^i a^j b^k with nonzero c, over an integer d >= 1 with
+  gcd(content(n), d) = 1, the sign kept in the terms.  d = 1 is a Laurent
+  polynomial, whose arithmetic needs no gcd; any other d needs integer
+  gcds only;
 * otherwise an element of sympy's field ``ZZ(q,a,b)`` with numerator and
   denominator in canonical reduced form (gcd cancelled, sign-normalised).
 
 Every value has exactly one form: a field result whose reduced
-denominator is one monomial is put back in Laurent form (coefficient
-+-1) or Q-Laurent form (any other coefficient), so ``==``, ``hash`` and
-dict keys compare values.  Division by a +-monomial stays in the ring.
-``+``, ``-``, ``*`` and division by a single term keep Q-Laurent and
-Laurent operands in Q-Laurent form (``_ratio_op``); any other division, a
-negative power of a value that is not a +-monomial, any power of a
-Q-Laurent value and every operation with a field operand go through the
-field.  A value caches its field form, which mixed operations and
-printing use.  On top of the scalars the module provides dense
-polynomials in a formal variable ``z`` and truncated one-sided expansions
-of their ratios.
+denominator is one monomial is put back in ring form, so ``==``, ``hash``
+and dict keys compare values.  ``+``, ``-``, ``*``, division by a single
+term and powers (negative ones of a single term) keep ring operands in
+the ring (``_ratio_op``, ``__pow__``); any other division or negative power and every
+operation with a field operand go through the field.  A value caches its
+field form, which mixed operations and printing use.  On top of the
+scalars the module provides dense polynomials in a formal variable ``z``
+and truncated one-sided expansions of their ratios.
 
 The field path of ``+``, ``-``, ``*`` and ``/`` runs through ``_field_op``,
-which neither the Laurent nor the Q-Laurent paths reach.  Nothing is
-memoised.
+which the ring paths never reach.  Nothing is memoised.
 
-sympy is imported by ``_sym`` at the first gcd, parse, print or value that
-is neither Laurent nor Q-Laurent: ``appendix-a`` and ``verify-relations``
-at an indeterminate ``a`` never load it; the other module suites do at a
+sympy is imported by ``_sym`` at the first gcd, parse, print or value
+outside the ring: ``appendix-a`` and ``verify-relations`` at an
+indeterminate ``a`` never load it; the other module suites do at a
 content removal (``RowReducer.add``) and ``monoid`` at ``poly_gcd``.
 
 No floating point is used anywhere.
@@ -133,17 +129,16 @@ def _unit(t: dict) -> tuple | None:
 
 
 class Scalar:
-    """An exact element of Q(q, a, b): a Laurent polynomial, a Q-Laurent value or a field element.
+    """An exact element of Q(q, a, b): a ring value n/d or a field element.
 
-    ``_terms`` is the Laurent dict, or None for the other two forms.  When
-    it is None, ``_num`` and ``_den`` hold the numerator dict and the
-    integer denominator of a Q-Laurent value, or None for a field element;
-    a Laurent value leaves them unset.  ``_field`` is the field element, or
-    the cached field form of the other two.  No dict or field element is
-    ever mutated.
+    A ring value has ``_terms``, an integer Laurent dict n, and ``_den``, an
+    integer d >= 1 prime to the content of n; the sign sits in the terms and
+    d = 1 is a Laurent polynomial.  A field element has ``_terms`` None and
+    ``_den`` 0.  ``_field`` is the field element, or the cached field form
+    of a ring value.  No dict or field element is ever mutated.
     """
 
-    __slots__ = ("_terms", "_field", "_num", "_den")
+    __slots__ = ("_terms", "_den", "_field")
 
     @property
     def numer(self):
@@ -160,23 +155,15 @@ class Scalar:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
-        t = self._terms
-        if t is not None:
-            return t == other._terms
-        if other._terms is not None:
+        if self._den != other._den:
             return False
-        n = self._num
-        if n is not None:
-            return n == other._num and self._den == other._den
-        return other._num is None and self._field == other._field
+        t = self._terms
+        return t == other._terms if t is not None else self._field == other._field
 
     def __hash__(self) -> int:
         t = self._terms
         if t is not None:
-            return hash(frozenset(t.items()))
-        n = self._num
-        if n is not None:
-            return hash((frozenset(n.items()), self._den))
+            return hash((frozenset(t.items()), self._den))
         # not sympy's hash, which some of its in-place products leave stale
         f = self._field
         return hash((frozenset(f.numer.items()), frozenset(f.denom.items())))
@@ -194,9 +181,8 @@ class Scalar:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
-        s, t = self._terms, other._terms
-        if s is not None and t is not None:
-            return _laurent(_add(s, t))
+        if self._den == 1 == other._den:
+            return _ring(_add(self._terms, other._terms), 1)
         return _ratio_op(operator.add, self, other)
 
     __radd__ = __add__
@@ -206,19 +192,18 @@ class Scalar:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
-        return _subtract(self, other)
+        if self._den == 1 == other._den:
+            return _ring(_sub(self._terms, other._terms), 1)
+        return _ratio_op(operator.sub, self, other)
 
     def __rsub__(self, other):
         other = _coerce(other)
-        return NotImplemented if other is None else _subtract(other, self)
+        return NotImplemented if other is None else _ratio_op(operator.sub, other, self)
 
     def __neg__(self):
         t = self._terms
         if t is not None:
-            return _laurent({e: -c for e, c in t.items()})
-        n = self._num
-        if n is not None:
-            return _ratio({e: -c for e, c in n.items()}, self._den)
+            return _ring({e: -c for e, c in t.items()}, self._den)
         return _from_field(-self._field)
 
     def __mul__(self, other):
@@ -226,9 +211,8 @@ class Scalar:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
-        s, t = self._terms, other._terms
-        if s is not None and t is not None:
-            return _laurent(_mul(s, t))
+        if self._den == 1 == other._den:
+            return _ring(_mul(self._terms, other._terms), 1)
         return _ratio_op(operator.mul, self, other)
 
     __rmul__ = __mul__
@@ -238,49 +222,45 @@ class Scalar:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
-        return _divide(self, other)
+        return _ratio_op(operator.truediv, self, other)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
-        return NotImplemented if other is None else _divide(other, self)
+        return NotImplemented if other is None else _ratio_op(operator.truediv, other, self)
 
     def __pow__(self, n):
         if type(n) is not int:
             return NotImplemented
-        t = self._terms
+        t, d = self._terms, self._den
         if t is not None:
+            # (n/d)^k = n^k/d^k, and content(n^k) = content(n)^k is prime to d^k (Gauss)
             if n > 0 or n == 0 and t:
-                return _laurent(_pow(t, n))
-            unit = _unit(t)
-            if unit is not None:
-                (i, j, k), c = unit
-                return _laurent({(i * n, j * n, k * n): c**-n})
+                return _ring(_pow(t, n), d**n)
+            if len(t) == 1:  # (c/d m)^-k = (d/c)^k m^-k
+                ((i, j, k), c), = t.items()
+                return _ring({(i * n, j * n, k * n): (d if c > 0 else -d) ** -n}, abs(c) ** -n)
             if not t:
                 raise ZeroDivisionError("zero to a negative power") if n else ValueError("0**0")
         return _from_field(_field_form(self) ** n)
 
 
-def _laurent(terms: dict) -> Scalar:
+def _ring(terms: dict, d: int) -> Scalar:
+    """The ring value terms/d, for d >= 1 already prime to the content of terms."""
     x = _new(Scalar)
     x._terms = terms
+    x._den = d
     x._field = None
     return x
 
 
 def _ratio(terms: dict, d: int) -> Scalar:
-    """The one form of terms/d, for an integer Laurent dict and an integer d >= 1."""
-    g = math.gcd(d, *terms.values())
-    if g == d:
-        return _laurent({e: c // d for e, c in terms.items()} if d > 1 else terms)
-    if g > 1:
-        terms = {e: c // g for e, c in terms.items()}
-        d //= g
-    x = _new(Scalar)
-    x._terms = None
-    x._field = None
-    x._num = terms
-    x._den = d
-    return x
+    """The ring value terms/d, for an integer Laurent dict and an integer d >= 1."""
+    if d > 1:
+        g = math.gcd(d, *terms.values())
+        if g > 1:
+            terms = {e: c // g for e, c in terms.items()}
+            d //= g
+    return _ring(terms, d)
 
 
 def _from_field(f) -> Scalar:
@@ -293,8 +273,7 @@ def _from_field(f) -> Scalar:
     if len(den) == 1:
         ((i, j, k), c), = den.items()
         sign = 1 if c > 0 else -1
-        terms = {(r - i, s - j, t - k): sign * v for (r, s, t), v in f.numer.items()}
-        x = _laurent(terms) if c == sign else _ratio(terms, sign * c)
+        x = _ratio({(r - i, s - j, t - k): sign * v for (r, s, t), v in f.numer.items()}, sign * c)
         if sign == 1:
             x._field = f
         return x
@@ -302,8 +281,8 @@ def _from_field(f) -> Scalar:
         f = f.raw_new(-f.numer, -den)
     x = _new(Scalar)
     x._terms = None
+    x._den = 0
     x._field = f
-    x._num = None
     return x
 
 
@@ -311,9 +290,7 @@ def _field_form(x: Scalar):
     f = x._field
     if f is None:
         F = _sym().field
-        t, d = x._terms, 1
-        if t is None:
-            t, d = x._num, x._den
+        t = x._terms
         if not t:
             f = F.zero
         else:
@@ -324,7 +301,7 @@ def _field_form(x: Scalar):
             # to its content: coprime.  dtype: the raw constructors (a read of
             # ring.zero builds a polynomial)
             num = F.ring.dtype({(i - i0, j - j0, k - k0): c for (i, j, k), c in t.items()})
-            f = F.dtype(num, F.ring.dtype({(-i0, -j0, -k0): d}))
+            f = F.dtype(num, F.ring.dtype({(-i0, -j0, -k0): x._den}))
         x._field = f
     return f
 
@@ -334,25 +311,15 @@ def _field_op(op, x: Scalar, y: Scalar) -> Scalar:
     return _from_field(op(_field_form(x), _field_form(y)))
 
 
-def _ratio_parts(x: Scalar) -> tuple:
-    """(numerator dict, integer denominator) of a Laurent or Q-Laurent value; (None, 0) else."""
-    t = x._terms
-    if t is not None:
-        return t, 1
-    n = x._num
-    return (None, 0) if n is None else (n, x._den)
-
-
 def _ratio_op(op, x: Scalar, y: Scalar) -> Scalar:
-    """op(x, y) for operands that are not both Laurent.
+    """op(x, y) for operands that are not both Laurent, and for every division.
 
-    ``+``, ``-``, ``*`` and division by a single term of two Laurent or
-    Q-Laurent operands stay in integer arithmetic; anything else goes
-    through the field.
+    ``+``, ``-``, ``*`` and division by a single term of two ring values
+    stay in integer arithmetic; anything else goes through the field.
     """
-    s, d = _ratio_parts(x)
-    t, e = _ratio_parts(y)
+    s, t = x._terms, y._terms
     if s is not None and t is not None:
+        d, e = x._den, y._den
         if op is operator.mul:
             return _ratio(_mul(s, t), d * e)
         if op is not operator.truediv:
@@ -369,29 +336,12 @@ def _ratio_op(op, x: Scalar, y: Scalar) -> Scalar:
 
 
 def _const(n: int) -> Scalar:
-    return _laurent({(0, 0, 0): n} if n else {})
+    return _ring({(0, 0, 0): n} if n else {}, 1)
 
 
 def _coerce(value) -> Scalar | None:
     """The scalar of an int operand; None for any other type."""
     return _const(value) if isinstance(value, int) else None
-
-
-def _subtract(x: Scalar, y: Scalar) -> Scalar:
-    s, t = x._terms, y._terms
-    if s is not None and t is not None:
-        return _laurent(_sub(s, t))
-    return _ratio_op(operator.sub, x, y)
-
-
-def _divide(x: Scalar, y: Scalar) -> Scalar:
-    s, t = x._terms, y._terms
-    if s is not None and t is not None:
-        unit = _unit(t)
-        if unit is not None:
-            (i, j, k), c = unit
-            return _laurent(_mul(s, {(-i, -j, -k): c}))
-    return _ratio_op(operator.truediv, x, y)
 
 
 def _shift(ts: list[dict]) -> tuple[tuple, list[dict]]:
@@ -411,11 +361,11 @@ def remove_content(xs: list[Scalar]) -> list[Scalar]:
     greatest common divisor.  Values that are all zero come back
     unchanged, and Laurent values whose gcd is a unit are not divided.
     """
-    if any(x._terms is None for x in xs):
+    if any(x._den != 1 for x in xs):
         F = _sym().field
         den = F.ring.one
         for x in xs:
-            if x._terms is None:
+            if x._den != 1:
                 den = den.lcm(x.denom)
         m = _from_field(F.new(den, F.ring.one))
         xs = [x * m for x in xs]
@@ -430,24 +380,23 @@ def remove_content(xs: list[Scalar]) -> list[Scalar]:
         g = g.gcd(p)
         if _unit(g) is not None:  # a unit of the Laurent ring divides out nothing
             return xs
-    return [_laurent({(i + i0, j + j0, k + k0): c for (i, j, k), c in p.exquo(g).items()}) for p in polys]
+    return [_ring({(i + i0, j + j0, k + k0): c for (i, j, k), c in p.exquo(g).items()}, 1) for p in polys]
 
 
 def unit_inverse(x: Scalar) -> Scalar | None:
     """1/x when x is a unit of the Laurent ring (a +-monomial), else None."""
-    t = x._terms
-    unit = None if t is None else _unit(t)
+    unit = _unit(x._terms) if x._den == 1 else None
     if unit is None:
         return None
     (i, j, k), c = unit
-    return _laurent({(-i, -j, -k): c})
+    return _ring({(-i, -j, -k): c}, 1)
 
 
-ZERO = _laurent({})
-ONE = _laurent({(0, 0, 0): 1})
-q = _laurent({(1, 0, 0): 1})
-a = _laurent({(0, 1, 0): 1})
-b = _laurent({(0, 0, 1): 1})
+ZERO = _ring({}, 1)
+ONE = _ring({(0, 0, 0): 1}, 1)
+q = _ring({(1, 0, 0): 1}, 1)
+a = _ring({(0, 1, 0): 1}, 1)
+b = _ring({(0, 0, 1): 1}, 1)
 
 
 def scalar(value) -> Scalar:
@@ -487,7 +436,7 @@ def qint_base(n: int, base_exp: int) -> Scalar:
     if base_exp == 0:
         raise ValueError("base q^0 = 1 has no q-integers")
     sign, m = (1, n) if n >= 0 else (-1, -n)
-    return _laurent({(base_exp * (m - 1 - 2 * k), 0, 0): sign for k in range(m)})
+    return _ring({(base_exp * (m - 1 - 2 * k), 0, 0): sign for k in range(m)}, 1)
 
 
 class ZPoly:
@@ -527,16 +476,9 @@ class ZPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, ZPoly) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __add__(self, other: "ZPoly") -> "ZPoly":
         n = max(len(self.coeffs), len(other.coeffs))
         return ZPoly(self.coeff(k) + other.coeff(k) for k in range(n))
-
-    def __sub__(self, other: "ZPoly") -> "ZPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ZPoly(self.coeff(k) - other.coeff(k) for k in range(n))
 
     def __neg__(self) -> "ZPoly":
         return ZPoly(-c for c in self.coeffs)
@@ -608,7 +550,7 @@ def _from_zring(rp) -> ZPoly:
     coeffs: dict[int, dict] = {}
     for (k, *e), c in rp.items():
         coeffs.setdefault(k, {})[tuple(e)] = c
-    return ZPoly(_laurent(coeffs.get(k, {})) for k in range(max(coeffs, default=-1) + 1))
+    return ZPoly(_ring(coeffs.get(k, {}), 1) for k in range(max(coeffs, default=-1) + 1))
 
 
 def poly_gcd(p: ZPoly, r: ZPoly) -> ZPoly:

@@ -46,9 +46,6 @@ class Mat:
             and self.data == other.data
         )
 
-    def __hash__(self):
-        return hash((self.nrows, self.ncols, frozenset(self.data.items())))
-
     def __add__(self, other: "Mat") -> "Mat":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")

@@ -15,6 +15,8 @@ relations, or by the action on a module.
 from __future__ import annotations
 
 import functools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Sequence
@@ -131,14 +133,8 @@ class Elem:
     def words(self) -> list[Word]:
         return sorted(self.terms)
 
-    def coeff(self, word: Sequence[GenSym]) -> Scalar:
-        return self.terms.get(tuple(word), ZERO)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Elem) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "Elem") -> "Elem":
         terms = dict(self.terms)
@@ -389,9 +385,6 @@ def ceil_bracket(sig: AlgebraSignature, items: Sequence[Elem]) -> Elem:
 
 def _partitions(n: int):
     """Partitions of n as nonincreasing tuples."""
-    if n == 0:
-        yield ()
-        return
     def rec(rest, maxpart):
         if rest == 0:
             yield ()
@@ -421,15 +414,7 @@ def phi_coeff(sig: AlgebraSignature, i: int, sign: int, n: int, word=Elem.monomi
     for lam in _partitions(abs(n)):
         coeff = u ** len(lam)
         # commuting h's: the 1/k! of exp collapses to 1/prod multiplicity!
-        denom = 1
-        count: dict[int, int] = {}
-        for part in lam:
-            count[part] = count.get(part, 0) + 1
-        for c in count.values():
-            f = 1
-            for k in range(2, c + 1):
-                f *= k
-            denom *= f
+        denom = math.prod(map(math.factorial, Counter(lam).values()))
         term = word((head,) + tuple(aitch(i, sign * part) for part in lam))
         term = term.scale(coeff / scalar(denom))
         out = term if out is None else out + term

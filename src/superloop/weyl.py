@@ -124,7 +124,7 @@ def _minimal_annihilator(window: Mapping[int, Scalar], degree_bound: int) -> ZPo
     # non-Laurent point, or an f-window) becomes primitive Laurent values, a scaling;
     # a Laurent window's own content costs gcds and saves none
     f = [window[m] for m in range(lo, hi + 1)]
-    if any(x._terms is None for x in f):
+    if any(x._den != 1 for x in f):
         f = remove_content(f)
     conn, prev = [ONE], [ONE]  # current and last-lengthened connection polynomials
     length, gap, prev_disc = 0, 1, ONE

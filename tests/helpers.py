@@ -29,9 +29,10 @@ def mat_from_rows(rows) -> Mat:
 def count_field_ops():
     """Record every call of ``coeffs._field_op`` inside the block.
 
-    These are the ``+``, ``-``, ``*`` and ``/`` that go through sympy's field;
-    Laurent and Q-Laurent arithmetic never reaches it.  Yields the list of
-    recorded operators; the function is restored on exit.
+    These are the ``+``, ``-``, ``*`` and ``/`` that go through sympy's field:
+    those with a field operand, and divisions of ring values by more than one
+    term.  Ring arithmetic, over a denominator of 1 or more, never reaches it.
+    Yields the list of recorded operators; the function is restored on exit.
     """
     field_op = coeffs._field_op
     calls = []

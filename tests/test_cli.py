@@ -18,7 +18,7 @@ def run_main(args):
 # sha256 of the stdout of each command listed in the README
 README_DIGESTS = json.loads((Path(__file__).parent / "readme_digests.json").read_text())
 # sha256 of the stdout of commands at rational evaluation points, whose
-# scalars take the Q-Laurent and field forms
+# scalars take integer denominators and the field form
 RATIONAL_POINT_DIGESTS = json.loads((Path(__file__).parent / "rational_point_digests.json").read_text())
 
 
@@ -102,6 +102,15 @@ def test_cli_config_error_exit_two(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [[], ["nosuch"], ["verify-relations", "--bogus"]])
+def test_cli_parser_errors_exit_two(capsys, argv):
+    # a missing or unknown suite and an unknown flag are argparse's usage errors
+    with pytest.raises(SystemExit) as exc:
+        run_main(argv)
+    assert exc.value.code == 2
+    assert "usage: superloop" in capsys.readouterr().err
 
 
 def test_cli_zero_evaluation_point_rejected():
@@ -327,7 +336,7 @@ def test_finite_gates_and_module_suites_stay_in_laurent_ring():
     ids=["chevalley-2-1", "3-1", "tensor-2-1"],
 )
 def test_verify_relations_makes_no_field_operations(capsys, argv):
-    # the integer denominators of phi_coeff and H_{i,s} stay in Q-Laurent form
+    # the integer denominators of phi_coeff and H_{i,s} stay in the ring
     with count_field_ops() as calls:
         assert run_main(["verify-relations", *argv]) == 0
     assert json.loads(capsys.readouterr().out)["passed"]

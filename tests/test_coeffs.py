@@ -89,15 +89,18 @@ def test_field_entry_point_loads_the_field(expr):
 
 
 def test_integer_denominators_do_not_load_the_field():
-    # +, -, * and division by a single term keep integer denominators off sympy
+    # +, -, *, division by a single term and powers (negative ones of a single
+    # term) keep integer denominators off sympy
     lines = run_fresh(
         "import sys\n"
         "from superloop.coeffs import ONE, a, b, q\n"
         "x = (q + a) / 6 - ONE / (2 * q) + 4 / (6 * a * b)\n"
         "print(x * 6 == q + a - 3 * q**-1 + 4 * a**-1 * b**-1, x / (-2 * a) == x * (-ONE / (2 * a)))\n"
+        "y = (q / 2)**3 + ((q + a) / 6)**2 + (ONE / (2 * q))**-2\n"
+        "print(y * 72 == 9 * q**3 + 2 * (q + a)**2 + 288 * q**2)\n"
         "print('sympy' in sys.modules)\n"
     )
-    assert lines == ["True True", "False"]
+    assert lines == ["True True", "True", "False"]
 
 
 def test_sympy_not_imported_at_module_level():
@@ -146,7 +149,7 @@ def test_poly_gcd_builds_no_field_form_of_laurent_inputs():
     g = ZPoly([1, q**-1, a])
     p, r = g * ZPoly([1, q + 1]), g * ZPoly([q**-2, a - 2])
     coeffs = p.coeffs + r.coeffs
-    assert all(c._terms is not None and c._field is None for c in coeffs)
+    assert all(c._den == 1 and c._field is None for c in coeffs)
     assert poly_gcd(p, r) == g
     assert all(c._field is None for c in coeffs)
 
@@ -154,9 +157,9 @@ def test_poly_gcd_builds_no_field_form_of_laurent_inputs():
 def test_remove_content_clears_denominators():
     # the lcm of the denominators is 2 (q - 1); the cleared values share q + 1
     xs = [(q + 1) / 2, q**-1 - q, (q + 1) / (q - 1)]
-    assert [x._terms is None for x in xs] == [True, False, True]
+    assert [x._den for x in xs] == [2, 1, 0]  # over 2, Laurent, field
     ys = remove_content(xs)
-    assert all(y._terms is not None for y in ys)
+    assert all(y._den == 1 for y in ys)
     assert all(x * ys[0] == y * xs[0] for x, y in zip(xs, ys))
     content = ys[0].numer
     for y in ys[1:]:
@@ -267,8 +270,9 @@ def _check(x, f):
     assert scalar_str(x) == _field_str(f)
     # one form per value: the reduced denominator c * monomial (c > 0) picks it
     monomial = len(f.denom) == 1
-    assert (x._terms is not None) == (monomial and f.denom.LC == 1)
-    assert (x._terms is None and x._num is not None) == (monomial and f.denom.LC >= 2)
+    assert (x._den == 1) == (monomial and f.denom.LC == 1)
+    assert (x._den >= 2) == (monomial and f.denom.LC >= 2)
+    assert (x._terms is None) == (x._den == 0) == (not monomial)
     again = scalar(f)
     assert x == again and hash(x) == hash(again)
 
@@ -286,9 +290,9 @@ def _laurent(draw, max_terms=4):
     return x, f
 
 
-# denominators that fall back to the field (q - 1, 2 - q, ...), stay in
-# Q-Laurent form (2, 3, 2q, 6, 3ab as integer times monomial) or come back to
-# the ring with a sign flip (-q, and -q/(q+1) to a negative power)
+# denominators that fall back to the field (q - 1, 2 - q, ...), stay in the
+# ring over an integer d >= 2 (2, 3, 2q, 6, 3ab as integer times monomial) or
+# come back to it over d = 1 with a sign flip (-q, and -q/(q+1) to a negative power)
 _SPECIAL = [
     (ONE / 2, _F(1) / 2),
     (q / 3, _Fq / 3),
@@ -355,18 +359,19 @@ def test_scalar_ops_two_routes(xf, yg, n, e):
 
 
 def test_scalar_forms_examples():
-    assert (ONE / (-q))._terms == {(-1, 0, 0): -1}
+    assert (ONE / (-q))._terms == {(-1, 0, 0): -1} and (ONE / (-q))._den == 1
     assert ((-q / (q + 1)) ** -1) == -1 - q**-1
-    assert (2 * q + 4) / 2 == q + 2 and ((2 * q + 4) / 2)._terms is not None
-    assert (ONE / (2 * q))._terms is None
-    assert (ONE / (2 * q))._num == {(-1, 0, 0): 1} and (ONE / (2 * q))._den == 2
-    assert (-ONE / (2 * q))._num == {(-1, 0, 0): -1}  # the sign sits in the terms
-    assert (4 / (6 * a * b))._num == {(0, -1, -1): 2} and (4 / (6 * a * b))._den == 3
+    assert (2 * q + 4) / 2 == q + 2 and ((2 * q + 4) / 2)._den == 1
+    assert (ONE / (2 * q))._terms == {(-1, 0, 0): 1} and (ONE / (2 * q))._den == 2
+    assert (-ONE / (2 * q))._terms == {(-1, 0, 0): -1}  # the sign sits in the terms
+    assert q / 2 != q  # the same terms over another denominator
+    assert (4 / (6 * a * b))._terms == {(0, -1, -1): 2} and (4 / (6 * a * b))._den == 3
     assert (q + a) / 6 + (q + a) / 3 == (q + a) / 2 and ((q + a) / 6) * 6 == q + a
-    assert ((q + a) / 6 * 6)._terms is not None
+    assert ((q + a) / 6 * 6)._den == 1
     assert scalar_str(ONE / (2 * q)) == "(1)/(2*q)"
     assert scalar_str(scalar(-2) ** -1) == "(-1)/(2)"
-    assert scalar("(q^2-1)/(q-1)")._terms == {(1, 0, 0): 1, (0, 0, 0): 1}
+    x = scalar("(q^2-1)/(q-1)")
+    assert x._terms == {(1, 0, 0): 1, (0, 0, 0): 1} and x._den == 1
     assert remove_content([q**2 + q, a * q + a]) == [q, a]  # content q + 1
     assert remove_content([q**2, a * q]) == [q**2, a * q]  # a unit divides out nothing
     assert remove_content([ZERO, ZERO]) == [ZERO, ZERO]  # no content to divide out
@@ -384,7 +389,7 @@ def test_qint_closed_form_two_routes(e):
     u = _Fq**e
     for n in range(-6, 7):
         x = qint_base(n, e)
-        assert x._terms is not None
+        assert x._den == 1
         _check(x, (u**n - u**-n) / (u - u**-1))
     with pytest.raises(ValueError):
         qint_base(2, 0)
