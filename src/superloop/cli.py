@@ -364,6 +364,16 @@ def run(cfg: RunConfig) -> dict:
     }
 
 
+def _print_error(message: str):
+    print(json.dumps({"schema": SCHEMA, "error": message}), file=sys.stderr)
+
+
+def _usage_error(message: str):
+    """The parser's answer to a usage error: the JSON error object and exit 2, as a bad config."""
+    _print_error(message)
+    raise SystemExit(2)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="superloop",
@@ -388,6 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("--Pprev", type=str, help="neighbour polynomial coefficients")
     add("--out", type=str)
     add("--config", type=str, help="JSON file mirroring the flags")
+    parser.error = _usage_error
     return parser
 
 
@@ -430,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = RunConfig(**merged)
         report = run(cfg)
     except (ConfigError, modrep.ModuleError, weyl.TorsionError) as exc:
-        print(json.dumps({"schema": SCHEMA, "error": str(exc)}), file=sys.stderr)
+        _print_error(str(exc))
         return 2
     text = json.dumps(report, indent=2)
     if cfg.out:

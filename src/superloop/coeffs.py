@@ -357,17 +357,24 @@ def remove_content(xs: list[Scalar]) -> list[Scalar]:
     """Primitive Laurent values in the ratios of xs.
 
     Values with denominators are first multiplied by the lcm of their
-    reduced denominators; the Laurent values are then divided by their
+    reduced denominators, taken in integers unless one of them is a field
+    element; the Laurent values are then divided by their
     greatest common divisor.  Values that are all zero come back
     unchanged, and Laurent values whose gcd is a unit are not divided.
     """
-    if any(x._den != 1 for x in xs):
-        F = _sym().field
-        den = F.ring.one
-        for x in xs:
-            if x._den != 1:
+    dens = [x for x in xs if x._den != 1]
+    if dens:
+        if all(x._den for x in dens):
+            # the field form of n/d has denominator d q^-i0 a^-j0 b^-k0 (i0 = min(0, the
+            # least q exponent of n), ...), so the lcm is lcm(d) times the largest shifts
+            shift = tuple(max(0, -min(e[v] for x in dens for e in x._terms)) for v in range(3))
+            m = _ring({shift: math.lcm(*(x._den for x in dens))}, 1)
+        else:
+            F = _sym().field
+            den = F.ring.one
+            for x in dens:
                 den = den.lcm(x.denom)
-        m = _from_field(F.new(den, F.ring.one))
+            m = _from_field(F.new(den, F.ring.one))
         xs = [x * m for x in xs]
     ts = [x._terms for x in xs]
     if not any(ts):

@@ -1,22 +1,25 @@
 """Free graded superalgebra on loop-current generator symbols.
 
 Words in the generator symbols carry a Z2 parity, a weight in the root
-lattice and a loop degree.  The module houses the defining-relation
-catalog of the quantum loop superalgebra of sl(M,N), quantum brackets,
-the phi-series expansion and the (2,2) oscillation replay.  The catalog
-holds values only: ``relation_value`` writes each relation once and
-evaluates it on free words or on a module's matrices; ``_admissible``
-states each family's domain once, for the evaluator and the enumerators.
-No automatic normal form is imposed: an algebra identity is decided by
-the replay's guided reduction and exact certificates over degree-2
-relations, or by the action on a module.
+lattice and a loop degree.  A word is a tuple of ``GenSym`` symbols,
+which are validated named tuples, so the keys of ``Elem`` terms and of
+``RowReducer`` vectors hash, compare and order in C.  The module houses
+the defining-relation catalog of the quantum loop superalgebra of
+sl(M,N), quantum brackets, the phi-series expansion and the (2,2)
+oscillation replay.  The catalog holds values only: ``relation_value``
+writes each relation once and evaluates it on free words or on a
+module's matrices; ``_admissible`` states each family's domain once, for
+the evaluator and the enumerators.  No automatic normal form is imposed:
+an algebra identity is decided by the replay's guided reduction and
+exact certificates over degree-2 relations, or by the action on a
+module.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Sequence
@@ -35,29 +38,28 @@ E0_MINUS = "E0-"
 _KINDS = (X_PLUS, X_MINUS, KAY, KAY_INV, AITCH, E0_PLUS, E0_MINUS)
 
 
-@dataclass(frozen=True, order=True)
-class GenSym:
+class GenSym(namedtuple("GenSym", "kind node index")):
     """A generator symbol: a kind, a node and a loop index.
 
     K/Kinv carry index 0; H carries a nonzero index; the affine Chevalley
-    symbols E0+/E0- sit at node 0 with loop degree +1/-1.
+    symbols E0+/E0- sit at node 0 with loop degree +1/-1.  A symbol is a
+    tuple, so words hash, compare and order in C.
     """
 
-    kind: str
-    node: int
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.kind in (KAY, KAY_INV) and self.index != 0:
+    def __new__(cls, kind: str, node: int, index: int):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown generator kind {kind!r}")
+        if kind in (KAY, KAY_INV) and index != 0:
             raise ValueError("K symbols carry loop index 0")
-        if self.kind == AITCH and self.index == 0:
+        if kind == AITCH and index == 0:
             raise ValueError("H symbols need a nonzero loop index")
-        if self.kind in (E0_PLUS, E0_MINUS):
-            want = 1 if self.kind == E0_PLUS else -1
-            if self.node != 0 or self.index != want:
+        if kind in (E0_PLUS, E0_MINUS):
+            want = 1 if kind == E0_PLUS else -1
+            if node != 0 or index != want:
                 raise ValueError("E0 symbols live at node 0 with loop index +-1")
+        return tuple.__new__(cls, (kind, node, index))
 
     def __str__(self):
         if self.kind in (E0_PLUS, E0_MINUS):
@@ -98,6 +100,12 @@ def e0m() -> GenSym:
 Word = tuple  # tuple[GenSym, ...]
 
 
+def _word(word: Sequence[GenSym]) -> Word:
+    if isinstance(word, GenSym):
+        raise TypeError("a word is a sequence of GenSym, not a bare GenSym")
+    return tuple(word)
+
+
 class Elem:
     """Finite scalar combination of words in generator symbols."""
 
@@ -109,7 +117,7 @@ class Elem:
             for word, coeff in terms.items():
                 coeff = scalar(coeff)
                 if coeff != ZERO:
-                    clean[tuple(word)] = coeff
+                    clean[_word(word)] = coeff
         self.terms = clean
 
     @classmethod
@@ -122,7 +130,7 @@ class Elem:
 
     @classmethod
     def monomial(cls, word: Sequence[GenSym], coeff=ONE) -> "Elem":
-        return cls({tuple(word): coeff})
+        return cls({_word(word): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -140,22 +148,22 @@ class Elem:
         terms = dict(self.terms)
         for word, coeff in other.terms.items():
             terms[word] = terms.get(word, ZERO) + coeff
-        return Elem(terms)
+        return _elem(terms)
 
     def __sub__(self, other: "Elem") -> "Elem":
         terms = dict(self.terms)
         for word, coeff in other.terms.items():
             terms[word] = terms.get(word, ZERO) - coeff
-        return Elem(terms)
+        return _elem(terms)
 
     def __neg__(self) -> "Elem":
-        return Elem({w: -c for w, c in self.terms.items()})
+        return _elem({w: -c for w, c in self.terms.items()})
 
     def scale(self, s) -> "Elem":
         s = scalar(s)
         if s == ZERO:
             return Elem.zero()
-        return Elem({w: s * c for w, c in self.terms.items()})
+        return _elem({w: s * c for w, c in self.terms.items()})
 
     def __mul__(self, other: "Elem") -> "Elem":
         terms: dict = {}
@@ -163,7 +171,7 @@ class Elem:
             for w2, c2 in other.terms.items():
                 word = w1 + w2
                 terms[word] = terms.get(word, ZERO) + c1 * c2
-        return Elem(terms)
+        return _elem(terms)
 
     def map_symbols(self, fn: Callable[[GenSym], GenSym]) -> "Elem":
         """Apply a generator-wise substitution word by word (algebra map)."""
@@ -171,7 +179,7 @@ class Elem:
         for word, coeff in self.terms.items():
             key = tuple(map(fn, word))
             terms[key] = terms[key] + coeff if key in terms else coeff
-        return Elem(terms)
+        return _elem(terms)
 
     def __repr__(self):
         if not self.terms:
@@ -182,6 +190,14 @@ class Elem:
             wtxt = "*".join(str(g) for g in word) if word else "1"
             bits.append(f"({scalar_str(c)})*{wtxt}")
         return " + ".join(bits)
+
+
+def _elem(terms: dict) -> Elem:
+    """The ``Elem`` of ``terms``, whose words are tuples and coefficients
+    ``Scalar``s already; only zero coefficients are dropped."""
+    e = Elem.__new__(Elem)
+    e.terms = {w: c for w, c in terms.items() if c}
+    return e
 
 
 class NotHomogeneous(ValueError):
@@ -848,7 +864,7 @@ def _normalize_commuting(e: Elem) -> Elem:
                     break
             if coeff != ZERO:
                 terms[word] = terms.get(word, ZERO) + coeff
-        e = Elem(terms)
+        e = _elem(terms)
     return e
 
 

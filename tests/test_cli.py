@@ -104,13 +104,33 @@ def test_cli_config_error_exit_two(capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("argv", [[], ["nosuch"], ["verify-relations", "--bogus"]])
+# argparse's usage errors: a missing or unknown suite, an unknown flag, a non-integer value
+PARSER_ERRORS = {
+    (): "the following arguments are required: suite",
+    ("nosuch",): "argument suite: invalid choice: 'nosuch'",
+    ("verify-relations", "--bogus"): "unrecognized arguments: --bogus",
+    ("verify-relations", "--M", "x"): "argument --M: invalid int value: 'x'",
+}
+
+
+@pytest.mark.parametrize("argv", [list(argv) for argv in PARSER_ERRORS])
 def test_cli_parser_errors_exit_two(capsys, argv):
-    # a missing or unknown suite and an unknown flag are argparse's usage errors
     with pytest.raises(SystemExit) as exc:
         run_main(argv)
     assert exc.value.code == 2
-    assert "usage: superloop" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error.keys() == {"schema", "error"} and error["schema"] == cli.SCHEMA
+    assert PARSER_ERRORS[tuple(argv)] in error["error"]
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_main(["--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: superloop") and captured.err == ""
 
 
 def test_cli_zero_evaluation_point_rejected():

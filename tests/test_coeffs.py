@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.fields import field
 
+from superloop import coeffs
 from superloop.coeffs import (
     NonExpandable,
     ONE,
@@ -166,6 +167,45 @@ def test_remove_content_clears_denominators():
         content = content.gcd(y.numer)
     assert len(content) == 1  # a monomial: a unit of the Laurent ring
     assert ys == [q - 1, -2 * q**-1 * (q - 1) ** 2, scalar(2)]
+
+
+def test_remove_content_ring_denominators_two_routes(monkeypatch):
+    """Ring values n/d, d >= 2: the integer multiplier gives what sympy's lcm of
+    the field denominators gives, and builds no field form."""
+    rng = random.Random(19)
+
+    def laurent():
+        return sum(
+            (rng.choice([-3, -1, 1, 2, 5]) * q ** rng.randint(-2, 2) * a ** rng.randint(-1, 2) * b ** rng.randint(-2, 1)
+             for _ in range(rng.randint(1, 3))),
+            ZERO,
+        )
+
+    corpus = []
+    for _ in range(40):
+        xs = [laurent() / rng.randint(2, 12) for _ in range(rng.randint(1, 4))]
+        xs += [laurent() for _ in range(rng.randint(0, 2))] + [ZERO] * rng.randint(0, 1)
+        rng.shuffle(xs)
+        corpus.append([x for x in xs if x] or [ONE / 2])
+    corpus += [[ONE / 2, q / 3], [q**-2 / 4, a / 6, b**-1 * q**3], [(q + a**-1) / 5]]
+    assert all(any(x._den >= 2 for x in xs) and all(x._den for x in xs) for xs in corpus)
+
+    def no_field(*args):
+        raise AssertionError("field form built")
+
+    with monkeypatch.context() as m:
+        m.setattr(coeffs, "_field_form", no_field)
+        m.setattr(coeffs, "_from_field", no_field)
+        got = [remove_content(xs) for xs in corpus]
+    for xs, ys in zip(corpus, got):
+        F = coeffs._sym().field
+        den = F.ring.one
+        for x in xs:
+            if x._den != 1:
+                den = den.lcm(x.denom)
+        mult = coeffs._from_field(F.new(den, F.ring.one))
+        assert ys == remove_content([x * mult for x in xs])
+        assert all(y._den == 1 for y in ys)
 
 
 def test_poly_divmod():

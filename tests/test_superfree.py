@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -65,6 +66,124 @@ def test_gensym_validation():
         SIG21.check_symbol(aitch(1, 9))
     with pytest.raises(ValueError):
         SIG21.check_symbol(kay(0))  # K_0 is a product of the K_i, not a symbol
+
+
+# a spread of symbols with the repr each had as a frozen, ordered dataclass
+GENSYM_REPRS = {
+    xp(1, 0): "GenSym(kind='X+', node=1, index=0)",
+    xm(2, -1): "GenSym(kind='X-', node=2, index=-1)",
+    kay(3): "GenSym(kind='K', node=3, index=0)",
+    kinv(1): "GenSym(kind='Kinv', node=1, index=0)",
+    aitch(2, -3): "GenSym(kind='H', node=2, index=-3)",
+    e0p(): "GenSym(kind='E0+', node=0, index=1)",
+    e0m(): "GenSym(kind='E0-', node=0, index=-1)",
+    xp(1, -2): "GenSym(kind='X+', node=1, index=-2)",
+    xp(10, 1): "GenSym(kind='X+', node=10, index=1)",
+    aitch(1, 8): "GenSym(kind='H', node=1, index=8)",
+    xm(1, 0): "GenSym(kind='X-', node=1, index=0)",
+    xp(2, 0): "GenSym(kind='X+', node=2, index=0)",
+}
+
+
+def test_gensym_hashes_and_compares_as_a_tuple():
+    # a word's hash, == and < then run in C, with no Python call per symbol
+    assert GenSym.__hash__ is tuple.__hash__
+    assert GenSym.__eq__ is tuple.__eq__ and GenSym.__lt__ is tuple.__lt__
+
+
+def test_gensym_keeps_the_dataclass_behaviour():
+    syms = list(GENSYM_REPRS)
+    assert [repr(g) for g in syms] == list(GENSYM_REPRS.values())
+    assert [str(g) for g in syms] == [
+        "X+_{1,0}", "X-_{2,-1}", "K_3", "Kinv_1", "H_{2,-3}", "E0+", "E0-",
+        "X+_{1,-2}", "X+_{10,1}", "H_{1,8}", "X-_{1,0}", "X+_{2,0}",
+    ]
+    # the dataclass ordered by its field tuple, and hashed it
+    assert [syms.index(g) for g in sorted(syms)] == [5, 6, 9, 4, 2, 3, 7, 0, 11, 8, 10, 1]
+    for g, h in itertools.product(syms, syms):
+        assert (g == h) == (g is h) and (g < h) == ((g.kind, g.node, g.index) < (h.kind, h.node, h.index))
+    for g in syms:
+        assert hash(g) == hash((g.kind, g.node, g.index))
+        assert g == GenSym(g.kind, g.node, g.index) and hash(g) == hash(GenSym(g.kind, g.node, g.index))
+    with pytest.raises(AttributeError):
+        xp(1, 0).node = 2
+    with pytest.raises(AttributeError):
+        xp(1, 0).extra = 1
+    for args, message in [
+        (("Y", 1, 0), "unknown generator kind 'Y'"),
+        (("K", 1, 2), "K symbols carry loop index 0"),
+        (("H", 1, 0), "H symbols need a nonzero loop index"),
+        (("E0-", 0, 1), "E0 symbols live at node 0 with loop index"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            GenSym(*args)
+
+
+def test_elem_rejects_a_bare_symbol_as_a_word():
+    # a symbol is a tuple, but never a 3-letter word
+    with pytest.raises(TypeError):
+        Elem.monomial(xp(1, 0))
+    with pytest.raises(TypeError):
+        Elem({xp(1, 0): ONE})
+    assert Elem.monomial([xp(1, 0)]) == mono(xp(1, 0))
+
+
+def test_elem_arithmetic_matches_the_coercing_constructor():
+    """Sums, differences, products, scales, negations and substitutions give the
+    terms the coercing constructor gives, in the same order, with no zero term."""
+    rng = random.Random(7)
+    letters = [xp(1, 0), xp(1, 1), xp(2, 0), xm(2, -1), kay(1)]
+
+    def rand_elem():
+        terms = {}
+        for _ in range(rng.randint(0, 5)):
+            word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 3)))
+            terms[word] = scalar(rng.choice([-2, -1, 1, 3])) * q ** rng.randint(-1, 1)
+        return Elem(terms)
+
+    def coerced(terms: dict) -> Elem:
+        return Elem({word: coeff for word, coeff in terms.items()})
+
+    def add(x, y, sign):
+        terms = dict(x.terms)
+        for word, coeff in y.terms.items():
+            terms[word] = terms.get(word, scalar(0)) + sign * coeff
+        return coerced(terms)
+
+    def mul(x, y):
+        terms = {}
+        for (w1, c1), (w2, c2) in itertools.product(x.terms.items(), y.terms.items()):
+            terms[w1 + w2] = terms.get(w1 + w2, scalar(0)) + c1 * c2
+        return coerced(terms)
+
+    def subst(x, fn):
+        terms = {}
+        for word, coeff in x.terms.items():
+            key = tuple(map(fn, word))
+            terms[key] = terms.get(key, scalar(0)) + coeff
+        return coerced(terms)
+
+    flatten = lambda g: xp(g.node, 0) if g.kind == "X+" else g
+    cancelled = 0
+    for _ in range(200):
+        x, y = rand_elem(), rand_elem()
+        y = y - x.scale(rng.choice([0, 1]))  # x + y then cancels x's words
+        s = rng.choice([0, 1, -1, 2, q, q**-1 - q])
+        cases = [
+            (x + y, add(x, y, 1)),
+            (x - y, add(x, y, -1)),
+            (x * y, mul(x, y)),
+            (y * x - x * y, add(mul(y, x), mul(x, y), -1)),
+            (x.scale(s), coerced({w: scalar(s) * c for w, c in x.terms.items()})),
+            (-x, coerced({w: -c for w, c in x.terms.items()})),
+            (subst(x, flatten) - x.map_symbols(flatten), Elem()),
+            (x.map_symbols(flatten), subst(x, flatten)),
+        ]
+        for got, want in cases:
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert all(type(w) is tuple and c for w, c in got.terms.items())
+        cancelled += (x + y).nterms() < len(set(x.terms) | set(y.terms))
+    assert cancelled > 20  # zero coefficients were dropped, not merely absent
 
 
 def test_elem_algebra():
