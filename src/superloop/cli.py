@@ -52,8 +52,9 @@ class RunConfig:
     def validate(self):
         if self.window <= 0 or self.order <= 0 or self.degree_bound <= 0:
             raise ConfigError("windows, orders and degree bounds must be positive")
-        if self.count < 1:
-            raise ConfigError("count must be positive")
+        if self.count < 3:
+            # commutativity, associativity and the star product need three triples
+            raise ConfigError("count must be at least 3")
         if self.n_max < 1:
             raise ConfigError("nmax must be positive")
         if self.height < 1:
@@ -87,8 +88,7 @@ def _eval_point(cfg: RunConfig, which: str = "a"):
 def _eval_module(cfg: RunConfig, which: str = "a"):
     if cfg.M == cfg.N:
         raise ConfigError(f"{cfg.suite} builds evaluation modules; need M != N")
-    glm = modrep.fundamental(cfg.M, cfg.N)
-    return modrep.evaluation_pullback(glm, _eval_point(cfg, which))
+    return modrep.evaluation_pullback(modrep.fundamental(cfg.M, cfg.N), _eval_point(cfg, which))
 
 
 def _vector_highest_weight(M: int, N: int, point) -> HighestWeight:
@@ -445,8 +445,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     text = json.dumps(report, indent=2)
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            _print_error(f"cannot write report {cfg.out!r}: {exc}")
+            return 2
     else:
         print(text)
     return 0 if report["passed"] else 1

@@ -1,19 +1,19 @@
 """Finite-dimensional modules and their loop-current matrices.
 
-A GLModule is the finite quantum superalgebra datum (t_i, e_j^+-) given by
-exact matrices and certified by an explicit relation check.  A LoopModule
-carries matrices for all loop currents: the Chevalley level is set by an
-evaluation pullback (or a coproduct, for tensor products), the level-one
-Cartan loops come from the twisted bracket words in the affine generators,
-the X currents by commutator ladders along an adjacent node, and the deeper
-Cartan loops from the phi series by Newton's identity.  Every derived matrix
+A LoopModule carries matrices for all loop currents.  The vector module
+``fundamental(M, N)`` gives the Chevalley level K_i^{+-1}, X^+-_{i,0} by
+exact matrices and is certified by the loop-degree-0 instances of the
+relation catalog; an evaluation pullback adds the affine pair E0+- (a
+coproduct does, for tensor products).  The level-one Cartan loops come
+from the twisted bracket words in the affine generators, the X currents
+by commutator ladders along an adjacent node, and the deeper Cartan
+loops from the phi series by Newton's identity.  Every derived matrix
 can be cross-checked against the defining relations, which is what the
 verification suites do.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .coeffs import ONE, ZERO, Scalar, ZPoly, expand_ratio, q, scalar, scalar_str
@@ -43,113 +43,6 @@ from .weyl import HighestWeight, series_to_torsion
 
 class ModuleError(ValueError):
     """Raised when a module fails construction or an extraction precondition."""
-
-
-# ---------------------------------------------------------------------------
-# the finite quantum superalgebra and its fundamental module
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GLModule:
-    """Exact matrices for t_i^{+-1} and e_j^{+-} with basis parities."""
-
-    M: int
-    N: int
-    parity: tuple
-    t: tuple
-    tinv: tuple
-    eplus: tuple
-    eminus: tuple
-
-    @property
-    def dim(self) -> int:
-        return len(self.parity)
-
-    @property
-    def signature(self) -> AlgebraSignature:
-        return AlgebraSignature(self.M, self.N)
-
-
-def fundamental(M: int, N: int) -> GLModule:
-    """The vector module: matrix-unit raising/lowering with t_i = q^{E_ii}.
-
-    Construction is only accepted after the full relation check passes.
-    """
-    if M < 1 or N < 1:
-        raise ModuleError("need M >= 1 and N >= 1")
-    dim = M + N
-    parity = tuple(0 if k < M else 1 for k in range(dim))
-    t = tuple(
-        Mat(dim, dim, {(k, k): (q if k == i else ONE) for k in range(dim)})
-        for i in range(dim)
-    )
-    tinv = tuple(
-        Mat(dim, dim, {(k, k): (q**-1 if k == i else ONE) for k in range(dim)})
-        for i in range(dim)
-    )
-    eplus = tuple(Mat(dim, dim, {(j, j + 1): ONE}) for j in range(dim - 1))
-    eminus = tuple(Mat(dim, dim, {(j + 1, j): ONE}) for j in range(dim - 1))
-    mod = GLModule(M, N, parity, t, tinv, eplus, eminus)
-    report = check_gl_relations(mod)
-    if not report["passed"]:
-        bad = next(c for c in report["checks"] if c["status"] == "fail")
-        raise ModuleError(f"fundamental({M},{N}) fails relation {bad['name']}")
-    return mod
-
-
-# the catalog families whose loop-degree-0 instances present the finite algebra
-_FINITE_FAMILIES = ("pm-mixed", "deg2-zero", "serre3", "oscillation4")
-
-
-def check_gl_relations(mod: GLModule) -> dict:
-    """Evaluate every defining-relation family as exact matrix identities.
-
-    The torus relations are checked by hand: the catalog has no t_i.  The
-    relations among the e's are the loop-degree-0 instances of the catalog
-    on the module's Chevalley-level matrices.  Its degree-4 relation twists
-    by (q^-1, q); the order (q, q^-1) differs from it by an element of the
-    ideal of e_M^2 and [e_{M-1}, e_{M+1}], which deg2-zero checks, so both
-    orders give the same verdict.
-    """
-    dim = mod.dim
-    checks = []
-
-    def record(name, mat):
-        checks.append({"name": name, "status": "pass" if mat.is_zero() else "fail"})
-
-    for i in range(1, dim + 1):
-        record(f"t_{i} t_{i}^-1 = 1", mod.t[i - 1] * mod.tinv[i - 1] - Mat.identity(dim))
-    for i in range(1, dim + 1):
-        for j in range(1, dim):
-            for sign, es in ((1, mod.eplus), (-1, mod.eminus)):
-                expo = sign * ((1 if i == j else 0) - (1 if i == j + 1 else 0))
-                lhs = mod.t[i - 1] * es[j - 1] * mod.tinv[i - 1]
-                record(
-                    f"t_{i} e_{j}^{'+' if sign>0 else '-'} t_{i}^-1 twist",
-                    lhs - es[j - 1].scale(q**expo),
-                )
-    finite = LoopModule(mod.signature, mod.parity, _chevalley_base(mod))
-    checks += relation_report(finite, window=0, families=_FINITE_FAMILIES)["checks"]
-    return {"passed": all(c["status"] == "pass" for c in checks), "checks": checks}
-
-
-def _tpow(mod: GLModule, i: int, power: int) -> Mat:
-    """t_i^power for power = +-1."""
-    return mod.t[i - 1] if power > 0 else mod.tinv[i - 1]
-
-
-def _chevalley_base(mod: GLModule) -> dict:
-    """K_i^{+-1} and X^+-_{i,0} of the finite module, keyed as LoopModule currents."""
-    sig = mod.signature
-    base: dict = {}
-    for i in range(1, sig.n_nodes + 1):
-        li, li1 = sig.l(i), sig.l(i + 1)
-        base[("K", i)] = _tpow(mod, i, li) * _tpow(mod, i + 1, -li1)
-        base[("Kinv", i)] = _tpow(mod, i, -li) * _tpow(mod, i + 1, li1)
-        base[("X+", i, 0)] = mod.eplus[i - 1]
-        base[("X-", i, 0)] = mod.eminus[i - 1]
-    return base
 
 
 # ---------------------------------------------------------------------------
@@ -367,43 +260,84 @@ class LoopModule:
 
 
 # ---------------------------------------------------------------------------
-# evaluation pullback, pi pullback and tensor products
+# the vector module, its evaluation pullback, pi pullback and tensor products
 # ---------------------------------------------------------------------------
 
 
-def _chevalley_bracket(mats: list[Mat], parities: list[int], twists: list[Scalar]) -> Mat:
-    out = mats[0]
-    par = parities[0]
-    for m, p, tw in zip(mats[1:], parities[1:], twists[1:]):
-        out = super_comm(out, par, m, p, tw)
+def _torus(dim: int, powers: dict) -> Mat:
+    """The product of t_k^{powers[k]} with t_k = q^{E_kk}: q^{powers[k]} at basis vector k."""
+    return Mat(dim, dim, {(k, k): q ** powers.get(k, 0) for k in range(dim)})
+
+
+# The catalog families whose loop-degree-0 instances present the finite
+# algebra.  The degree-4 relation twists by (q^-1, q); the order (q, q^-1)
+# differs from it by an element of the ideal of e_M^2 and [e_{M-1}, e_{M+1}],
+# which deg2-zero checks, so both orders give the same verdict.
+_FINITE_FAMILIES = ("cartan", "kx", "pm-mixed", "deg2-zero", "serre3", "oscillation4")
+
+
+def fundamental(M: int, N: int) -> LoopModule:
+    """The vector module at loop degree 0: its K_i^{+-1} and X^+-_{i,0}.
+
+    K_i = t_i^{l_i} t_{i+1}^{-l_{i+1}} with t_k = q^{E_kk} acts diagonally,
+    X^+-_{i,0} by the matrix units E_{i,i+1} and E_{i+1,i}.  Construction is
+    only accepted after the catalog's loop-degree-0 instances pass.
+    """
+    if M < 1 or N < 1:
+        raise ModuleError("need M >= 1 and N >= 1")
+    sig = AlgebraSignature(M, N)
+    dim = M + N
+    base: dict = {}
+    for i in range(1, dim):
+        li, li1 = sig.l(i), sig.l(i + 1)
+        base[("K", i)] = _torus(dim, {i - 1: li, i: -li1})
+        base[("Kinv", i)] = _torus(dim, {i - 1: -li, i: li1})
+        base[("X+", i, 0)] = Mat(dim, dim, {(i - 1, i): ONE})
+        base[("X-", i, 0)] = Mat(dim, dim, {(i, i - 1): ONE})
+    lm = LoopModule(sig, [0 if k < M else 1 for k in range(dim)], base)
+    report = relation_report(lm, window=0, families=_FINITE_FAMILIES)
+    if not report["passed"]:
+        bad = next(c for c in report["checks"] if c["status"] == "fail")
+        raise ModuleError(f"fundamental({M},{N}) fails relation {bad['name']}")
+    return lm
+
+
+def _chevalley_bracket(lm: LoopModule, tag: str) -> Mat:
+    """[...[[X_1, X_2]_{q_2}, X_3]_{q_3}, ..., X_{M+N-1}]_{q_{M+N-1}} in the X^+-_{k,0} of tag."""
+    sig = lm.sig
+    out, par = lm.gen((tag, 1, 0)), sig.parity_node(1)
+    for k in range(2, sig.n_nodes + 1):
+        p = sig.parity_node(k)
+        out = super_comm(out, par, lm.gen((tag, k, 0)), p, sig.q_node(k))
         par = (par + p) % 2
     return out
 
 
-def evaluation_pullback(mod: GLModule, a) -> LoopModule:
-    """Pull the finite module back along the evaluation at the point a.
+def evaluation_pullback(mod: LoopModule, a) -> LoopModule:
+    """Pull the vector module ``fundamental(M, N)`` back along the evaluation at a.
 
     Requires M != N.  The affine generators are the twisted bracket words
-    in the finite raising/lowering operators; the loop grading twist
-    multiplies a current of loop degree n by a^n.
+    in the Chevalley raising/lowering currents times t_1 t_{M+N}^-1, which
+    acts by diag(q, 1, ..., 1, q^-1); the loop grading twist multiplies a
+    current of loop degree n by a^n.
     """
     a = scalar(a)
-    M, N = mod.M, mod.N
+    sig = mod.sig
+    M, N, top = sig.M, sig.N, mod.dim - 1
     if M == N:
         raise ModuleError("evaluation morphisms need M != N")
     if a == ZERO:
         raise ModuleError("the evaluation point must be invertible")
-    sig = mod.signature
-    base = _chevalley_base(mod)
-    n_nodes = sig.n_nodes
-    parities = [sig.parity_node(k) for k in range(1, n_nodes + 1)]
-    twists = [ONE] + [sig.q_node(k) for k in range(2, n_nodes + 1)]
-    minus_word = _chevalley_bracket(list(mod.eminus), parities, twists)
-    plus_word = _chevalley_bracket(list(mod.eplus), parities, twists)
+    if mod.dim != M + N:
+        raise ModuleError("the evaluation pullback takes the vector module")
     sign = -((-ONE) ** (N - M)) * q ** (N - M)
-    e0_plus = (minus_word * _tpow(mod, 1, 1) * _tpow(mod, M + N, -1)).scale(sign)
-    e0_minus = _tpow(mod, 1, -1) * _tpow(mod, M + N, 1) * plus_word
-    base[("E0+",)] = e0_plus.scale(a)
+    e0_plus = _chevalley_bracket(mod, "X-") * _torus(mod.dim, {0: 1, top: -1})
+    e0_minus = _torus(mod.dim, {0: -1, top: 1}) * _chevalley_bracket(mod, "X+")
+    # the Chevalley level alone: currents derived on mod may be of another point
+    base = {}
+    for i in range(1, M + N):
+        base.update((k, mod.gen(k)) for k in (("K", i), ("Kinv", i), ("X+", i, 0), ("X-", i, 0)))
+    base[("E0+",)] = e0_plus.scale(sign).scale(a)
     base[("E0-",)] = e0_minus.scale(a**-1)
     return LoopModule(sig, mod.parity, base)
 

@@ -61,6 +61,9 @@ class GenSym(namedtuple("GenSym", "kind node index")):
                 raise ValueError("E0 symbols live at node 0 with loop index +-1")
         return tuple.__new__(cls, (kind, node, index))
 
+    # namedtuple's _make (and _replace, which calls it) would skip __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
     def __str__(self):
         if self.kind in (E0_PLUS, E0_MINUS):
             return self.kind
@@ -502,7 +505,7 @@ def relation_value(sig: AlgebraSignature, rule: RelRule, word: Callable):
 
     Each family is written once; every word in the generator symbols is
     evaluated by ``word``, whose values need ``+``, ``-``, ``*`` and
-    ``scale``.  ``Elem.monomial`` gives the free element, a module's
+    ``scale``.  A monomial ``Elem`` gives the free element, a module's
     ``_word_matrix`` the action of the relation on the module.
 
     A relation holds exactly when a nonzero multiple of its value vanishes:
@@ -639,7 +642,7 @@ def relation_elem(sig: AlgebraSignature, rule: RelRule) -> Elem:
     The replay's single entry to the catalog, which the benchmark's tracer
     times under this name.
     """
-    return relation_value(sig, rule, Elem.monomial)
+    return relation_value(sig, rule, lambda word: _elem({word: ONE}))
 
 
 def relation_instances(
@@ -774,17 +777,16 @@ def lambda_elem(n: int, b: int, c: int) -> Elem:
     """Coefficient of z^n after commuting K_1 h_1(z) through R(.,b,c,b)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    m = Elem.monomial
 
     def series(base: int, node: int, upto: int) -> list[Elem]:
         # X_{node,base} + sum_{s>=1} a_s X_{node,base+s} z^s, truncated
-        out = [Elem.monomial((xp(node, base),))]
+        out = [_elem({(xp(node, base),): ONE})]
         for s in range(1, upto + 1):
-            out.append(Elem.monomial((xp(node, base + s),), _a_coeff(s)))
+            out.append(_elem({(xp(node, base + s),): _a_coeff(s)}))
         return out
 
-    x3 = m((xp(3, c),))
-    x2 = m((xp(2, b),))
+    x3 = _elem({(xp(3, c),): ONE})
+    x2 = _elem({(xp(2, b),): ONE})
     ser = series(b, 2, n)
 
     def pick(parts: list, k: int) -> Elem:
@@ -809,10 +811,9 @@ def mu_elem(a: int, c: int, n: int, d: int) -> Elem:
     """Coefficient of z^n w^d of the double series for the node-2 case."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    m = Elem.monomial
-    x1 = lambda k: m((xp(1, k),))
-    x3 = lambda k: m((xp(3, k),))
-    x2 = m((xp(2, d),))
+    x1 = lambda k: _elem({(xp(1, k),): ONE})
+    x3 = lambda k: _elem({(xp(3, k),): ONE})
+    x2 = _elem({(xp(2, d),): ONE})
     if n == 0:
         comm = x1(a) * x3(c) - x3(c) * x1(a)
         return (comm * x2 - x2 * comm).scale(q**-1)
@@ -881,11 +882,11 @@ def _guided_reduce(e: Elem, match, rewrite, normalize) -> Elem:
         for word, coeff in e.terms.items():
             pos = next((p for p in range(len(word) - 1) if match(word[p], word[p + 1])), None)
             if pos is None:
-                out += Elem.monomial(word, coeff)
+                out += _elem({word: coeff})
                 continue
             hit = True
             repl = rewrite(word[pos], word[pos + 1])
-            out += Elem.monomial(word[:pos], coeff) * repl * Elem.monomial(word[pos + 2:])
+            out += _elem({word[:pos]: coeff}) * repl * _elem({word[pos + 2:]: ONE})
         e = normalize(out)
         if not hit:
             return e
@@ -907,7 +908,7 @@ def reduce_lambda_step(e: Elem, c_low: int) -> Elem:
         # g1 g2 = X_{2,b} X_{3,c} enters the deg2-shift value (2, b - 1, 3, c)
         # with coefficient 1
         rel = relation_elem(SIG22, RelRule("deg2-shift", (2, g1.index - 1, 3, g2.index)))
-        return Elem.monomial((g1, g2)) - rel
+        return _elem({(g1, g2): ONE}) - rel
 
     return _guided_reduce(e, match, rewrite, _normalize_commuting)
 
@@ -961,7 +962,7 @@ def mu_recursion_certificate(diff: Elem) -> bool:
                 for t in boxes[other]:
                     if deg + t not in degrees:
                         continue
-                    g = Elem.monomial((xp(other, t),))
+                    g = _elem({(xp(other, t),): ONE})
                     red.add(dict((g * rel).terms))
                     red.add(dict((rel * g).terms))
     return red.contains(dict(diff.terms))

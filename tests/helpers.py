@@ -8,7 +8,7 @@ from pathlib import Path
 
 import superloop
 from superloop import coeffs
-from superloop.coeffs import ZERO, scalar
+from superloop.coeffs import ONE, ZERO, q, scalar
 from superloop.linalg import Mat
 
 SRC = Path(superloop.__file__).resolve().parent.parent
@@ -23,6 +23,26 @@ def mat_from_rows(rows) -> Mat:
             if val != ZERO:
                 data[i, j] = val
     return Mat(len(rows), len(rows[0]) if rows else 0, data)
+
+
+def vector_reference(dim: int) -> tuple[list, list, list, list]:
+    """Reference matrices of the vector module of dimension ``dim``: (t, tinv, eplus, eminus).
+
+    ``t[k]`` is t_{k+1} = q^{E_{k+1,k+1}}, which acts by q on basis vector k
+    and by 1 elsewhere, and ``tinv[k]`` its inverse; ``eplus[j]`` and
+    ``eminus[j]`` are the matrix units E_{j,j+1} and E_{j+1,j}, the e_{j+1}^+-
+    of the finite algebra.
+    """
+
+    def t(k: int, power: int) -> Mat:
+        return Mat(dim, dim, {(j, j): q**power if j == k else ONE for j in range(dim)})
+
+    return (
+        [t(k, 1) for k in range(dim)],
+        [t(k, -1) for k in range(dim)],
+        [Mat(dim, dim, {(j, j + 1): ONE}) for j in range(dim - 1)],
+        [Mat(dim, dim, {(j + 1, j): ONE}) for j in range(dim - 1)],
+    )
 
 
 @contextlib.contextmanager

@@ -49,6 +49,16 @@ def test_weyl_slice_cli(tmp_path, capsys):
     assert witness["theta"] == "0"
 
 
+def test_unwritable_out_exit_two(tmp_path, capsys):
+    # a report that cannot be written is a bad config, not a failed check
+    target = tmp_path / "missing" / "report.json"
+    assert run_main(["weyl-slice", "--Q", "1,-2,1", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot write report" in json.loads(captured.err)["error"]
+    assert not target.exists()
+
+
 def test_cli_stdout_and_exit_zero(capsys):
     code = run_main(["highest-weight", "--M", "2", "--N", "1"])
     assert code == 0
@@ -295,6 +305,13 @@ def _json_error(capsys) -> str:
 def test_cli_nonpositive_count_rejected(capsys):
     assert run_main(["monoid", "--count", "-3"]) == 2
     assert "count" in _json_error(capsys)
+
+
+@pytest.mark.parametrize("count", ["1", "2"])
+def test_cli_count_below_three_rejected(capsys, count):
+    # with fewer than three triples the monoid laws would pass over no triple
+    assert run_main(["monoid", "--count", count]) == 2
+    assert "count must be at least 3" in _json_error(capsys)
 
 
 def test_cli_module_error_exit_two(capsys):

@@ -1,5 +1,5 @@
 import pytest
-from helpers import count_field_ops, mat_from_rows
+from helpers import count_field_ops, mat_from_rows, vector_reference
 
 from superloop import modrep, pbw, weyl
 from superloop.coeffs import ONE, ZERO, ZPoly, a, b, q, qint_base, scalar
@@ -7,7 +7,6 @@ from superloop.linalg import Mat, kron_super
 from superloop.modrep import (
     LoopModule,
     ModuleError,
-    check_gl_relations,
     check_relation,
     evaluation_pullback,
     fundamental,
@@ -26,6 +25,7 @@ from superloop.superfree import (
     qbracket,
     relation_elem,
     relation_instances,
+    super_comm,
     xp,
 )
 
@@ -34,19 +34,20 @@ SIG21 = AlgebraSignature(2, 1)
 
 def test_fundamental_shape(fund21):
     assert fund21.dim == 3
-    assert fund21.parity == (0, 0, 1)
-    # t_i acts by q on the i-th basis vector (certified by the relation check)
-    assert fund21.t[2].data.get((2, 2), ZERO) == q
-    assert fund21.t[0].data.get((1, 1), ZERO) == ONE
+    assert fund21.parity == [0, 0, 1]
+    # K_1 = t_1 t_2^-1 and K_2 = t_2 t_3 with t_i = q^{E_ii} (certified by the gate)
+    assert fund21.gen(("K", 1)) == mat_from_rows([[q, 0, 0], [0, q**-1, 0], [0, 0, 1]])
+    assert fund21.gen(("K", 2)) == mat_from_rows([[1, 0, 0], [0, q, 0], [0, 0, q]])
 
     def parities(m):
         """The parities row + column over the nonzero entries: one for a homogeneous map."""
         return {(fund21.parity[r] + fund21.parity[c]) % 2 for r, c in m.data}
 
-    # e_j^+- is odd exactly at the odd node j = M; every t_i is even
-    for j, (ep, em) in enumerate(zip(fund21.eplus, fund21.eminus), start=1):
-        assert parities(ep) == parities(em) == {1 if j == fund21.M else 0}
-    assert all(parities(t) == {0} for t in fund21.t)
+    # X^+-_{j,0} is odd exactly at the odd node j = M; every K_i^{+-1} is even
+    for j in (1, 2):
+        ep, em = fund21.gen(("X+", j, 0)), fund21.gen(("X-", j, 0))
+        assert parities(ep) == parities(em) == {1 if j == fund21.sig.M else 0}
+        assert parities(fund21.gen(("K", j))) == parities(fund21.gen(("Kinv", j))) == {0}
 
 
 def test_fundamental_requires_positive_ranks():
@@ -54,30 +55,66 @@ def test_fundamental_requires_positive_ranks():
         fundamental(0, 2)
 
 
+def _finite_failures(lm):
+    """The failing checks of the gate of ``fundamental`` on ``lm``."""
+    report = relation_report(lm, window=0, families=modrep._FINITE_FAMILIES)
+    return {c["name"] for c in report["checks"] if c["status"] == "fail"}
+
+
 def test_fundamental_11_passes():
     mod = fundamental(1, 1)
-    assert check_gl_relations(mod)["passed"]
+    report = relation_report(mod, window=0, families=modrep._FINITE_FAMILIES)
+    assert report["passed"]
+    assert {"cartan(+)", "kx(+)", "kx(-)", "pm-mixed(+)"} <= {c["name"] for c in report["checks"]}
 
 
-def test_corrupted_raising_operator_fails():
-    mod = fundamental(2, 1)
-    # wrong matrix-unit support: conjugation by the torus detects it
-    bad_eplus = (mat_from_rows([[0, 0, 1], [0, 0, 0], [0, 0, 0]]),) + mod.eplus[1:]
-    bad = modrep.GLModule(2, 1, mod.parity, mod.t, mod.tinv, bad_eplus, mod.eminus)
-    report = check_gl_relations(bad)
-    assert not report["passed"]
-    failing = {c["name"] for c in report["checks"] if c["status"] == "fail"}
-    assert any(name.startswith("t_") for name in failing)
+def _with_current(lm, key, mat):
+    """A copy of the finite module ``lm`` whose current ``key`` acts by ``mat``."""
+    return LoopModule(lm.sig, lm.parity, {**lm._cache, key: mat})
 
 
-def test_rescaled_lowering_operator_fails_pm_mixed():
+def test_corrupted_raising_operator_fails(fund21):
+    # wrong matrix-unit support: the K_i conjugation of the catalog detects it
+    bad = _with_current(fund21, ("X+", 1, 0), mat_from_rows([[0, 0, 1], [0, 0, 0], [0, 0, 0]]))
+    assert "kx(+)" in _finite_failures(bad)
+
+
+def test_rescaled_lowering_operator_fails_pm_mixed(fund21):
     # a rescaled e_1^- keeps every torus twist but breaks [e_1^+, e_1^-]
-    mod = fundamental(2, 1)
-    bad_eminus = (mod.eminus[0].scale(q),) + mod.eminus[1:]
-    bad = modrep.GLModule(2, 1, mod.parity, mod.t, mod.tinv, mod.eplus, bad_eminus)
-    report = check_gl_relations(bad)
-    failing = {c["name"] for c in report["checks"] if c["status"] == "fail"}
-    assert failing == {"pm-mixed(+)"}
+    bad = _with_current(fund21, ("X-", 1, 0), fund21.gen(("X-", 1, 0)).scale(q))
+    assert _finite_failures(bad) == {"pm-mixed(+)"}
+
+
+@pytest.mark.parametrize(("M", "N"), [(2, 1), (1, 2), (3, 1), (1, 3), (2, 3), (3, 2)])
+def test_vector_module_matches_torus_construction(M, N):
+    # the Chevalley level and E0+- against the construction from t_i = q^{E_ii}
+    lm = evaluation_pullback(fundamental(M, N), a)
+    sig = lm.sig
+    t, tinv, eplus, eminus = vector_reference(M + N)
+
+    def tpow(i, power):
+        return t[i - 1] if power > 0 else tinv[i - 1]
+
+    for i in range(1, sig.n_nodes + 1):
+        li, li1 = sig.l(i), sig.l(i + 1)
+        assert lm.gen(("K", i)) == tpow(i, li) * tpow(i + 1, -li1)
+        assert lm.gen(("Kinv", i)) == tpow(i, -li) * tpow(i + 1, li1)
+        assert lm.gen(("X+", i, 0)) == eplus[i - 1]
+        assert lm.gen(("X-", i, 0)) == eminus[i - 1]
+
+    def bracket_word(es):
+        """[...[[e_1, e_2]_{q_2}, e_3]_{q_3}, ..., e_{M+N-1}]_{q_{M+N-1}}."""
+        out, par = es[0], sig.parity_node(1)
+        for k in range(2, sig.n_nodes + 1):
+            out = super_comm(out, par, es[k - 1], sig.parity_node(k), sig.q_node(k))
+            par = (par + sig.parity_node(k)) % 2
+        return out
+
+    sign = -((-ONE) ** (N - M)) * q ** (N - M)
+    e0_plus = (bracket_word(eminus) * t[0] * tinv[M + N - 1]).scale(sign * a)
+    e0_minus = (tinv[0] * t[M + N - 1] * bracket_word(eplus)).scale(a**-1)
+    assert lm.gen(("E0+",)) == e0_plus
+    assert lm.gen(("E0-",)) == e0_minus
 
 
 def test_evaluation_requires_distinct_ranks():
@@ -87,30 +124,36 @@ def test_evaluation_requires_distinct_ranks():
         evaluation_pullback(fundamental(2, 1), 0)
 
 
-def test_evaluation_node1_currents_closed_form(ev21, fund21):
+def test_evaluation_takes_the_vector_module(ev21, ev21b, tensor21):
+    with pytest.raises(ModuleError, match="vector module"):
+        evaluation_pullback(tensor21, a)
+    # an evaluation module pulled back again keeps only its Chevalley level
+    ev21.gen(("X+", 1, 2))
+    again = evaluation_pullback(ev21, b)
+    assert all(again.gen(key) == ev21b.gen(key) for key in [("X+", 1, 2), ("H", 2, -1), ("E0+",)])
+
+
+def test_evaluation_node1_currents_closed_form(ev21):
     # the node-1 currents are a^n t_1^{2n} e_1^+ and e_1^- t_1^{2n} a^n
-    t1sq = fund21.t[0] * fund21.t[0]
-    t1sqinv = fund21.tinv[0] * fund21.tinv[0]
+    t, tinv, eplus, eminus = vector_reference(3)
+    t1sq = t[0] * t[0]
+    t1sqinv = tinv[0] * tinv[0]
     for n in range(-2, 3):
         pw = Mat.identity(3)
         for _ in range(abs(n)):
             pw = pw * (t1sq if n > 0 else t1sqinv)
-        assert ev21.gen(("X+", 1, n)) == (pw * fund21.eplus[0]).scale(a**n)
-        assert ev21.gen(("X-", 1, n)) == (fund21.eminus[0] * pw).scale(a**n)
+        assert ev21.gen(("X+", 1, n)) == (pw * eplus[0]).scale(a**n)
+        assert ev21.gen(("X-", 1, n)) == (eminus[0] * pw).scale(a**n)
 
 
-def test_evaluation_h1_formula(ev21, fund21):
+def test_evaluation_h1_formula(ev21):
     # ev'(h_{1,+-1}) = (1 - q^{+-2}) e_1^- (t_1 t_2)^{+-1} e_1^+ +- (t_1^{+-2}-t_2^{+-2})/(q-q^-1)
+    t, tinv, eplus, eminus = vector_reference(3)
     for s in (1, -1):
-        t12 = fund21.t[0] * fund21.t[1] if s > 0 else fund21.tinv[0] * fund21.tinv[1]
-        tt = (
-            fund21.t[0] * fund21.t[0] - fund21.t[1] * fund21.t[1]
-            if s > 0
-            else fund21.tinv[0] * fund21.tinv[0] - fund21.tinv[1] * fund21.tinv[1]
-        )
-        expected = (fund21.eminus[0] * t12 * fund21.eplus[0]).scale(1 - q ** (2 * s)) + tt.scale(
-            scalar(s) / (q - q**-1)
-        )
+        t1, t2 = (t[0], t[1]) if s > 0 else (tinv[0], tinv[1])
+        expected = (eminus[0] * t1 * t2 * eplus[0]).scale(1 - q ** (2 * s)) + (
+            t1 * t1 - t2 * t2
+        ).scale(scalar(s) / (q - q**-1))
         assert ev21.gen(("H", 1, s)) == expected.scale(a**s)
 
 

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from collections import Counter
 
@@ -66,6 +68,19 @@ def test_gensym_validation():
         SIG21.check_symbol(aitch(1, 9))
     with pytest.raises(ValueError):
         SIG21.check_symbol(kay(0))  # K_0 is a product of the K_i, not a symbol
+
+
+def test_gensym_make_and_replace_validate():
+    # namedtuple's _make and _replace go through the same checks as GenSym(...)
+    with pytest.raises(ValueError, match="K symbols carry loop index 0"):
+        xp(1, 0)._replace(kind="K", index=2)
+    with pytest.raises(ValueError, match="nonzero loop index"):
+        GenSym._make(("H", 1, 0))
+    assert xp(1, 0)._replace(index=3) == xp(1, 3)
+    assert type(GenSym._make(("X-", 2, 1))) is GenSym
+    for g in (xp(1, 0), kay(2), aitch(1, -2), e0m()):
+        for back in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+            assert back == g and type(back) is GenSym
 
 
 # a spread of symbols with the repr each had as a frozen, ordered dataclass
