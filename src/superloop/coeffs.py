@@ -27,10 +27,17 @@ and truncated one-sided expansions of their ratios.
 The field path of ``+``, ``-``, ``*`` and ``/`` runs through ``_field_op``,
 which the ring paths never reach.  Nothing is memoised.
 
-sympy is imported by ``_sym`` at the first gcd, parse, print or value
-outside the ring: ``appendix-a`` and ``verify-relations`` at an
-indeterminate ``a`` never load it; the other module suites do at a
-content removal (``RowReducer.add``) and ``monoid`` at ``poly_gcd``.
+The gcds of ``remove_content`` and ``poly_gcd`` are taken on integers:
+a list with a single-term entry by its integer content, and operands in
+one or two live variables by a heuristic gcd on packed Python integers
+(``_heugcd``).  Only operands in three or more variables go to sympy.
+
+sympy is imported by ``_sym`` at the first parse, print, value outside
+the ring or gcd in three or more variables: ``appendix-a`` and
+``verify-relations`` at an indeterminate ``a`` never load it;
+``pbw-rank --tensor`` does at a content removal in q, a and b,
+``highest-weight`` and ``tensor-hw`` at a division outside the ring, and
+``coproduct-check`` and ``monoid`` at their first print.
 
 No floating point is used anywhere.
 """
@@ -353,6 +360,171 @@ def _shift(ts: list[dict]) -> tuple[tuple, list[dict]]:
     return (i0, j0, k0), [{(i - i0, j - j0, k - k0): c for (i, j, k), c in t.items()} for t in ts]
 
 
+# -- GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989) on packed integers --
+#
+# A polynomial in at most two variables x, y is a flat coefficient list,
+# index ex * R + ey for a radix R above its degree in y (R = 1: univariate).
+# Packing it at 2^s (Horner by shifts) is evaluation at x = 2^(sR), y = 2^s:
+# a ring homomorphism, so h | f implies pack(h) | pack(f).
+
+
+def _pack(cs: list[int], s: int) -> int:
+    v = 0
+    for c in reversed(cs):
+        v = (v << s) + c
+    return v
+
+
+def _digits(v: int, s: int) -> list[int]:
+    """The balanced base-2^s digits of v, in [-2^(s-1), 2^(s-1)), least first: the inverse of _pack."""
+    out = []
+    half, mask = 1 << (s - 1), (1 << s) - 1
+    while v:
+        d = v & mask
+        if d >= half:
+            d -= mask + 1
+        out.append(d)
+        v = (v - d) >> s
+    return out
+
+
+def _ydeg(f: list[int], R: int) -> int:
+    return max(i % R for i, c in enumerate(f) if c)
+
+
+def _exquo(f: list[int], h: list[int], R: int) -> list[int] | None:
+    """f / h for nonzero flat polynomials when h divides f, else None.
+
+    cof is read from the exact quotient of the packed values, so that
+    pack(h) * pack(cof) == pack(f).  That identity is one of polynomials
+    when the base cannot carry: 2^(t-1) exceeds |f| and the bound
+    min(len) |h| |cof| on the coefficients of h * cof (max norms), and
+    deg_y h + deg_y cof < R.  Only then is cof accepted.
+    """
+    nf, nh = max(map(abs, f)), max(map(abs, h))
+    t = (max(nf, nh) * len(f)).bit_length() + 2
+    for _ in range(4):
+        quo, r = divmod(_pack(f, t), _pack(h, t))
+        if r:
+            return None
+        cof = _digits(quo, t)
+        bound = max(nf, min(len(h), len(cof)) * nh * max(map(abs, cof))).bit_length()
+        if bound < t and _ydeg(h, R) + _ydeg(cof, R) < R:
+            return cof
+        t = max(bound, t) + 2
+    return None
+
+
+def _heu(fs: list[list[int]], R: int) -> tuple[list[int], list[list[int]]] | None:
+    """The gcd of nonzero flat polynomials, leading coefficient positive, and
+    their cofactors; None when six values of xi fail.
+
+    The gcd is c v^m g: c the gcd of the integer contents, v the variable
+    evaluated here (y, or x when R = 1), v^m the least power of v in the fs
+    and g the gcd of the primitive parts p without their powers of v.  v is
+    set to xi = 2^s > 2 |p| + 2 (max norm, of the p with the least); the
+    images are integers, or for R > 1 polynomials in x whose gcd the
+    one-variable lane gives, and g's candidate h is the primitive part of
+    the balanced xi-adic digits of their gcd.  If h divides every p, h = g:
+    g = h k, and k at v = xi divides the content of the digits, so it is a
+    constant of size at most xi/2.  The lowest and the highest coefficients
+    of k in x (k itself for R = 1) divide those of a p, whose roots lie
+    below 1 + |p| (Cauchy), so neither can exceed xi/2 at xi or vanish
+    there: both are constants, and of x^0, so k is a constant, +-1 as g is
+    primitive.  Without the contents and powers of v, a power of 2 in the
+    constant term of a p stays below 2^s and cannot pose as a power of v.
+    """
+    cs = [math.gcd(*f) for f in fs]
+    c = math.gcd(*cs)
+    vs = [min(i % R if R > 1 else i for i, x in enumerate(f) if x) for f in fs]
+    m = min(vs)
+    ps = [[x // k for x in f[v:]] for f, k, v in zip(fs, cs, vs)]
+    s = (2 * min(max(map(abs, p)) for p in ps) + 29).bit_length()
+    for _ in range(6):
+        if R == 1:
+            h = _digits(math.gcd(*(_pack(p, s) for p in ps)), s)
+        else:
+            images = [[_pack(p[i:i + R], s) for i in range(0, len(p), R)] for p in ps]
+            found = _heu([g for g in images if any(g)], 1)
+            if found is None:
+                return None
+            blocks = [_digits(v, s) for v in found[0]]
+            h = []
+            for i, ds in enumerate(blocks):
+                h += [0] * (i * R - len(h)) + ds
+            if max(map(len, blocks)) > R:
+                h = []  # the digits overrun the radix: no divisor
+        if h:
+            k = math.gcd(*h)
+            if h == [k]:
+                return [0] * m + [c], [[x // c for x in f[m:]] for f in fs]
+            h = [0] * m + [c * x // k for x in h]
+            cofs = []
+            for f in fs:
+                cof = _exquo(f, h, R)
+                if cof is None:
+                    break
+                cofs.append(cof)
+            else:
+                return h, cofs
+        s += s // 4 + 2
+    return None
+
+
+def _heugcd(ps: list[dict]) -> tuple[dict, Iterable[dict]] | None:
+    """The gcd of integer polynomial dicts, not all zero, and their cofactors by
+    GCDHEU; None when three or more variables occur or the heuristic fails.
+
+    The live variables x, y are those with a nonzero exponent; the gcd has
+    a positive coefficient at its greatest exponent of x, and of y there.
+    """
+    n = len(next(iter(next(p for p in ps if p))))
+    live = [v for v in range(n) if any(e[v] for p in ps for e in p)]
+    if len(live) > 2:
+        return None
+    x, *y = live or [0]
+    R = 1 + max(e[y[0]] for p in ps for e in p) if y else 1
+    key = (lambda e: e[x] * R + e[y[0]]) if y else (lambda e: e[x])
+    fs = []
+    for p in filter(None, ps):
+        f = [0] * (1 + max(map(key, p)))
+        for e, c in p.items():
+            f[key(e)] = c
+        fs.append(f)
+    found = _heu(fs, R)
+    if found is None:
+        return None
+
+    def back(f: list[int]) -> dict:
+        out = {}
+        for i, c in enumerate(f):
+            if c:
+                e = [0] * n
+                for v, k in zip(live, divmod(i, R)):
+                    e[v] = k
+                out[tuple(e)] = c
+        return out
+
+    g, cofs = found
+    cofs = iter(cofs)
+    return back(g), (back(next(cofs)) if p else {} for p in ps)  # read only when used
+
+
+def _sympy_gcd(ps: list[dict]) -> tuple:
+    """The gcd of integer polynomial dicts in sympy's ZZ[q,a,b], or ZZ[z,q,a,b] for
+    four exponents, and the cofactors, None at a unit: the route for three or
+    more live variables and for a failed heuristic."""
+    sym = _sym()
+    ring = sym.field.ring if len(next(iter(next(p for p in ps if p)))) == 3 else sym.zring
+    polys = [ring.dtype(p) for p in ps]
+    g = polys[0]
+    for p in polys[1:]:
+        g = g.gcd(p)
+        if _unit(g) is not None:  # a unit of the Laurent ring divides out nothing
+            return g, None
+    return g, [p.exquo(g) for p in polys]
+
+
 def remove_content(xs: list[Scalar]) -> list[Scalar]:
     """Primitive Laurent values in the ratios of xs.
 
@@ -361,6 +533,9 @@ def remove_content(xs: list[Scalar]) -> list[Scalar]:
     element; the Laurent values are then divided by their
     greatest common divisor.  Values that are all zero come back
     unchanged, and Laurent values whose gcd is a unit are not divided.
+    When one value is a single term the gcd is the integer content; other
+    gcds in one or two variables are taken by ``_heugcd`` and the rest by
+    sympy, so a quotient may differ from sympy's in sign.
     """
     dens = [x for x in xs if x._den != 1]
     if dens:
@@ -379,15 +554,14 @@ def remove_content(xs: list[Scalar]) -> list[Scalar]:
     ts = [x._terms for x in xs]
     if not any(ts):
         return xs
+    if any(len(t) == 1 for t in ts):  # a term c m among them: the Laurent gcd is the integer content
+        g = math.gcd(*(c for t in ts for c in t.values()))
+        return xs if g == 1 else [_ring({e: c // g for e, c in t.items()}, 1) for t in ts]
     (i0, j0, k0), ts = _shift(ts)
-    poly = _sym().field.ring.dtype
-    polys = [poly(t) for t in ts]
-    g = polys[0]
-    for p in polys[1:]:
-        g = g.gcd(p)
-        if _unit(g) is not None:  # a unit of the Laurent ring divides out nothing
-            return xs
-    return [_ring({(i + i0, j + j0, k + k0): c for (i, j, k), c in p.exquo(g).items()}, 1) for p in polys]
+    g, cofs = _heugcd(ts) or _sympy_gcd(ts)
+    if _unit(g) is not None:  # a unit of the Laurent ring divides out nothing
+        return xs
+    return [_ring({(i + i0, j + j0, k + k0): c for (i, j, k), c in p.items()}, 1) for p in cofs]
 
 
 def unit_inverse(x: Scalar) -> Scalar | None:
@@ -547,33 +721,31 @@ class ZPoly:
         return [scalar_str(c) for c in self.coeffs]
 
 
-def _to_zring(p: ZPoly):
-    """A ZZ[z,q,a,b] representative of a nonzero scalar multiple of p."""
+def _zdict(p: ZPoly) -> dict:
+    """{(k, i, j, l): c} for the terms c z^k q^i a^j b^l of a primitive
+    polynomial multiple of p in Z[z, q, a, b]."""
     _, ts = _shift([c._terms for c in remove_content(list(p.coeffs))])
-    return _sym().zring.from_dict({(k, *e): c for k, t in enumerate(ts) for e, c in t.items()})
-
-
-def _from_zring(rp) -> ZPoly:
-    coeffs: dict[int, dict] = {}
-    for (k, *e), c in rp.items():
-        coeffs.setdefault(k, {})[tuple(e)] = c
-    return ZPoly(_ring(coeffs.get(k, {}), 1) for k in range(max(coeffs, default=-1) + 1))
+    return {(k, *e): c for k, t in enumerate(ts) for e, c in t.items()}
 
 
 def poly_gcd(p: ZPoly, r: ZPoly) -> ZPoly:
     """Monic-at-0 gcd over the scalar field.
 
-    Computed integrally in ZZ[z,q,a,b] on primitive Laurent multiples of
-    both (``remove_content``), then normalised so the constant term is 1
-    when nonzero (else the leading coefficient is 1).  gcd(0, 0) is
-    rejected.
+    Computed integrally in Z[z,q,a,b] on primitive Laurent multiples of
+    both (``remove_content``), by ``_heugcd`` in one or two variables and
+    by sympy otherwise, then normalised so the constant term is 1 when
+    nonzero (else the leading coefficient is 1).  gcd(0, 0) is rejected.
     """
     if p.is_zero() and r.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
     if p.is_zero() or r.is_zero():
         x = r if p.is_zero() else p
     else:
-        x = _from_zring(_to_zring(p).gcd(_to_zring(r)))
+        fs = [_zdict(p), _zdict(r)]
+        coeffs: dict[int, dict] = {}
+        for (k, *e), c in (_heugcd(fs) or _sympy_gcd(fs))[0].items():
+            coeffs.setdefault(k, {})[tuple(e)] = c
+        x = ZPoly(_ring(coeffs.get(k, {}), 1) for k in range(max(coeffs) + 1))
     c0 = x.coeff(0)
     unit = c0 if c0 != ZERO else x.coeffs[-1]
     return x.scale(ONE / unit)

@@ -197,7 +197,12 @@ class LoopModule:
         ys: dict[int, Mat] = {}
         mus: dict[int, Mat] = {}
         for n in range(1, abs(s) + 1):
-            y = head * self._phi_bracket(i, sign * n)
+            # every H_{i,s'} with |s'| >= n reads this bracket: it is built once and kept
+            key = ("bracket", i, sign * n)
+            bracket = self._cache.get(key)
+            if bracket is None:
+                bracket = self._cache[key] = self._phi_bracket(i, sign * n)
+            y = head * bracket
             if sign < 0:
                 y = -y
             mus[n] = y.scale(n)

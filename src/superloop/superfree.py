@@ -681,7 +681,11 @@ def relation_instances(
             for i, j, m, n, k in product(nodes, nodes, window, window, window)
             if m <= n
         ),
-        "oscillation4": (ix for ix in product(window, repeat=4) if ix[1] <= ix[3]),
+        # its domain reads only the signature: decided once, not per index
+        "oscillation4": (
+            (ix for ix in product(window, repeat=4) if ix[1] <= ix[3])
+            if _admissible(sig, "oscillation4", ()) else ()
+        ),
     }
     wanted = spaces if families is None else set(families)
     unknown = sorted(wanted - spaces.keys())

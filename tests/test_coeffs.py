@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from helpers import SRC, run_fresh
 from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.fields import field
+from sympy.polys.rings import ring
 
 from superloop import coeffs
 from superloop.coeffs import (
@@ -25,6 +27,7 @@ from superloop.coeffs import (
     scalar,
     scalar_from_str,
     scalar_str,
+    unit_inverse,
 )
 
 
@@ -64,29 +67,50 @@ def test_scalar_string_roundtrip():
         scalar_from_str("q + t")
 
 
-# each expression is the first call to need sympy in a fresh interpreter
+# each expression is the first call to need sympy in a fresh interpreter; the
+# gcds need it only with three or more live variables (q, a, b, and z for poly_gcd)
 FIELD_ENTRY_POINTS = {
     "divide": "ONE / (q + 1)",
     "parse": "scalar_from_str('1/(q+1)')",
     "print": "scalar_str(q**-1 + a)",
     "numer": "(q + 1).numer",
     "fraction": "scalar(Fraction(1, 2))",
-    "remove_content": "remove_content([q**2 + q, a * q + a])",
+    "remove_content": "remove_content([(q + a) * (b + 1), (q + a) * (q * b - 2)])",
     "poly_gcd": "poly_gcd(ZPoly([1, q]), ZPoly([1, q]) * ZPoly([1, a]))",
 }
 
 
 @pytest.mark.parametrize("expr", FIELD_ENTRY_POINTS.values(), ids=FIELD_ENTRY_POINTS)
 def test_field_entry_point_loads_the_field(expr):
+    # sys.modules is read before the value is printed, since printing loads sympy itself
     lines = run_fresh(
         "import sys\n"
         "from fractions import Fraction\n"
-        "from superloop.coeffs import ONE, ZPoly, a, poly_gcd, q, remove_content, scalar, scalar_from_str, scalar_str\n"
+        "from superloop.coeffs import ONE, ZPoly, a, b, poly_gcd, q, remove_content, scalar, scalar_from_str, scalar_str\n"
         "print('sympy' in sys.modules)\n"
-        f"print(repr({expr}))\n"
+        f"x = {expr}\n"
+        "print('sympy' in sys.modules)\n"
+        "print(repr(x))\n"
+    )
+    assert lines == ["False", "True", repr(eval(expr))]
+
+
+def test_gcds_in_two_variables_do_not_load_the_field():
+    lines = run_fresh(
+        "import sys\n"
+        "from superloop.coeffs import ZPoly, a, b, poly_gcd, q, remove_content\n"
+        "# one live variable (q), then two (q and a; z and q)\n"
+        "terms = lambda xs: [x._terms for x in xs]\n"
+        "print(terms(remove_content([q**2 + q, a * q + a])) == terms([q, a]))\n"
+        "print(terms(remove_content([2 * q**3 - 2, 4 * q**2 - 4 * q**-1])) == terms([q**0, 2 * q**-1]))\n"
+        "g = ZPoly([1, q + 2])\n"
+        "print(terms(poly_gcd(g * ZPoly([1, q]), g * ZPoly([2, q**-2])).coeffs) == terms(g.coeffs))\n"
+        "print(terms(poly_gcd(ZPoly([1, -1]), ZPoly([1, 0, -1])).coeffs) == terms(ZPoly([1, -1]).coeffs))\n"
+        "print('sympy' in sys.modules)\n"
+        "remove_content([(q + a) * (b + 1), (q + a) * (q * b - 2)])\n"
         "print('sympy' in sys.modules)\n"
     )
-    assert lines == ["False", repr(eval(expr)), "True"]
+    assert lines == ["True"] * 4 + ["False", "True"]
 
 
 def test_integer_denominators_do_not_load_the_field():
@@ -206,6 +230,167 @@ def test_remove_content_ring_denominators_two_routes(monkeypatch):
         mult = coeffs._from_field(F.new(den, F.ring.one))
         assert ys == remove_content([x * mult for x in xs])
         assert all(y._den == 1 for y in ys)
+
+
+# -- the packed GCDHEU kernel against sympy's gcd --
+
+
+@contextlib.contextmanager
+def _sympy_route_calls():
+    """The operand lists ``coeffs._sympy_gcd`` receives inside the block."""
+    route = coeffs._sympy_gcd
+    calls = []
+
+    def counted(ps):
+        calls.append(ps)
+        return route(ps)
+
+    coeffs._sympy_gcd = counted
+    try:
+        yield calls
+    finally:
+        coeffs._sympy_gcd = route
+
+
+def _laurent_in(draw, gens, max_terms, coeff):
+    """A Laurent polynomial in the generators ``gens`` with 1..max_terms drawn terms."""
+    x = ZERO
+    for _ in range(draw(st.integers(1, max_terms))):
+        m = scalar(draw(coeff))
+        for g in gens:
+            m = m * g ** draw(st.integers(-2, 4))
+        x += m
+    return x
+
+
+_coeff = st.one_of(st.integers(-9, 9), st.integers(-2**40, 2**40), st.sampled_from([2**31, -3 * 2**20]))
+
+
+@st.composite
+def _content_lists(draw):
+    """1-5 Laurent values in 0, 1 or 2 of q, a, b, most sharing a drawn factor, some zero."""
+    gens = draw(st.permutations([q, a, b]))[: draw(st.integers(0, 2))]
+    common = _laurent_in(draw, gens, 3, st.integers(-6, 6))
+    xs = []
+    for _ in range(draw(st.integers(1, 5))):
+        x = _laurent_in(draw, gens, 4, _coeff)
+        xs.append(draw(st.sampled_from([ZERO, x, x * common, x * common])))
+    return xs
+
+
+def _sympy_remove_content(xs):
+    """xs shifted into ZZ[q,a,b], divided by sympy's gcd of them all, and shifted back."""
+    ts = [x._terms for x in xs]
+    low = [min(e[v] for t in ts for e in t) for v in range(3)]
+    polys = [_F.ring({tuple(i - m for i, m in zip(e, low)): c for e, c in t.items()}) for t in ts]
+    g = _F.ring.zero
+    for p in polys:
+        g = g.gcd(p)
+    return [
+        sum((c * q ** (i + low[0]) * a ** (j + low[1]) * b ** (k + low[2]) for (i, j, k), c in p.exquo(g).items()), ZERO)
+        for p in polys
+    ]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_content_lists())
+def test_remove_content_kernel_two_routes(xs):
+    """With at most two live variables the packed lane answers, and its quotients
+    are sympy's up to a unit of the Laurent ring."""
+    if not any(xs):
+        return
+    with _sympy_route_calls() as calls:
+        ys = remove_content(xs)
+    assert calls == []
+    zs = _sympy_remove_content(xs)
+    j = next(i for i, z in enumerate(zs) if z)
+    unit = ys[j] / zs[j]
+    assert unit_inverse(unit) is not None
+    assert ys == [unit * z for z in zs]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_content_lists(), st.integers(-12, 12).filter(bool), st.tuples(*[st.integers(-2, 3)] * 3))
+def test_remove_content_monomial_lane_is_sympys(xs, c, e):
+    """A single-term entry sends the list to the integer content: sympy's monomial gcd exactly."""
+    xs = xs + [c * q ** e[0] * a ** e[1] * b ** e[2]]
+    assert remove_content(xs) == _sympy_remove_content(xs)
+
+
+@st.composite
+def _zpolys(draw, var):
+    """A z-polynomial of degree 0-3 with Laurent coefficients in ``var`` (some zero)."""
+    return ZPoly(
+        draw(st.sampled_from([ZERO, _laurent_in(draw, [var], 3, st.integers(-5, 5))]))
+        for _ in range(draw(st.integers(0, 3)))
+    ) + ZPoly([_laurent_in(draw, [var], 2, st.integers(-5, 5))])
+
+
+_ZR = ring("z,q,a,b", ZZ)[0]
+
+
+def _sympy_poly_gcd(p, r):
+    """The monic-at-0 gcd from sympy's ZZ[z,q,a,b] gcd of p and r shifted to polynomials."""
+    def zring(P):
+        ts = {(k, *e): c for k, x in enumerate(P.coeffs) for e, c in x._terms.items()}
+        low = [min(e[v] for e in ts) for v in range(4)]
+        return _ZR({(k, *(i - m for i, m in zip(e, low[1:]))): c for (k, *e), c in ts.items()})
+
+    g = zring(p).gcd(zring(r))
+    coeffs = [ZERO] * (1 + max(e[0] for e in g))
+    for (k, i, j, l), c in g.items():
+        coeffs[k] += c * q**i * a**j * b**l
+    x = ZPoly(coeffs)
+    return x.scale(ONE / (x.coeff(0) if x.coeff(0) != ZERO else x.coeffs[-1]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from([q, a, b]).flatmap(lambda v: st.tuples(_zpolys(v), _zpolys(v), _zpolys(v))))
+def test_poly_gcd_two_routes(polys):
+    g, u, v = polys
+    p, r = g * u, g * v
+    if p.is_zero() or r.is_zero():
+        return
+    with _sympy_route_calls() as calls:
+        got = poly_gcd(p, r)
+    assert calls == []  # z and one of q, a, b: two live variables
+    assert got == _sympy_poly_gcd(p, r)
+
+
+def _flat_mul(f, h):
+    out = [0] * (len(f) + len(h) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(h):
+            out[i + j] += x * y
+    return out
+
+
+def test_packed_product_check_needs_a_carry_free_base():
+    # negative control: at 2^1 the packed quotient of f = x^2 - 2x - 3 by the
+    # wrong candidate h = x - 1 is exact, and its digits give a cofactor whose
+    # packed product with h equals f's, though h * cof = 1 - x^2
+    f, h = [-3, -2, 1], [-1, 1]
+    quo, r = divmod(coeffs._pack(f, 1), coeffs._pack(h, 1))
+    cof = coeffs._digits(quo, 1)
+    assert r == 0 and coeffs._pack(h, 1) * coeffs._pack(cof, 1) == coeffs._pack(f, 1)
+    assert _flat_mul(h, cof) == [1, 0, -1] != f
+    # the kernel's base exceeds twice every coefficient of f and of h * cof
+    assert coeffs._exquo(f, h, 1) is None
+    assert coeffs._exquo(f, [1, 1], 1) == [-3, 1]
+    # in two variables (index R e_x + e_y) deg_y h + deg_y cof must stay below R: at
+    # R = 2, f = 1 - x packs as 1 - y^2 would, and h = 1 + y would divide it
+    assert coeffs._exquo([1, 0, -1], [1, 1], 1) == [1, -1]  # 1 - x^2 = (1 + x)(1 - x)
+    assert coeffs._exquo([1, 0, -1], [1, 1], 2) is None
+    fy = _flat_mul([1, 1, 0, 2], [1, -1, 0, 1])  # R = 3: (1 + y + 2x)(1 - y + x)
+    assert coeffs._exquo(fy, [1, 1, 0, 2], 3) == [1, -1, 0, 1]
+
+
+def test_monoid_pass_takes_no_sympy_route_gcd():
+    from superloop import cli
+
+    with _sympy_route_calls() as calls:
+        report = cli.run(cli.RunConfig(suite="monoid", count=3, degree_bound=4, seed=19))
+    assert report["passed"] and calls == []
 
 
 def test_poly_divmod():

@@ -249,6 +249,19 @@ def test_two_route_cartan_loops(ev21, ev31):
             )
 
 
+def test_phi_brackets_are_built_once(fund21, monkeypatch):
+    # H_{i,s} by Newton's identity reads [X+_{i,+-n}, X-_{i,0}] for n <= |s|: each is built once
+    lm = evaluation_pullback(fund21, a)
+    built = []
+    comm = modrep.super_comm
+    monkeypatch.setattr(modrep, "super_comm", lambda *args: built.append(args) or comm(*args))
+    h3 = lm.gen(("H", 1, 3))
+    assert len(built) == 3
+    lm.gen(("H", 1, 2))
+    assert len(built) == 3
+    assert h3 == evaluation_pullback(fund21, a).gen(("H", 1, 3))
+
+
 def test_ladder_independence(ev21, ev12, ev31):
     # [H_{i,+-1}, X+_{j,0}] / [l_i c_ij]_{q_i} for every node i linked to j, the
     # self route included, against the module's own X+_{j,+-1}

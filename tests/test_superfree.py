@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from superloop import superfree
 from superloop.coeffs import ONE, q, scalar
 from superloop.linalg import RowReducer
 from superloop.superfree import (
@@ -374,6 +375,22 @@ def test_relation_instances_enumeration():
     }
     with pytest.raises(ValueError):
         chevalley_instances(SIG22)
+
+
+def test_oscillation4_domain_is_decided_once(monkeypatch):
+    # the family's domain reads only the signature: one question per enumeration, not one per index
+    asked = []
+    admissible = superfree._admissible
+
+    def counting(sig, family, indices):
+        asked.extend([indices] if family == "oscillation4" else [])
+        return admissible(sig, family, indices)
+
+    monkeypatch.setattr(superfree, "_admissible", counting)
+    assert Counter(r.family for r in relation_instances(SIG21, range(-2, 3)))["oscillation4"] == 0
+    assert len(asked) == 1
+    assert Counter(r.family for r in relation_instances(SIG22, range(-1, 2)))["oscillation4"] == 2 * 54
+    assert len(asked) == 2 + 54
 
 
 def test_phi_push_past_adjacent_node_coefficients():
