@@ -16,13 +16,21 @@ integer coefficients, and most others have an integer denominator, so
 
 Every value has exactly one form: a field result whose reduced
 denominator is one monomial is put back in ring form, so ``==``, ``hash``
-and dict keys compare values.  ``+``, ``-``, ``*``, division by a single
-term and powers (negative ones of a single term) keep ring operands in
-the ring (``_ratio_op``, ``__pow__``); any other division or negative power and every
-operation with a field operand go through the field.  A value caches its
+and dict keys compare values.  ``+``, ``-``, ``*``, powers (negative ones
+of a single term) and every division whose quotient is a ring value keep
+ring operands in the ring (``_ratio_op``, ``__pow__``).  A value caches its
 field form, which mixed operations and printing use.  On top of the
 scalars the module provides dense polynomials in a formal variable ``z``
 and truncated one-sided expansions of their ratios.
+
+Division of ring values n/d by m/e is n e / (d m).  A single-term m
+divides by shifting exponents.  Otherwise m = c p, c its integer content
+and p primitive: the Laurent quotient n / p is read off the exact
+quotient of the packed integers of n and p (``_laurent_exquo``), and c
+joins the integer denominator, so 4096 m' / (18432 (q - q^-1)) with
+m' = (q - q^-1) r is (2/9) r.  If p does not divide n, the quotient is
+not a ring value (Gauss's lemma), and it goes through the field, as
+do any other negative power and every operation with a field operand.
 
 The field path of ``+``, ``-``, ``*`` and ``/`` runs through ``_field_op``,
 which the ring paths never reach.  Nothing is memoised.
@@ -35,9 +43,11 @@ one or two live variables by a heuristic gcd on packed Python integers
 sympy is imported by ``_sym`` at the first parse, print, value outside
 the ring or gcd in three or more variables: ``appendix-a`` and
 ``verify-relations`` at an indeterminate ``a`` never load it;
-``pbw-rank --tensor`` does at a content removal in q, a and b,
-``highest-weight`` and ``tensor-hw`` at a division outside the ring, and
-``coproduct-check`` and ``monoid`` at their first print.
+``pbw-rank --tensor`` and ``tensor-hw`` on (2,1) do at a content
+removal in q, a and b, ``tensor-hw`` and ``highest-weight`` on (1,2) at
+the gcd in z, q and a that checks a torsion triple coprime, ``highest-weight`` on
+(2,1), ``coproduct-check`` and ``monoid`` at their first print, and
+``weyl-slice`` at its parse.
 
 No floating point is used anywhere.
 """
@@ -48,7 +58,7 @@ import functools
 import math
 import operator
 from types import SimpleNamespace
-from typing import Iterable
+from typing import Callable, Iterable
 
 _new = object.__new__
 
@@ -321,8 +331,11 @@ def _field_op(op, x: Scalar, y: Scalar) -> Scalar:
 def _ratio_op(op, x: Scalar, y: Scalar) -> Scalar:
     """op(x, y) for operands that are not both Laurent, and for every division.
 
-    ``+``, ``-``, ``*`` and division by a single term of two ring values
-    stay in integer arithmetic; anything else goes through the field.
+    ``+``, ``-``, ``*`` and every exact division of two ring values stay in
+    integer arithmetic: n/d over m/e is (n/m)(e/d), and n/m is read off the
+    packed quotient of n by the primitive part of m, whose integer content
+    joins the denominator (``_laurent_exquo``).  Anything else goes through
+    the field.
     """
     s, t = x._terms, y._terms
     if s is not None and t is not None:
@@ -339,6 +352,14 @@ def _ratio_op(op, x: Scalar, y: Scalar) -> Scalar:
             if c < 0:
                 c, e = -c, -e
             return _ratio({(r - i, u - j, v - k): w * e for (r, u, v), w in s.items()}, d * c)
+        if not t:
+            raise ZeroDivisionError("division by zero")
+        if not s:
+            return x
+        found = _laurent_exquo(s, t)
+        if found is not None:
+            n, c = found
+            return _ratio({m: w * e for m, w in n.items()}, d * c)
     return _field_op(op, x, y)
 
 
@@ -362,44 +383,69 @@ def _shift(ts: list[dict]) -> tuple[tuple, list[dict]]:
 
 # -- GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989) on packed integers --
 #
-# A polynomial in at most two variables x, y is a flat coefficient list,
-# index ex * R + ey for a radix R above its degree in y (R = 1: univariate).
-# Packing it at 2^s (Horner by shifts) is evaluation at x = 2^(sR), y = 2^s:
-# a ring homomorphism, so h | f implies pack(h) | pack(f).
+# A polynomial in its live variables (outermost first) is a flat coefficient
+# list: the exponent of each inner variable is one digit of a mixed-radix
+# index, in a radix above its degree (no radix: one variable).  Packing it
+# at 2^s is evaluation of each variable at 2^s to the power of its index
+# step times s: a ring homomorphism, so h | f implies pack(h) | pack(f).
 
 
 def _pack(cs: list[int], s: int) -> int:
-    v = 0
-    for c in reversed(cs):
-        v = (v << s) + c
-    return v
+    """The value of the flat list cs at 2^s.
+
+    Two halves are joined by one shift, so each level of the recursion
+    touches every bit once (Horner's rule, one shift per entry, takes
+    time quadratic in the length).
+    """
+    if len(cs) <= 32:
+        return sum(c << i * s for i, c in enumerate(cs) if c)
+    mid = len(cs) // 2
+    return _pack(cs[:mid], s) + (_pack(cs[mid:], s) << mid * s)
 
 
 def _digits(v: int, s: int) -> list[int]:
-    """The balanced base-2^s digits of v, in [-2^(s-1), 2^(s-1)), least first: the inverse of _pack."""
-    out = []
-    half, mask = 1 << (s - 1), (1 << s) - 1
-    while v:
-        d = v & mask
-        if d >= half:
-            d -= mask + 1
-        out.append(d)
-        v = (v - d) >> s
+    """The balanced base-2^s digits of v, in [-2^(s-1), 2^(s-1)), least first: the inverse of _pack.
+
+    Adding B = 2^(s-1) (1 + 2^s + ... + 2^(s(n-1))) shifts every one of n
+    balanced digits into [0, 2^s), so they are read off the binary string
+    of v + B without carries; n digits hold every |v| < 2^(s(n-1)-1).
+    """
+    if not v:
+        return []
+    half = 1 << (s - 1)
+    n = abs(v).bit_length() // s + 2
+    bits = format(v + half * ((1 << s * n) - 1) // ((1 << s) - 1), f"0{s * n}b")
+    out = [int(bits[i - s:i], 2) - half for i in range(s * n, 0, -s)]
+    while not out[-1]:
+        out.pop()
     return out
 
 
-def _ydeg(f: list[int], R: int) -> int:
-    return max(i % R for i, c in enumerate(f) if c)
+def _steps(radices: tuple) -> list[int]:
+    """The index step of each live variable, outermost first: the product of the radices after it."""
+    steps = [1]
+    for R in reversed(radices):
+        steps.append(steps[-1] * R)
+    return steps[::-1]
 
 
-def _exquo(f: list[int], h: list[int], R: int) -> list[int] | None:
+def _fits(h: list[int], cof: list[int], radices: tuple) -> bool:
+    """deg h + deg cof stays below the radix in every inner variable: no index carries."""
+    for R, step in zip(radices, _steps(radices)[1:]):
+        if sum(max(i // step % R for i, c in enumerate(f) if c) for f in (h, cof)) >= R:
+            return False
+    return True
+
+
+def _exquo(f: list[int], h: list[int], radices: tuple) -> list[int] | None:
     """f / h for nonzero flat polynomials when h divides f, else None.
 
     cof is read from the exact quotient of the packed values, so that
     pack(h) * pack(cof) == pack(f).  That identity is one of polynomials
     when the base cannot carry: 2^(t-1) exceeds |f| and the bound
     min(len) |h| |cof| on the coefficients of h * cof (max norms), and
-    deg_y h + deg_y cof < R.  Only then is cof accepted.
+    deg h + deg cof stays below the radix in every inner variable.  Only
+    then is cof accepted.
     """
     nf, nh = max(map(abs, f)), max(map(abs, h))
     t = (max(nf, nh) * len(f)).bit_length() + 2
@@ -409,31 +455,33 @@ def _exquo(f: list[int], h: list[int], R: int) -> list[int] | None:
             return None
         cof = _digits(quo, t)
         bound = max(nf, min(len(h), len(cof)) * nh * max(map(abs, cof))).bit_length()
-        if bound < t and _ydeg(h, R) + _ydeg(cof, R) < R:
+        if bound < t and _fits(h, cof, radices):
             return cof
         t = max(bound, t) + 2
     return None
 
 
-def _heu(fs: list[list[int]], R: int) -> tuple[list[int], list[list[int]]] | None:
-    """The gcd of nonzero flat polynomials, leading coefficient positive, and
-    their cofactors; None when six values of xi fail.
+def _heu(fs: list[list[int]], radices: tuple) -> tuple[list[int], list[list[int]]] | None:
+    """The gcd of nonzero flat polynomials in at most two variables, leading
+    coefficient positive, and their cofactors; None when six values of xi fail.
 
     The gcd is c v^m g: c the gcd of the integer contents, v the variable
-    evaluated here (y, or x when R = 1), v^m the least power of v in the fs
-    and g the gcd of the primitive parts p without their powers of v.  v is
-    set to xi = 2^s > 2 |p| + 2 (max norm, of the p with the least); the
-    images are integers, or for R > 1 polynomials in x whose gcd the
-    one-variable lane gives, and g's candidate h is the primitive part of
-    the balanced xi-adic digits of their gcd.  If h divides every p, h = g:
-    g = h k, and k at v = xi divides the content of the digits, so it is a
-    constant of size at most xi/2.  The lowest and the highest coefficients
-    of k in x (k itself for R = 1) divide those of a p, whose roots lie
-    below 1 + |p| (Cauchy), so neither can exceed xi/2 at xi or vanish
-    there: both are constants, and of x^0, so k is a constant, +-1 as g is
-    primitive.  Without the contents and powers of v, a power of 2 in the
-    constant term of a p stays below 2^s and cannot pose as a power of v.
+    evaluated here (y, the inner one of radix R, or x with no radix), v^m
+    the least power of v in the fs and g the gcd of the primitive parts p
+    without their powers of v.  v is set to xi = 2^s > 2 |p| + 2 (max norm,
+    of the p with the least); the images are integers, or with a radix
+    polynomials in x whose gcd the one-variable lane gives, and g's
+    candidate h is the primitive part of the balanced xi-adic digits of
+    their gcd.  If h divides every p, h = g: g = h k, and k at v = xi
+    divides the content of the digits, so it is a constant of size at most
+    xi/2.  The lowest and the highest coefficients of k in x (k itself with
+    no radix) divide those of a p, whose roots lie below 1 + |p| (Cauchy),
+    so neither can exceed xi/2 at xi or vanish there: both are constants,
+    and of x^0, so k is a constant, +-1 as g is primitive.  Without the
+    contents and powers of v, a power of 2 in the constant term of a p
+    stays below 2^s and cannot pose as a power of v.
     """
+    R = radices[0] if radices else 1
     cs = [math.gcd(*f) for f in fs]
     c = math.gcd(*cs)
     vs = [min(i % R if R > 1 else i for i, x in enumerate(f) if x) for f in fs]
@@ -445,7 +493,7 @@ def _heu(fs: list[list[int]], R: int) -> tuple[list[int], list[list[int]]] | Non
             h = _digits(math.gcd(*(_pack(p, s) for p in ps)), s)
         else:
             images = [[_pack(p[i:i + R], s) for i in range(0, len(p), R)] for p in ps]
-            found = _heu([g for g in images if any(g)], 1)
+            found = _heu([g for g in images if any(g)], ())
             if found is None:
                 return None
             blocks = [_digits(v, s) for v in found[0]]
@@ -461,7 +509,7 @@ def _heu(fs: list[list[int]], R: int) -> tuple[list[int], list[list[int]]] | Non
             h = [0] * m + [c * x // k for x in h]
             cofs = []
             for f in fs:
-                cof = _exquo(f, h, R)
+                cof = _exquo(f, h, radices)
                 if cof is None:
                     break
                 cofs.append(cof)
@@ -469,6 +517,36 @@ def _heu(fs: list[list[int]], R: int) -> tuple[list[int], list[list[int]]] | Non
                 return h, cofs
         s += s // 4 + 2
     return None
+
+
+def _flatten(ps: list[dict], live: list[int]) -> tuple[list[list[int]], tuple, Callable]:
+    """Nonzero integer polynomial dicts as flat lists over the variables ``live``
+    (outermost first, every other exponent 0), the radices of the inner ones,
+    each 1 + the variable's greatest exponent, and the map of a flat list back
+    to a dict."""
+    n = len(next(iter(ps[0])))
+    radices = tuple(1 + max(e[v] for p in ps for e in p) for v in live[1:])
+    steps = dict(zip(live, _steps(radices)))
+    weights = [steps.get(v, 0) for v in range(n)]
+    fs = []
+    for p in ps:
+        keys = [sum(map(operator.mul, e, weights)) for e in p]
+        f = [0] * (1 + max(keys))
+        for i, c in zip(keys, p.values()):
+            f[i] = c
+        fs.append(f)
+
+    def back(f: list[int]) -> dict:
+        out = {}
+        for i, c in enumerate(f):
+            if c:
+                e = [0] * n
+                for v, step in steps.items():
+                    e[v], i = divmod(i, step)
+                out[tuple(e)] = c
+        return out
+
+    return fs, radices, back
 
 
 def _heugcd(ps: list[dict]) -> tuple[dict, Iterable[dict]] | None:
@@ -482,32 +560,32 @@ def _heugcd(ps: list[dict]) -> tuple[dict, Iterable[dict]] | None:
     live = [v for v in range(n) if any(e[v] for p in ps for e in p)]
     if len(live) > 2:
         return None
-    x, *y = live or [0]
-    R = 1 + max(e[y[0]] for p in ps for e in p) if y else 1
-    key = (lambda e: e[x] * R + e[y[0]]) if y else (lambda e: e[x])
-    fs = []
-    for p in filter(None, ps):
-        f = [0] * (1 + max(map(key, p)))
-        for e, c in p.items():
-            f[key(e)] = c
-        fs.append(f)
-    found = _heu(fs, R)
+    fs, radices, back = _flatten(list(filter(None, ps)), live)
+    found = _heu(fs, radices)
     if found is None:
         return None
-
-    def back(f: list[int]) -> dict:
-        out = {}
-        for i, c in enumerate(f):
-            if c:
-                e = [0] * n
-                for v, k in zip(live, divmod(i, R)):
-                    e[v] = k
-                out[tuple(e)] = c
-        return out
-
     g, cofs = found
     cofs = iter(cofs)
     return back(g), (back(next(cofs)) if p else {} for p in ps)  # read only when used
+
+
+def _laurent_exquo(s: dict, t: dict) -> tuple[dict, int] | None:
+    """(n, c) with s / t = n / c for nonzero integer Laurent dicts, c >= 1 the
+    integer content of t, when t / c divides s in the Laurent ring; else None.
+
+    Both are shifted to polynomials with no monomial factor, so t / c divides
+    s exactly when it divides the shifted s as a polynomial (``_exquo``).
+    """
+    c = math.gcd(*t.values())
+    (i0, j0, k0), (f,) = _shift([s])
+    (i1, j1, k1), (h,) = _shift([{e: w // c for e, w in t.items()}])
+    live = [v for v in range(3) if any(e[v] for p in (f, h) for e in p)]
+    (f, h), radices, back = _flatten([f, h], live)
+    cof = _exquo(f, h, radices)
+    if cof is None:
+        return None
+    i0, j0, k0 = i0 - i1, j0 - j1, k0 - k1
+    return {(i + i0, j + j0, k + k0): w for (i, j, k), w in back(cof).items()}, c
 
 
 def _sympy_gcd(ps: list[dict]) -> tuple:

@@ -176,6 +176,12 @@ class RowReducer:
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
 
+    def copy(self) -> "RowReducer":
+        """A reducer of the same span that grows on its own; pivot rows are never mutated."""
+        out = RowReducer()
+        out.pivots = dict(self.pivots)
+        return out
+
     @property
     def rank(self) -> int:
         return len(self.pivots)

@@ -76,6 +76,9 @@ class LoopModule:
         self._cache: dict = dict(base)
         self._word_cache: dict = {}
         self._alg_span: list[Mat] | None = None
+        # left ideal spans by signs, and correction spaces by (second factor, modulus)
+        self._ideal_spans: dict[tuple, list[Mat]] = {}
+        self._corrections: dict[tuple, tuple[list[dict], RowReducer]] = {}
 
     # -- generator matrices -------------------------------------------
 
@@ -262,6 +265,13 @@ class LoopModule:
             frontier = new
         self._alg_span = basis
         return basis
+
+    def ideal_span(self, signs: tuple) -> list[Mat]:
+        """Basis of the left ideal of the X currents of ``signs`` (``_left_ideal_span``), built once."""
+        got = self._ideal_spans.get(signs)
+        if got is None:
+            got = self._ideal_spans[signs] = _left_ideal_span(self, signs)
+        return got
 
 
 # ---------------------------------------------------------------------------
@@ -578,11 +588,11 @@ def _x_span(lm: LoopModule, sign: int) -> list[Mat]:
     ]
 
 
-def _left_ideal_span(lm: LoopModule, factors: list[list[Mat]]) -> list[Mat]:
-    """Basis of span{ u * f1 * f2 * ... : u in the image algebra }."""
+def _left_ideal_span(lm: LoopModule, signs: tuple) -> list[Mat]:
+    """Basis of span{ u * x1 * x2 * ... : u in the image algebra, x_k in ``_x_span(lm, signs[k])`` }."""
     prods = [Mat.identity(lm.dim)]
-    for fs in factors:
-        prods = [p * f for p in prods for f in fs]
+    for s in signs:
+        prods = [p * f for p in prods for f in _x_span(lm, s)]
     red = RowReducer()
     tail: list[Mat] = []
     for p in prods:
@@ -606,10 +616,22 @@ def _corr_basis(m1: LoopModule, m2: LoopModule, modulus: tuple) -> list[Mat]:
     """
     out = []
     for left, right in modulus:
-        lefts = _left_ideal_span(m1, [_x_span(m1, s) for s in left])
-        rights = _left_ideal_span(m2, [_x_span(m2, s) for s in right])
+        lefts, rights = m1.ideal_span(left), m2.ideal_span(right)
         out += [kron_super(s1, s2, m1.parity, m2.parity) for s1 in lefts for s2 in rights]
     return out
+
+
+def _correction(m1: LoopModule, m2: LoopModule, modulus: tuple) -> tuple[list[dict], RowReducer]:
+    """The flattened ``_corr_basis`` and a reducer of its span, built once per
+    (m1, m2, modulus) and kept on m1: the space depends on the factors only."""
+    got = m1._corrections.get((m2, modulus))
+    if got is None:
+        basis = [mat.flatten() for mat in _corr_basis(m1, m2, modulus)]
+        red = RowReducer()
+        for vec in basis:
+            red.add(vec)
+        got = m1._corrections[m2, modulus] = (basis, red)
+    return got
 
 
 def _coproduct_claim(
@@ -670,10 +692,7 @@ def check_coproduct_formula(
         return True
     if n == 0:
         return False
-    red = RowReducer()
-    for mat in _corr_basis(m1, m2, modulus):
-        red.add(mat.flatten())
-    return red.contains(lhs.flatten())
+    return _correction(m1, m2, modulus)[1].contains(lhs.flatten())
 
 
 def cartan_coproduct_constants(
@@ -705,19 +724,19 @@ def cartan_coproduct_constants(
         return kron_super(left, right, m1.parity, m2.parity)
 
     cols = {"x": column(i - 1), "y": column(i), "z": column(i + 1)}
-    corr = _corr_basis(m1, m2, (((-1, -1), (1, 1)),))
+    corr, corr_red = _correction(m1, m2, (((-1, -1), (1, 1)),))
     names = [k for k, v in cols.items() if v is not None]
-    col_mats = [cols[k] for k in names]
-    sol = solve_span([c.flatten() for c in col_mats] + [c.flatten() for c in corr], target.flatten())
+    sol = solve_span([cols[k].flatten() for k in names] + corr, target.flatten())
     if sol is None:
         return {"solvable": False}
     values = dict(zip(names, sol))
     qi = sig.q_node(i)
     z_expected = scalar(s) * (qi - qi**-1)
-    # the span of every column but z, and of the corrections
-    red = RowReducer()
-    for c in [cols[k] for k in names if k != "z"] + corr:
-        red.add(c.flatten())
+    # the span of the corrections and of every column but z
+    red = corr_red.copy()
+    for k in names:
+        if k != "z":
+            red.add(cols[k].flatten())
     z_unique = not red.contains(cols["z"].flatten())
     # z = z_expected is consistent exactly when the rest of the target lies
     # in that span; when z is pinned this says the unique z is z_expected

@@ -285,6 +285,31 @@ def test_sympy_loaded_only_by_suites_that_need_the_field(capsys):
     assert highest == [0, True, capsys.readouterr().out]
 
 
+def test_module_and_monoid_suites_make_no_field_operation():
+    # every quotient of these suites is a ring value: solve_span's x_j and
+    # series_to_torsion's Q coefficients are exact Laurent divisions
+    suites = [
+        [suite, "--M", str(M), "--N", str(N)]
+        for suite in ("highest-weight", "tensor-hw", "coproduct-check")
+        for M, N in ((2, 1), (1, 2))
+    ] + [["monoid", "--count", "3", "--degree-bound", "4"]]
+    lines = run_fresh(
+        "import contextlib, io, json, sys\n"
+        "from superloop import cli, coeffs\n"
+        "field_op, calls = coeffs._field_op, []\n"
+        "def counted(op, x, y):\n"
+        "    calls.append(op)\n"
+        "    return field_op(op, x, y)\n"
+        "coeffs._field_op = counted\n"
+        f"for argv in {suites!r}:\n"
+        "    calls.clear()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    print(json.dumps([argv, code, len(calls)]))\n"
+    )
+    assert [json.loads(line) for line in lines] == [[argv, 0, 0] for argv in suites]
+
+
 def test_appendix_a_rejects_explicit_default_signature(capsys):
     # (2,1) is the default of the other suites, not a request for (2,2)
     assert run_main(["appendix-a", "--M", "2", "--N", "1", "--nmax", "1", "--window", "1"]) == 2

@@ -1,10 +1,11 @@
 import ast
 import contextlib
+import operator
 import random
 from fractions import Fraction
 
 import pytest
-from helpers import SRC, run_fresh
+from helpers import SRC, count_field_ops, run_fresh
 from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.fields import field
@@ -375,14 +376,103 @@ def test_packed_product_check_needs_a_carry_free_base():
     assert r == 0 and coeffs._pack(h, 1) * coeffs._pack(cof, 1) == coeffs._pack(f, 1)
     assert _flat_mul(h, cof) == [1, 0, -1] != f
     # the kernel's base exceeds twice every coefficient of f and of h * cof
-    assert coeffs._exquo(f, h, 1) is None
-    assert coeffs._exquo(f, [1, 1], 1) == [-3, 1]
-    # in two variables (index R e_x + e_y) deg_y h + deg_y cof must stay below R: at
+    assert coeffs._exquo(f, h, ()) is None
+    assert coeffs._exquo(f, [1, 1], ()) == [-3, 1]
+    # in two variables (index R e_x + e_y, radices (R,)) deg_y h + deg_y cof must stay below R: at
     # R = 2, f = 1 - x packs as 1 - y^2 would, and h = 1 + y would divide it
-    assert coeffs._exquo([1, 0, -1], [1, 1], 1) == [1, -1]  # 1 - x^2 = (1 + x)(1 - x)
-    assert coeffs._exquo([1, 0, -1], [1, 1], 2) is None
+    assert coeffs._exquo([1, 0, -1], [1, 1], ()) == [1, -1]  # 1 - x^2 = (1 + x)(1 - x)
+    assert coeffs._exquo([1, 0, -1], [1, 1], (2,)) is None
     fy = _flat_mul([1, 1, 0, 2], [1, -1, 0, 1])  # R = 3: (1 + y + 2x)(1 - y + x)
-    assert coeffs._exquo(fy, [1, 1, 0, 2], 3) == [1, -1, 0, 1]
+    assert coeffs._exquo(fy, [1, 1, 0, 2], (3,)) == [1, -1, 0, 1]
+
+
+def _horner_pack(cs, s):
+    v = 0
+    for c in reversed(cs):
+        v = (v << s) + c
+    return v
+
+
+def _horner_digits(v, s):
+    out = []
+    half, mask = 1 << (s - 1), (1 << s) - 1
+    while v:
+        d = v & mask
+        if d >= half:
+            d -= mask + 1
+        out.append(d)
+        v = (v - d) >> s
+    return out
+
+
+def test_pack_and_digits_match_horner():
+    # the shifted-sum pack and the offset readout against the Horner routines
+    rng = random.Random(22)
+    for _ in range(300):
+        s = rng.randint(2, 70)
+        n = rng.randint(0, 200)  # above 32 entries _pack halves the list
+        big = rng.choice([4, s - 1, s, 3 * s])  # digits and coefficients beyond the base
+        cs = [rng.randint(-(1 << big), 1 << big) if rng.random() < 0.6 else 0 for _ in range(n)]
+        v = coeffs._pack(cs, s)
+        assert v == _horner_pack(cs, s)
+        assert coeffs._digits(v, s) == _horner_digits(v, s)
+        w = rng.randint(-(1 << rng.randint(0, 400)), 1 << rng.randint(0, 400))
+        assert coeffs._digits(w, s) == _horner_digits(w, s)
+    for s in (2, 3, 8):  # every digit at the edges of [-2^(s-1), 2^(s-1))
+        half = 1 << (s - 1)
+        for ds in ([-half] * 5, [half - 1] * 5, [1, -half, 0, half - 1, -1]):
+            assert coeffs._digits(coeffs._pack(ds, s), s) == ds
+    assert coeffs._pack([], 5) == 0 and coeffs._digits(0, 5) == []
+
+
+def _ring_value(rng, live, den, terms=4):
+    """A nonzero Laurent polynomial in the variables ``live`` over the integer ``den``."""
+    x = ZERO
+    while x == ZERO:
+        for _ in range(rng.randint(1, terms)):
+            e = [rng.randint(-2, 2) if v in live else 0 for v in range(3)]
+            x += rng.randint(-6, 6) * q ** e[0] * a ** e[1] * b ** e[2]
+    return x / den
+
+
+def test_laurent_division_two_routes():
+    # x / y on packed integers against sympy's field (_field_op), on ring
+    # values in q, a and b over d in {1, 2, 3, 6}
+    rng = random.Random(2022)
+    div = operator.truediv
+    seen = {"exact": 0, "denominator": 0, "field": 0}
+    for _ in range(150):
+        live = rng.choice([(0,), (1, 2), (0, 1, 2)])
+        d1, d2, d3 = (rng.choice([1, 2, 3, 6]) for _ in range(3))
+        u = _ring_value(rng, live, d1)
+        v = _ring_value(rng, live, d2)
+        if len(v._terms) < 2:
+            continue
+        c = rng.choice([1, 2, 9, -4])
+        for x, y in ((u * v, v), (u * v, c * v / d3), (u, v)):
+            with count_field_ops() as calls:
+                got = x / y
+            want = coeffs._field_op(div, x, y)
+            assert got == want and repr(got) == repr(want)
+            assert (got._den, got._terms) == (want._den, want._terms)
+            if want._terms is None:
+                assert calls == [div]  # not a ring value: the field divides
+                seen["field"] += 1
+            else:
+                assert calls == []
+                seen["denominator" if got._den > 1 else "exact"] += 1
+    assert min(seen.values()) >= 20, seen
+    # the torsion quotient 4096 m / (18432 (q - q^-1)) with m = a (q^2 - 1) is (2/9) a q
+    m = a * (q**2 - 1)
+    with count_field_ops() as calls:
+        got = 4096 * m / (18432 * (q - q**-1))
+    assert calls == [] and got == 2 * a * q / 9 and got._den == 9
+    assert got == coeffs._field_op(div, 4096 * m, 18432 * (q - q**-1))
+    for x in (ONE, q + a, (q + a) / 6, ZERO):
+        for y in (ZERO, q - q):
+            with pytest.raises(ZeroDivisionError):
+                x / y
+    assert ZERO / (q + a) == ZERO
 
 
 def test_monoid_pass_takes_no_sympy_route_gcd():

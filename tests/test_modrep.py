@@ -1,9 +1,9 @@
 import pytest
 from helpers import count_field_ops, mat_from_rows, vector_reference
 
-from superloop import modrep, pbw, weyl
+from superloop import cli, modrep, pbw, weyl
 from superloop.coeffs import ONE, ZERO, ZPoly, a, b, q, qint_base, scalar
-from superloop.linalg import Mat, kron_super
+from superloop.linalg import Mat, RowReducer, kron_super
 from superloop.modrep import (
     LoopModule,
     ModuleError,
@@ -516,3 +516,81 @@ def test_cartan_coproduct_constants(ev21, ev21b, tensor21):
         assert res["z_unique"]
     with pytest.raises(ModuleError):
         modrep.cartan_coproduct_constants(2, ev21, ev21b, product=tensor21)
+
+
+def _fresh_correction(m1, m2, modulus):
+    """The correction space built from scratch, with no memo: a fresh basis and reducer."""
+    basis = []
+    for left, right in modulus:
+        lefts = modrep._left_ideal_span(m1, left)
+        rights = modrep._left_ideal_span(m2, right)
+        basis += [kron_super(s1, s2, m1.parity, m2.parity).flatten() for s1 in lefts for s2 in rights]
+    red = RowReducer()
+    for vec in basis:
+        red.add(vec)
+    return basis, red
+
+
+def _coproduct_results(m1, m2, tm):
+    """Every coproduct-check verdict and Cartan result on the product of m1 and m2."""
+    out = {}
+    for part in ("x+", "x-", "phi"):
+        for j in range(1, m1.sig.n_nodes + 1):
+            for n in (-2, -1, 0, 1, 2):
+                out[part, j, n] = modrep.check_coproduct_formula(j, n, m1, m2, part, tm)
+    for s in (1, -1):
+        out["cartan", s] = modrep.cartan_coproduct_constants(1, m1, m2, tm, sign=s)
+    return out
+
+
+@pytest.mark.parametrize(("M", "N"), [(2, 1), (1, 2)])
+def test_memoised_correction_spaces_two_routes(monkeypatch, M, N):
+    # verdicts and values read from the kept spans against spaces rebuilt for every claim
+    mod = fundamental(M, N)
+    m1, m2 = evaluation_pullback(mod, a), evaluation_pullback(mod, b)
+    tm = tensor(m1, m2)
+    first = _coproduct_results(m1, m2, tm)
+    assert len(m1._corrections) == 4  # the x+, x-, phi and Cartan moduli
+    # the kept reducers span the corrections alone: no claim grew them
+    for (factor, modulus), (_, red) in m1._corrections.items():
+        assert factor is m2 and red.rank == _fresh_correction(m1, m2, modulus)[1].rank
+    again = _coproduct_results(m1, m2, tm)  # every space read from the memo
+    with monkeypatch.context() as patch:
+        patch.setattr(modrep, "_correction", _fresh_correction)
+        fresh = _coproduct_results(m1, m2, tm)
+    assert first == again == fresh
+    assert all(v for k, v in fresh.items() if k[0] != "cartan")
+    for s in (1, -1):
+        res = fresh["cartan", s]
+        assert res["solvable"] and res["z_unique"] and res["z_matches"]
+
+
+def test_memoised_correction_space_rejects_scaled_current(ev21, ev21b, tensor21, monkeypatch):
+    # negative control: with the spaces already kept, a product whose X+_{1,1}
+    # is scaled by q fails, and no space is rebuilt for it
+    assert modrep.check_coproduct_formula(1, 1, ev21, ev21b, part="x+", product=tensor21)
+    assert ev21._corrections
+    key = ("X+", 1, 1)
+    bad = _perturbed(tensor21, key, tensor21.gen(key).scale(q))
+    builds = []
+    monkeypatch.setattr(modrep, "_corr_basis", lambda *args: builds.append(args))
+    assert not modrep.check_coproduct_formula(1, 1, ev21, ev21b, part="x+", product=bad)
+    assert builds == []
+
+
+def test_coproduct_suite_builds_each_span_once(monkeypatch):
+    # one left ideal span per (factor module, signs): 6, not one per claim (36)
+    calls = {"_left_ideal_span": [], "_corr_basis": []}
+    for name, seen in calls.items():
+        def counted(*args, _f=getattr(modrep, name), _seen=seen):
+            _seen.append(args)
+            return _f(*args)
+
+        monkeypatch.setattr(modrep, name, counted)
+    for M, N in ((2, 1), (1, 2)):
+        for seen in calls.values():
+            seen.clear()
+        assert cli.run(cli.RunConfig(suite="coproduct-check", M=M, N=N))["passed"]
+        spans = calls["_left_ideal_span"]
+        assert len(spans) == len(set(spans)) == 6
+        assert len(calls["_corr_basis"]) == 4  # one per modulus
