@@ -1,7 +1,13 @@
 """Sparse exact linear algebra over the scalar field.
 
-Matrices are stored as ``{(row, col): Scalar}`` with zero entries absent;
-vectors as ``{index: Scalar}``.  Everything is exact.  Elimination is
+Matrices are stored as ``{(row, col): Scalar}`` and never store a zero
+entry; vectors as ``{index: Scalar}``.  Everything is exact.  The public
+``Mat(...)`` drops the zeros of the dict it is given.  Arithmetic builds
+its results through the raw constructor ``_mat``, which stores the dict
+as it is, and tests for zero only the entries that can cancel: a sum of
+two entries, never a product or a nonzero multiple of nonzero entries,
+since the field is a domain.  A zero ``Scalar`` is the ring value with
+empty terms, so that test reads ``_terms`` directly.  Elimination is
 fraction-free: it stays in the Laurent ring the entries almost always
 lie in, and divides only where a caller needs field values (a solution
 of ``solve_span``, a kernel basis of ``joint_nullspace``).
@@ -29,11 +35,11 @@ class Mat:
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Mat":
-        return cls(nrows, ncols, {})
+        return _mat(nrows, ncols, {})
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls(n, n, {(i, i): ONE for i in range(n)})
+        return _mat(n, n, {(i, i): ONE for i in range(n)})
 
     def is_zero(self) -> bool:
         return not self.data
@@ -51,25 +57,39 @@ class Mat:
             raise ValueError("shape mismatch")
         data = dict(self.data)
         for key, val in other.data.items():
-            data[key] = data.get(key, ZERO) + val
-        return Mat(self.nrows, self.ncols, data)
+            if key in data:
+                val = data[key] + val
+                if val._terms == {}:
+                    del data[key]
+                    continue
+            data[key] = val
+        return _mat(self.nrows, self.ncols, data)
 
     def __sub__(self, other: "Mat") -> "Mat":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
         data = dict(self.data)
         for key, val in other.data.items():
-            data[key] = data.get(key, ZERO) - val
-        return Mat(self.nrows, self.ncols, data)
+            if key in data:
+                val = data[key] - val
+                if val._terms == {}:
+                    del data[key]
+                    continue
+            else:
+                val = -val
+            data[key] = val
+        return _mat(self.nrows, self.ncols, data)
 
     def __neg__(self) -> "Mat":
-        return Mat(self.nrows, self.ncols, {k: -v for k, v in self.data.items()})
+        return _mat(self.nrows, self.ncols, {k: -v for k, v in self.data.items()})
 
     def scale(self, s) -> "Mat":
         s = scalar(s)
-        if s == ZERO:
+        if s._terms == {}:
             return Mat.zeros(self.nrows, self.ncols)
-        return Mat(self.nrows, self.ncols, {k: s * v for k, v in self.data.items()})
+        if s == ONE:
+            return self
+        return _mat(self.nrows, self.ncols, {k: s * v for k, v in self.data.items()})
 
     def __mul__(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
@@ -78,11 +98,19 @@ class Mat:
         for (k, j), val in other.data.items():
             by_row.setdefault(k, []).append((j, val))
         data: dict = {}
+        summed = set()  # entries with two or more contributions: only these can cancel
         for (i, k), aik in self.data.items():
             for j, bkj in by_row.get(k, ()):
                 key = (i, j)
-                data[key] = data.get(key, ZERO) + aik * bkj
-        return Mat(self.nrows, other.ncols, data)
+                if key in data:
+                    data[key] = data[key] + aik * bkj
+                    summed.add(key)
+                else:
+                    data[key] = aik * bkj
+        for key in summed:
+            if data[key]._terms == {}:
+                del data[key]
+        return _mat(self.nrows, other.ncols, data)
 
     def apply(self, vec: dict) -> dict:
         """Matrix times sparse column vector."""
@@ -101,6 +129,15 @@ class Mat:
         return f"Mat({self.nrows}x{self.ncols}, nnz={len(self.data)})"
 
 
+def _mat(nrows: int, ncols: int, data: dict) -> Mat:
+    """The ``Mat`` of ``data`` as given, which holds ``Scalar``s and no zero."""
+    m = Mat.__new__(Mat)
+    m.nrows = nrows
+    m.ncols = ncols
+    m.data = data
+    return m
+
+
 def kron_super(A: Mat, B: Mat, parity1: list[int], parity2: list[int]) -> Mat:
     """Matrix of A ((x)) B acting on the super tensor product.
 
@@ -115,9 +152,10 @@ def kron_super(A: Mat, B: Mat, parity1: list[int], parity2: list[int]) -> Mat:
     for (i1, j1), x in A.data.items():
         p1 = parity1[j1]
         for (i2, j2), y in B.data.items():
-            sgn = -ONE if (p1 and (parity2[i2] + parity2[j2]) % 2) else ONE
-            data[i1 * n2 + i2, j1 * m2 + j2] = sgn * x * y
-    return Mat(A.nrows * n2, A.ncols * m2, data)
+            xy = x * y
+            odd = p1 and (parity2[i2] + parity2[j2]) % 2
+            data[i1 * n2 + i2, j1 * m2 + j2] = -xy if odd else xy
+    return _mat(A.nrows * n2, A.ncols * m2, data)
 
 
 def _eliminate(vec: dict, row: dict, lead: int) -> dict:

@@ -79,6 +79,8 @@ class LoopModule:
         # left ideal spans by signs, and correction spaces by (second factor, modulus)
         self._ideal_spans: dict[tuple, list[Mat]] = {}
         self._corrections: dict[tuple, tuple[list[dict], RowReducer]] = {}
+        # relation_value's brackets and phi coefficients by symbolic key (check_relation)
+        self._brackets: dict = {}
 
     # -- generator matrices -------------------------------------------
 
@@ -402,8 +404,11 @@ def tensor(m1: LoopModule, m2: LoopModule) -> LoopModule:
 
 
 def check_relation(lm: LoopModule, rule: RelRule) -> bool:
-    """The relation holds on the module: its template evaluated on word matrices is zero."""
-    return relation_value(lm.sig, rule, lm._word_matrix).is_zero()
+    """The relation holds on the module: its template evaluated on word matrices is zero.
+
+    Instances share the module's bracket memo, which never reads ``_cache``.
+    """
+    return relation_value(lm.sig, rule, lm._word_matrix, lm._brackets).is_zero()
 
 
 def relation_report(

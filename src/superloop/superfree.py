@@ -500,13 +500,23 @@ def _signs(family: str) -> tuple[int, ...]:
     return (1,) if family in ("cartan", "pm-mixed", "chev-mixed") else (1, -1)
 
 
-def relation_value(sig: AlgebraSignature, rule: RelRule, word: Callable):
+def relation_value(
+    sig: AlgebraSignature, rule: RelRule, word: Callable, brackets: dict | None = None
+):
     """The value of a defining relation, which vanishes in the quotient.
 
     Each family is written once; every word in the generator symbols is
     evaluated by ``word``, whose values need ``+``, ``-``, ``*`` and
     ``scale``.  A monomial ``Elem`` gives the free element, a module's
     ``_word_matrix`` the action of the relation on the module.
+
+    ``brackets``, when given, is a memo that lives as long as ``word``
+    evaluates the same way (one per module), shared by every instance.
+    It keys each bracket by its operands' symbolic keys and its twist: an
+    operand's key is its ``GenSym``, ``"K0"`` for the affine K_0, or the
+    (key, key, twist) triple of a bracket.  The phi coefficient of
+    ``pm-mixed`` is kept under ("phi", i, sign, n): the exp series
+    evaluated by ``word``, never a current derived on the module.
 
     A relation holds exactly when a nonzero multiple of its value vanishes:
     diagonal ``pm-mixed`` and ``chev-mixed`` are stated times q_i - q_i^-1
@@ -516,12 +526,24 @@ def relation_value(sig: AlgebraSignature, rule: RelRule, word: Callable):
     if not _admissible(sig, fam, idx):
         raise ValueError(f"{fam} {idx} is not a relation instance on ({sig.M},{sig.N})")
 
+    def recall(key, build: Callable):
+        """``build()``, kept in ``brackets`` under ``key`` when there is a memo."""
+        if brackets is None:
+            return build()
+        got = brackets.get(key)
+        if got is None:
+            got = brackets[key] = build()
+        return got
+
     def gen(g: GenSym) -> tuple:
-        """A generator's value with its parity, the operand of ``br``."""
-        return word((g,)), sig.parity_of(g)
+        """A generator's value, parity and key: the operand of ``br``."""
+        return word((g,)), sig.parity_of(g), g
 
     def br(x: tuple, y: tuple, twist) -> tuple:
-        return super_comm(x[0], x[1], y[0], y[1], twist), (x[1] + y[1]) % 2
+        key = (x[2], y[2], twist)
+        return recall(
+            key, lambda: (super_comm(x[0], x[1], y[0], y[1], twist), (x[1] + y[1]) % 2, key)
+        )
 
     def X(i: int, n: int) -> tuple:
         return gen(_x(sgn, i, n))
@@ -569,7 +591,8 @@ def relation_value(sig: AlgebraSignature, rule: RelRule, word: Callable):
             rel = rel.scale(qi - qi**-1)
             for s in (1, -1):
                 if s * (m + n) >= 0:
-                    rel = rel - phi_coeff(sig, i, s, m + n, word).scale(s)
+                    phi = recall(("phi", i, s, m + n), lambda: phi_coeff(sig, i, s, m + n, word))
+                    rel = rel - phi.scale(s)
         return rel
     if fam == "deg2-zero":
         i, m, j, n = idx
@@ -598,8 +621,8 @@ def relation_value(sig: AlgebraSignature, rule: RelRule, word: Callable):
         return half(n, u) + half(u, n)
     if fam == "chev-kx":
         i, j = idx
-        kword = k0(1) if i == 0 else word((kay(i),))
-        return br((kword, 0), chev(j), q ** (sgn * sig.affine_c(i, j)))[0]
+        k = (k0(1), 0, "K0") if i == 0 else gen(kay(i))
+        return br(k, chev(j), q ** (sgn * sig.affine_c(i, j)))[0]
     if fam == "chev-mixed":
         i, j = idx
         rel = br(chev(i, +1), chev(j, -1), ONE)[0]

@@ -78,6 +78,89 @@ def test_kron_super_signs():
     assert K.data.get((2, 3), ZERO) == -ONE and K.data.get((3, 2), ZERO) == -ONE
 
 
+# -- raw Mat arithmetic against the filtering constructor --
+
+_ENTRIES = [ONE, -ONE, q, -q, q**-1, a, -a, q - 1, 1 - q, ONE / (q - 1)]
+
+
+def _random_mat(rng, nrows, ncols):
+    keys = [(i, j) for i in range(nrows) for j in range(ncols)]
+    picked = rng.sample(keys, rng.randint(0, len(keys)))
+    return Mat(nrows, ncols, {key: rng.choice(_ENTRIES) for key in picked})
+
+
+def _dense(nrows, ncols, entry):
+    """The filtering ``Mat(...)`` of entry(i, j) at every position, zeros included."""
+    return Mat(nrows, ncols, {(i, j): entry(i, j) for i in range(nrows) for j in range(ncols)})
+
+
+def _at(m, i, j):
+    return m.data.get((i, j), ZERO)
+
+
+def _cancelling_partner(rng, A, ncols):
+    """A right factor for A in which row i of A meets two terms x*y - y*x = 0."""
+    C = _random_mat(rng, A.ncols, ncols)
+    rows = [i for i in range(A.nrows) if sum((i, l) in A.data for l in range(A.ncols)) >= 2]
+    if not rows:
+        return C
+    i = rng.choice(rows)
+    l1, l2 = rng.sample([l for l in range(A.ncols) if (i, l) in A.data], 2)
+    j = rng.randrange(ncols)
+    data = {key: v for key, v in C.data.items() if key[1] != j}
+    data[l1, j], data[l2, j] = A.data[i, l2], -A.data[i, l1]
+    return Mat(A.ncols, ncols, data)
+
+
+def test_raw_mat_arithmetic_against_filtering_constructor():
+    # every result of +, -, *, scale, negation and kron_super stores no zero and
+    # equals the filtering constructor's matrix of the same entries, computed densely
+    rng = random.Random(23)
+    cancelled = 0
+    for n in range(500):
+        r, c, k = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+        A = _random_mat(rng, r, c)
+        op = n % 6
+        if op in (0, 1):  # plant cancellations: B repeats some of A's entries, negated for a sum
+            sign = -ONE if op == 0 else ONE
+            B = _random_mat(rng, r, c)
+            B = Mat(r, c, {**B.data, **{key: sign * v for key, v in A.data.items() if rng.random() < 0.6}})
+            out = A + B if op == 0 else A - B
+            ref = _dense(r, c, lambda i, j: _at(A, i, j) - sign * _at(B, i, j))
+            touched = len(A.data.keys() | B.data.keys())
+        elif op == 2:
+            B = _cancelling_partner(rng, A, k)
+            out = A * B
+            ref = _dense(r, k, lambda i, j: sum((_at(A, i, l) * _at(B, l, j) for l in range(c)), ZERO))
+            touched = len({(i, j) for (i, l) in A.data for (l2, j) in B.data if l == l2})
+        elif op == 3:
+            s = rng.choice([0, 1, ZERO, ONE, -ONE, q, a - q])
+            out = A.scale(s)
+            ref = _dense(r, c, lambda i, j: scalar(s) * _at(A, i, j))
+            touched = len(A.data) if scalar(s) != ZERO else 0
+            if scalar(s) == ONE:
+                assert out is A
+        elif op == 4:
+            out, ref, touched = -A, _dense(r, c, lambda i, j: -_at(A, i, j)), len(A.data)
+        else:
+            B = _random_mat(rng, k, rng.randint(1, 3))
+            p1, p2 = [rng.randint(0, 1) for _ in range(c)], [rng.randint(0, 1) for _ in range(B.ncols)]
+            p2 = p2 + [rng.randint(0, 1) for _ in range(B.nrows - len(p2))]
+            out = kron_super(A, B, p1, p2)
+
+            def entry(i, j):
+                (i1, i2), (j1, j2) = divmod(i, B.nrows), divmod(j, B.ncols)
+                koszul = -ONE if p1[j1] * (p2[i2] + p2[j2]) % 2 else ONE
+                return koszul * _at(A, i1, j1) * _at(B, i2, j2)
+
+            ref = _dense(r * B.nrows, c * B.ncols, entry)
+            touched = len(A.data) * len(B.data)
+        assert all(v != ZERO for v in out.data.values())
+        assert out == ref
+        cancelled += len(out.data) < touched
+    assert cancelled >= 100
+
+
 # -- two routes: the fraction-free reducer against field elimination --
 
 

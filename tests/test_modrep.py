@@ -1,7 +1,7 @@
 import pytest
 from helpers import count_field_ops, mat_from_rows, vector_reference
 
-from superloop import cli, modrep, pbw, weyl
+from superloop import cli, modrep, pbw, superfree, weyl
 from superloop.coeffs import ONE, ZERO, ZPoly, a, b, q, qint_base, scalar
 from superloop.linalg import Mat, RowReducer, kron_super
 from superloop.modrep import (
@@ -18,6 +18,7 @@ from superloop.modrep import (
 from superloop.superfree import (
     AlgebraSignature,
     Elem,
+    GenSym,
     RelRule,
     chevalley_instances,
     phi_coeff,
@@ -25,6 +26,7 @@ from superloop.superfree import (
     qbracket,
     relation_elem,
     relation_instances,
+    relation_value,
     super_comm,
     xp,
 )
@@ -235,6 +237,74 @@ def test_two_route_corrupted_current(fund21, key):
     # a scaled E0+- also breaks the affine Chevalley relation
     families = {"deg2-shift", "hx", "pm-mixed"} | ({"chev-mixed"} if len(key) == 1 else set())
     assert {r.family for r in by_matrix} == families
+
+
+def _from_key(lm, key):
+    """(value, parity) of a bracket memo key rebuilt from the key alone, with no memo."""
+    if isinstance(key, GenSym):
+        return lm.gen_sym(key), lm.sig.parity_of(key)
+    if key == "K0":
+        return lm.gen(("K0",)), 0
+    x, y, twist = key
+    (vx, px), (vy, py) = _from_key(lm, x), _from_key(lm, y)
+    return super_comm(vx, px, vy, py, twist), (px + py) % 2
+
+
+def _memo_module(kind, M, N):
+    """A freshly built evaluation module ev(M,N), or the tensor of two of them."""
+    mod = fundamental(M, N)
+    if kind == "ev":
+        return evaluation_pullback(mod, a)
+    return tensor(evaluation_pullback(mod, a), evaluation_pullback(mod, b))
+
+
+@pytest.mark.parametrize(
+    ("kind", "M", "N", "window"),
+    [("ev", 2, 1, 2), ("ev", 1, 2, 2), ("ev", 3, 1, 1), ("tensor", 2, 1, 1)],
+)
+def test_bracket_memo_two_routes(kind, M, N, window):
+    # the report with the module's bracket memo, empty and then full, against every
+    # instance evaluated with no memo on a freshly built module
+    lm, plain = _memo_module(kind, M, N), _memo_module(kind, M, N)
+    first = relation_report(lm, window=window, include_chevalley=True)
+    assert lm._brackets
+    again = relation_report(lm, window=window, include_chevalley=True)
+    assert first == again and first["passed"]
+    rules = relation_instances(lm.sig, range(-window, window + 1)) + chevalley_instances(lm.sig)
+    verdicts = {r: check_relation(lm, r) for r in rules}
+    assert verdicts == {r: relation_value(plain.sig, r, plain._word_matrix).is_zero() for r in rules}
+    assert len(verdicts) == sum(c["instances"] for c in first["checks"])
+    # the memo leaves the derived currents as they are
+    assert set(lm._cache) == set(plain._cache)
+    # every kept value is what its symbolic key names, rebuilt on the other module
+    for key, kept in lm._brackets.items():
+        if key[0] == "phi":
+            _, i, sign, n = key
+            assert kept == phi_coeff(plain.sig, i, sign, n, plain._word_matrix)
+        else:
+            assert kept == (*_from_key(plain, key), key)
+
+
+@pytest.mark.parametrize("key", [("X+", 1, 1), ("X-", 2, -1), ("E0+",), ("E0-",)])
+def test_filled_bracket_memo_rejects_scaled_current(fund21, key):
+    # negative control: with a module's memo full, a copy with one current scaled by q
+    # fails the relations test_two_route_corrupted_current expects, memo empty or full
+    lm = evaluation_pullback(fund21, a)
+    base = dict(lm._cache)
+    assert relation_report(lm, window=2, include_chevalley=True)["passed"]
+    scaled = lm.gen(key).scale(q)
+    # copies of the base: every other current is derived again from the scaled one
+    bad, twin = (LoopModule(lm.sig, lm.parity, {**base, key: scaled}) for _ in range(2))
+    assert not bad._brackets
+    by_matrix, by_elem = _route_failures(bad, chevalley=True)
+    assert bad._brackets
+    assert _route_failures(bad, chevalley=True) == (by_matrix, by_elem)
+    families = {"deg2-shift", "hx", "pm-mixed"} | ({"chev-mixed"} if len(key) == 1 else set())
+    assert by_matrix == by_elem and {r.family for r in by_matrix} == families
+    # the failing values, as matrices, against a twin copy with no memo
+    for r in by_matrix:
+        value = relation_value(bad.sig, r, bad._word_matrix, bad._brackets)
+        assert not value.is_zero() and value == relation_value(twin.sig, r, twin._word_matrix)
 
 
 def test_two_route_cartan_loops(ev21, ev31):
@@ -594,3 +664,51 @@ def test_coproduct_suite_builds_each_span_once(monkeypatch):
         spans = calls["_left_ideal_span"]
         assert len(spans) == len(set(spans)) == 6
         assert len(calls["_corr_basis"]) == 4  # one per modulus
+
+
+def test_relation_suite_builds_each_bracket_once(monkeypatch):
+    # verify-relations (2,1), window 2, --chevalley: each bracket key and each
+    # +-phi coefficient is computed once per module, and Mat arithmetic never
+    # passes its results through the filtering constructor
+    class Memo(dict):
+        def __setitem__(self, key, value):
+            assert key not in self, key
+            super().__setitem__(key, value)
+
+    memos = []
+    init = LoopModule.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._brackets = Memo()
+        memos.append(self._brackets)
+
+    comm, coeff, mat_init = superfree.super_comm, superfree.phi_coeff, Mat.__init__
+    brackets, phis, filtered = [], [], []
+
+    def counted_comm(x, *args):
+        if isinstance(x, Mat):
+            brackets.append(x)
+        return comm(x, *args)
+
+    def counted_coeff(sig, i, sign, n, word):
+        phis.append((word.__self__, i, sign, n))
+        return coeff(sig, i, sign, n, word)
+
+    def counted_init(self, *args):
+        filtered.append(args)
+        mat_init(self, *args)
+
+    monkeypatch.setattr(LoopModule, "__init__", recording_init)
+    monkeypatch.setattr(superfree, "super_comm", counted_comm)
+    monkeypatch.setattr(superfree, "phi_coeff", counted_coeff)
+    monkeypatch.setattr(Mat, "__init__", counted_init)
+    cfg = cli.RunConfig(suite="verify-relations", M=2, N=1, window=2, chevalley=True)
+    assert cli.run(cfg)["passed"]
+    assert len(memos) == 2  # the vector module's gate and the evaluation module
+    kept = [k for memo in memos for k in memo]
+    # 767 matrix brackets and 64 phi_coeff calls with no memo
+    assert len(brackets) == sum(1 for k in kept if k[0] != "phi") == 455
+    assert len(phis) == len(set(phis)) == sum(1 for k in kept if k[0] == "phi") == 24
+    # the torus and matrix-unit base of the vector module, and E0+-'s two tori (6,523 before)
+    assert len(filtered) == 10
