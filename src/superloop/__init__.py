@@ -3,8 +3,9 @@
 Subpackages:
 
 - ``coeffs``:    exact rational-function scalars, z-polynomials and series
-- ``superfree``: graded words, the defining-relation catalog, quantum
-                 brackets, phi series, the (2,2) oscillation replay
+- ``superfree``: words in the current symbols, the twisted super
+                 commutator, the defining-relation catalog, phi series,
+                 the (2,2) oscillation replay
 - ``pbw``:       positive roots, root vectors, PBW monomials, the
                  plus-to-minus isomorphism
 - ``modrep``:    finite-dimensional modules, evaluation pullbacks, tensor

@@ -829,10 +829,6 @@ def poly_gcd(p: ZPoly, r: ZPoly) -> ZPoly:
     return x.scale(ONE / unit)
 
 
-def poly_coprime(p: ZPoly, r: ZPoly) -> bool:
-    return poly_gcd(p, r).degree == 0
-
-
 def expand_ratio(c, Q: ZPoly, P: ZPoly, direction: str, order: int) -> tuple:
     """Truncated geometric expansion of c*Q(z)/P(z).
 

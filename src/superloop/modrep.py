@@ -4,10 +4,11 @@ A LoopModule carries matrices for all loop currents.  The vector module
 ``fundamental(M, N)`` gives the Chevalley level K_i^{+-1}, X^+-_{i,0} by
 exact matrices and is certified by the loop-degree-0 instances of the
 relation catalog; an evaluation pullback adds the affine pair E0+- (a
-coproduct does, for tensor products).  The level-one Cartan loops come
-from the twisted bracket words in the affine generators, the X currents
-by commutator ladders along an adjacent node, and the deeper Cartan
-loops from the phi series by Newton's identity.  Every derived matrix
+coproduct does, for tensor products).  The level-one Cartan loops are
+matrix brackets of E0+- with the Chevalley currents, each twist stated
+from the affine Cartan entries, the X currents come by commutator
+ladders along an adjacent node, and the deeper Cartan loops from the phi
+series by Newton's identity.  Every derived matrix
 can be cross-checked against the defining relations, which is what the
 verification suites do.
 """
@@ -28,15 +29,10 @@ from .superfree import (
     KAY_INV,
     RelRule,
     chevalley_instances,
-    e0m,
     e0p,
-    floor_bracket,
-    ceil_bracket,
     relation_instances,
     relation_value,
     super_comm,
-    xm,
-    xp,
 )
 from .weyl import HighestWeight, series_to_torsion
 
@@ -54,7 +50,7 @@ class LoopModule:
 
     ``base`` seeds the cache (Chevalley-level matrices and the affine
     E0 pair); every other current is derived lazily: level +-1 Cartan
-    loops from the affine bracket words, X currents by commutator
+    loops as brackets of the affine pair, X currents by commutator
     ladders along an adjacent node, phi coefficients from the mixed
     relation, deeper Cartan loops from the phi series by Newton's
     identity.  A module with a
@@ -157,20 +153,27 @@ class LoopModule:
         return (h * prev - prev * h).scale(sign)
 
     def _h_one(self, i: int, s: int) -> Mat:
+        """H_{i,+-1} = +-lam_i times E0+- bracketed with every X^+-_{k,0}.
+
+        H_{i,1} = lam_i [X_i, ...[X_1, [X_{i+1}, ...[X_n, E0+]...]]...] nests
+        the raising currents onto E0+, H_{i,-1} = -lam_i [...[[...[E0-, X_n],
+        ..., X_{i+1}], X_1], ..., X_i] the lowering ones.  Bracketing X_k
+        onto the nodes l nested so far (node 0 for E0) twists by
+        q^{-+sum_l c_kl} in the affine Cartan entries: the weight -+theta of
+        E0+- pairs with alpha_k as c_0k.
+        """
         sig = self.sig
         lam = (-ONE) ** i if i <= sig.M else (-ONE) ** (i - 1)
-        if s == 1:
-            items = [Elem.monomial((xp(i, 0),))]
-            items += [Elem.monomial((xp(k, 0),)) for k in range(i - 1, 0, -1)]
-            items += [Elem.monomial((xp(k, 0),)) for k in range(i + 1, sig.n_nodes + 1)]
-            items.append(Elem.monomial((e0p(),)))
-            word = floor_bracket(sig, items).scale(lam)
-        else:
-            items = [Elem.monomial((e0m(),))]
-            items += [Elem.monomial((xm(k, 0),)) for k in range(sig.n_nodes, i, -1)]
-            items += [Elem.monomial((xm(k, 0),)) for k in range(1, i + 1)]
-            word = ceil_bracket(sig, items).scale(-lam)
-        return self.elem_matrix(word)
+        tag = "X+" if s > 0 else "X-"
+        out, par = self.gen(("E0+",) if s > 0 else ("E0-",)), sig.parity_of(e0p())
+        nested = [0]
+        for k in [*range(sig.n_nodes, i, -1), *range(1, i + 1)]:
+            x, p = self.gen((tag, k, 0)), sig.parity_node(k)
+            twist = q ** (-s * sum(sig.affine_c(k, l) for l in nested))
+            out = super_comm(x, p, out, par, twist) if s > 0 else super_comm(out, par, x, p, twist)
+            par = (par + p) % 2
+            nested.append(k)
+        return out.scale(lam if s > 0 else -lam)
 
     def _phi(self, sign: int, i: int, n: int) -> Mat:
         sig = self.sig
@@ -333,8 +336,8 @@ def _chevalley_bracket(lm: LoopModule, tag: str) -> Mat:
 def evaluation_pullback(mod: LoopModule, a) -> LoopModule:
     """Pull the vector module ``fundamental(M, N)`` back along the evaluation at a.
 
-    Requires M != N.  The affine generators are the twisted bracket words
-    in the Chevalley raising/lowering currents times t_1 t_{M+N}^-1, which
+    Requires M != N.  The affine generators are the twisted brackets of
+    the Chevalley raising/lowering currents times t_1 t_{M+N}^-1, which
     acts by diag(q, 1, ..., 1, q^-1); the loop grading twist multiplies a
     current of loop degree n by a^n.
     """

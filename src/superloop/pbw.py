@@ -1,7 +1,8 @@
 """Root vectors, the ordered positive root system and PBW monomials.
 
 Positive roots are the segments alpha_i + ... + alpha_j ordered by
-(i, j); root vectors are iterated twisted brackets of the plus currents.
+(i, j); root vectors are iterated twisted brackets of the plus currents,
+each stating the parity of the chain so far and of the next node.
 The plus-to-minus isomorphism tau1 acts word by word on free elements.
 The Dynkin-diagram flip acts on modules instead (``modrep.pi_pullback``).
 """
@@ -12,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .superfree import AlgebraSignature, Elem, GenSym, X_PLUS, qbracket, xm, xp
+from .superfree import AlgebraSignature, Elem, GenSym, X_PLUS, super_comm, xm, xp
 
 
 @dataclass(frozen=True, order=True)
@@ -36,9 +37,11 @@ def root_vector(sig: AlgebraSignature, beta: Root, n: int) -> Elem:
     """X_beta(n) = [...[[X^+_{i,n}, X^+_{i+1,0}]_{q_{i+1}}, ...]_{q_j}."""
     if beta.j > sig.n_nodes:
         raise ValueError("root out of range for signature")
-    out = Elem.monomial((xp(beta.i, n),))
+    out, par = Elem.monomial((xp(beta.i, n),)), sig.parity_node(beta.i)
     for k in range(beta.i + 1, beta.j + 1):
-        out = qbracket(sig, out, Elem.monomial((xp(k, 0),)), sig.q_node(k))
+        p = sig.parity_node(k)
+        out = super_comm(out, par, Elem.monomial((xp(k, 0),)), p, sig.q_node(k))
+        par = (par + p) % 2
     return out
 
 

@@ -1,18 +1,18 @@
 """Free graded superalgebra on loop-current generator symbols.
 
-Words in the generator symbols carry a Z2 parity, a weight in the root
-lattice and a loop degree.  A word is a tuple of ``GenSym`` symbols,
-which are validated named tuples, so the keys of ``Elem`` terms and of
-``RowReducer`` vectors hash, compare and order in C.  The module houses
-the defining-relation catalog of the quantum loop superalgebra of
-sl(M,N), quantum brackets, the phi-series expansion and the (2,2)
-oscillation replay.  The catalog holds values only: ``relation_value``
-writes each relation once and evaluates it on free words or on a
-module's matrices; ``_admissible`` states each family's domain once, for
-the evaluator and the enumerators.  No automatic normal form is imposed:
-an algebra identity is decided by the replay's guided reduction and
-exact certificates over degree-2 relations, or by the action on a
-module.
+A word is a tuple of ``GenSym`` symbols, which are validated named
+tuples, so the keys of ``Elem`` terms and of ``RowReducer`` vectors
+hash, compare and order in C.  The module houses the defining-relation
+catalog of the quantum loop superalgebra of sl(M,N), the twisted super
+commutator ``super_comm``, the phi-series expansion and the (2,2)
+oscillation replay.  ``super_comm`` is the only bracket: every caller
+states the parities and the twist of each bracket it builds.  The
+catalog holds values only: ``relation_value`` writes each relation once
+and evaluates it on free words or on a module's matrices;
+``_admissible`` states each family's domain once, for the evaluator and
+the enumerators.  No automatic normal form is imposed: an algebra
+identity is decided by the replay's guided reduction and exact
+certificates over degree-2 relations, or by the action on a module.
 """
 
 from __future__ import annotations
@@ -203,17 +203,13 @@ def _elem(terms: dict) -> Elem:
     return e
 
 
-class NotHomogeneous(ValueError):
-    """Raised when an operation needs weight/parity homogeneous input."""
-
-
 #: The largest |s| of an h_{i,s} symbol a signature accepts.
 H_BOUND = 8
 
 
 @dataclass(frozen=True)
 class AlgebraSignature:
-    """The (M, N) datum: parities, the bilinear form and the node Cartan data."""
+    """The (M, N) datum: parities and the Cartan data of the nodes and the affine node."""
 
     M: int
     N: int
@@ -262,19 +258,6 @@ class AlgebraSignature:
         if g.kind == AITCH and abs(g.index) > H_BOUND:
             raise ValueError(f"|H index| > bound {H_BOUND}")
 
-    def weight_of(self, g: GenSym) -> tuple[int, ...]:
-        self.check_symbol(g)
-        n = self.n_nodes
-        if g.kind == X_PLUS:
-            return tuple(1 if k == g.node else 0 for k in range(1, n + 1))
-        if g.kind == X_MINUS:
-            return tuple(-1 if k == g.node else 0 for k in range(1, n + 1))
-        if g.kind == E0_PLUS:
-            return tuple([-1] * n)
-        if g.kind == E0_MINUS:
-            return tuple([1] * n)
-        return tuple([0] * n)
-
     def parity_of(self, g: GenSym) -> int:
         self.check_symbol(g)
         if g.kind in (X_PLUS, X_MINUS):
@@ -282,46 +265,6 @@ class AlgebraSignature:
         if g.kind in (E0_PLUS, E0_MINUS):
             return sum(self.parity_node(i) for i in range(1, self.n_nodes + 1)) % 2
         return 0
-
-    def bilinear(self, w1: Sequence[int], w2: Sequence[int]) -> int:
-        return sum(
-            w1[i] * w2[j] * self.c(i + 1, j + 1)
-            for i in range(self.n_nodes)
-            for j in range(self.n_nodes)
-            if w1[i] and w2[j]
-        )
-
-    def word_weight(self, word: Word) -> tuple[int, ...]:
-        n = self.n_nodes
-        tot = [0] * n
-        for g in word:
-            for k, v in enumerate(self.weight_of(g)):
-                tot[k] += v
-        return tuple(tot)
-
-    def word_parity(self, word: Word) -> int:
-        return sum(self.parity_of(g) for g in word) % 2
-
-    def elem_weight(self, e: Elem) -> tuple[int, ...] | None:
-        """Common weight of all words, or None for non-homogeneous input."""
-        wt = None
-        for word in e.terms:
-            w = self.word_weight(word)
-            if wt is None:
-                wt = w
-            elif wt != w:
-                return None
-        return wt
-
-    def elem_parity(self, e: Elem) -> int | None:
-        par = None
-        for word in e.terms:
-            p = self.word_parity(word)
-            if par is None:
-                par = p
-            elif par != p:
-                return None
-        return par
 
     # -- affine Chevalley Cartan data ---------------------------------
 
@@ -351,50 +294,6 @@ def super_comm(x, px: int, y, py: int, twist=ONE):
     """
     sgn = -ONE if (px and py) else ONE
     return x * y - (y * x).scale(sgn * scalar(twist))
-
-
-def qbracket(sig: AlgebraSignature, x: Elem, y: Elem, u) -> Elem:
-    """[x, y]_u for parity-homogeneous free elements x, y."""
-    px = sig.elem_parity(x)
-    py = sig.elem_parity(y)
-    if px is None or py is None:
-        raise NotHomogeneous("qbracket needs parity-homogeneous arguments")
-    return super_comm(x, px, y, py, u)
-
-
-def _weight_or_raise(sig: AlgebraSignature, e: Elem) -> tuple[int, ...]:
-    wt = sig.elem_weight(e)
-    if wt is None:
-        raise NotHomogeneous("bracket arguments must be weight-homogeneous")
-    return wt
-
-
-def floor_bracket(sig: AlgebraSignature, items: Sequence[Elem]) -> Elem:
-    """Nested bracket [u1, [u2, ...]] with twist q^{-(alpha,beta)}.
-
-    Twist exponents are taken from the weights of the already-nested
-    arguments; a single argument is returned unchanged.
-    """
-    if not items:
-        raise ValueError("empty bracket")
-    out = items[-1]
-    for u in reversed(items[:-1]):
-        alpha = _weight_or_raise(sig, u)
-        beta = _weight_or_raise(sig, out)
-        out = qbracket(sig, u, out, q ** (-sig.bilinear(alpha, beta)))
-    return out
-
-
-def ceil_bracket(sig: AlgebraSignature, items: Sequence[Elem]) -> Elem:
-    """Nested bracket [[u1, u2], ...] with twist q^{+(alpha,beta)}."""
-    if not items:
-        raise ValueError("empty bracket")
-    out = items[0]
-    for u in items[1:]:
-        alpha = _weight_or_raise(sig, out)
-        beta = _weight_or_raise(sig, u)
-        out = qbracket(sig, out, u, q ** (sig.bilinear(alpha, beta)))
-    return out
 
 
 # ---------------------------------------------------------------------------

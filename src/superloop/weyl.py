@@ -18,7 +18,6 @@ from .coeffs import (
     ZERO,
     Scalar,
     ZPoly,
-    poly_coprime,
     poly_gcd,
     q,
     remove_content,
@@ -50,7 +49,7 @@ class TorsionTriple:
             raise TorsionError("Q and P must have constant term 1")
         if self.Q.degree != self.P.degree:
             raise TorsionError("Q and P must have equal degree")
-        if self.Q.degree > 0 and not poly_coprime(self.Q, self.P):
+        if self.Q.degree > 0 and poly_gcd(self.Q, self.P).degree > 0:
             raise NotCoprimeError("Q and P must be coprime")
         lead_q = self.Q.coeffs[-1]
         lead_p = self.P.coeffs[-1]

@@ -30,5 +30,10 @@ def ev31():
 
 
 @pytest.fixture(scope="session")
+def ev13():
+    return modrep.evaluation_pullback(modrep.fundamental(1, 3), a)
+
+
+@pytest.fixture(scope="session")
 def tensor21(ev21, ev21b):
     return modrep.tensor(ev21, ev21b)

@@ -20,7 +20,6 @@ from superloop.coeffs import (
     a,
     b,
     expand_ratio,
-    poly_coprime,
     poly_gcd,
     q,
     qint_base,
@@ -155,9 +154,9 @@ def test_poly_gcd_examples():
     one_minus_z = ZPoly([1, -1])
     prod = one_minus_z * ZPoly([1, -q])
     assert poly_gcd(one_minus_z, prod) == one_minus_z
-    assert poly_coprime(ZPoly([1, -1]), ZPoly([1, -q]))
+    assert poly_gcd(ZPoly([1, -1]), ZPoly([1, -q])).degree == 0
     p = ZPoly([1, q, 3])
-    assert not poly_coprime(p, p)
+    assert poly_gcd(p, p).degree == 2
     with pytest.raises(ValueError):
         poly_gcd(ZPoly.zero(), ZPoly.zero())
 

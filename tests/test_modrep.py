@@ -21,13 +21,15 @@ from superloop.superfree import (
     GenSym,
     RelRule,
     chevalley_instances,
+    e0m,
+    e0p,
     phi_coeff,
     phi_push_past,
-    qbracket,
     relation_elem,
     relation_instances,
     relation_value,
     super_comm,
+    xm,
     xp,
 )
 
@@ -319,12 +321,73 @@ def test_two_route_cartan_loops(ev21, ev31):
             )
 
 
+def _h_one_words(sig: AlgebraSignature, i: int, s: int, detune: int = 0) -> Elem:
+    """H_{i,+-1} as a free element: E0+- bracketed with every X^+-_{k,0}.
+
+    X_k joins the nested bracket [X_k, inner] (raising) or [inner, X_k]
+    (lowering) with twist q^{-+(wt X_k, wt inner)}, the weights paired in
+    the eps basis, (eps_a, eps_b) = l_a delta_ab.  ``detune`` shifts the
+    innermost twist by that power of q.
+    """
+    top = sig.M + sig.N
+
+    def eps(k: int, sign: int = 1) -> list[int]:
+        return [sign * (b == k) for b in range(1, top + 1)]
+
+    def add(u, v):
+        return [x + y for x, y in zip(u, v)]
+
+    def pair(u, v) -> int:
+        return sum(sig.l(b) * x * y for b, (x, y) in enumerate(zip(u, v), start=1))
+
+    # E0+- has weight -+(eps_1 - eps_{M+N}) and the parity of the full root
+    inner = Elem.monomial((e0p() if s > 0 else e0m(),))
+    wt = [s * x for x in add(eps(top), eps(1, -1))]
+    par = sum(sig.parity_node(k) for k in range(1, top)) % 2
+    for step, k in enumerate([*range(sig.n_nodes, i, -1), *range(1, i + 1)]):
+        x = Elem.monomial((xp(k, 0) if s > 0 else xm(k, 0),))
+        wx, px = [s * c for c in add(eps(k), eps(k + 1, -1))], sig.parity_node(k)
+        twist = q ** (-s * pair(wx, wt) + (detune if step == 0 else 0))
+        inner = super_comm(x, px, inner, par, twist) if s > 0 else super_comm(inner, par, x, px, twist)
+        wt, par = add(wt, wx), (par + px) % 2
+    lam = (-ONE) ** (i if i <= sig.M else i - 1)
+    return inner.scale(lam if s > 0 else -lam)
+
+
+def test_h_one_two_routes(ev21, ev12, ev31, ev13, tensor21):
+    # the matrix brackets of the module against free bracket words whose twists
+    # come from weights, evaluated word by word on the module
+    for lm in (ev21, ev12, ev31, ev13, tensor21):
+        for i in range(1, lm.sig.n_nodes + 1):
+            for s in (1, -1):
+                assert lm.elem_matrix(_h_one_words(lm.sig, i, s)) == lm.gen(("H", i, s))
+
+
+@pytest.mark.parametrize("M, N", [(2, 1), (1, 2), (3, 1), (1, 3)])
+def test_detuned_h_one_fails_relations(M, N):
+    # H_{i,1} seeded from the free words passes the catalog; one more power of q
+    # in the innermost raising twist fails hx and pm-mixed
+    fund = fundamental(M, N)
+
+    def failures(detune: int) -> set[str]:
+        lm = evaluation_pullback(fund, a)
+        for i in range(1, lm.sig.n_nodes + 1):
+            lm._cache[("H", i, 1)] = lm.elem_matrix(_h_one_words(lm.sig, i, 1, detune))
+        report = relation_report(lm, window=1)
+        return {c["name"] for c in report["checks"] if c["status"] == "fail"}
+
+    assert failures(0) == set()
+    assert {"hx(+)", "hx(-)", "pm-mixed(+)"} <= failures(1)
+
+
 def test_phi_brackets_are_built_once(fund21, monkeypatch):
     # H_{i,s} by Newton's identity reads [X+_{i,+-n}, X-_{i,0}] for n <= |s|: each is built once
     lm = evaluation_pullback(fund21, a)
     built = []
-    comm = modrep.super_comm
-    monkeypatch.setattr(modrep, "super_comm", lambda *args: built.append(args) or comm(*args))
+    phi_bracket = LoopModule._phi_bracket
+    monkeypatch.setattr(
+        LoopModule, "_phi_bracket", lambda self, *args: built.append(args) or phi_bracket(self, *args)
+    )
     h3 = lm.gen(("H", 1, 3))
     assert len(built) == 3
     lm.gen(("H", 1, 2))
@@ -413,6 +476,8 @@ def test_full_root_commutation_identity(ev21, ev12, ev31):
     for lm in (ev21, ev12, ev31):
         sig = lm.sig
         top = sig.M + sig.N
+        # the full root holds the one odd node M
+        full_parity = sum(sig.parity_node(k) for k in range(1, top)) % 2
         for j in range(2, sig.n_nodes + 1):
             pairing = (
                 (sig.l(1) if j == 1 else 0)
@@ -422,10 +487,11 @@ def test_full_root_commutation_identity(ev21, ev12, ev31):
             )
             lam = q**-pairing
             for n in (-2, -1, 0, 1, 2):
-                el = qbracket(
-                    sig,
+                el = super_comm(
                     pbw.root_vector(sig, pbw.Root(1, sig.n_nodes), n),
+                    full_parity,
                     Elem.monomial((xp(j, 0),)),
+                    sig.parity_node(j),
                     lam,
                 )
                 assert lm.elem_matrix(el).is_zero()

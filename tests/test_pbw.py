@@ -73,9 +73,11 @@ def test_tau1():
 def test_tau1_of_root_vector_is_negative_root_vector():
     # X_beta^-(n) := tau1(X_beta(-n)) lands in the minus subalgebra
     el = pbw.tau1(pbw.root_vector(SIG21, pbw.Root(1, 2), -1))
+    assert el.nterms() == 2
     for word in el.terms:
+        # every word has weight -alpha_1 - alpha_2: one X^- at each node
         assert all(g.kind == "X-" for g in word)
-    assert SIG21.elem_weight(el) == (-1, -1)
+        assert sorted(g.node for g in word) == [1, 2]
 
 
 def test_pbw_spanning_on_vector(ev21):

@@ -13,15 +13,12 @@ from superloop.superfree import (
     AlgebraSignature,
     Elem,
     GenSym,
-    NotHomogeneous,
     RelRule,
     aitch,
     appendixA_check,
-    ceil_bracket,
     chevalley_instances,
     e0m,
     e0p,
-    floor_bracket,
     kay,
     kinv,
     lambda_elem,
@@ -29,10 +26,10 @@ from superloop.superfree import (
     mu_recursion_certificate,
     phi_coeff,
     phi_push_past,
-    qbracket,
     reduce_lambda_step,
     relation_elem,
     relation_instances,
+    super_comm,
     xm,
     xp,
     _MU_PAIRS,
@@ -208,66 +205,26 @@ def test_elem_algebra():
     assert (e - e).is_zero()
     prod = mono(xp(1, 0)) * mono(xp(2, 1))
     assert prod.words() == [(xp(1, 0), xp(2, 1))]
-    assert SIG21.elem_weight(prod) == (1, 1)
-    assert SIG21.elem_parity(prod) == 1
-    mixed = mono(xp(1, 0)) + mono(xp(2, 0))
-    assert SIG21.elem_weight(mixed) is None
-
-
-def test_weight_parity_additivity():
-    w1 = (xp(1, 2), xp(2, -1))
-    w2 = (xm(2, 0), xp(1, 1))
-    e1, e2 = mono(*w1), mono(*w2)
-    prod = e1 * e2
-    wt = tuple(
-        x + y for x, y in zip(SIG21.word_weight(w1), SIG21.word_weight(w2))
-    )
-    assert SIG21.elem_weight(prod) == wt
-    assert SIG21.elem_parity(prod) == (SIG21.word_parity(w1) + SIG21.word_parity(w2)) % 2
 
 
 def test_qbracket_signs():
+    # [x, y]_u = xy - (-1)^{px py} u yx, the parities stated by the caller
     x, y = mono(xp(1, 0)), mono(xp(1, 1))  # both even
-    assert qbracket(SIG21, x, y, ONE) == x * y - y * x
+    assert super_comm(x, 0, y, 0) == x * y - y * x
     u, v = mono(xp(2, 0)), mono(xp(2, 1))  # both odd
-    assert qbracket(SIG21, u, v, ONE) == u * v + v * u
-    with pytest.raises(NotHomogeneous):
-        qbracket(SIG21, x + u, y, ONE)
+    assert super_comm(u, 1, v, 1) == u * v + v * u
+    assert super_comm(x, 0, u, 1, q) == x * u - (u * x).scale(q)
 
 
 def test_qbracket_anticommutativity():
-    for x, y in [(mono(xp(1, 0)), mono(xp(2, 1))), (mono(xp(2, 0)), mono(xm(2, 1)))]:
+    for x, y in [(xp(1, 0), xp(2, 1)), (xp(2, 0), xm(2, 1))]:
+        px, py = SIG21.parity_of(x), SIG21.parity_of(y)
+        x, y = mono(x), mono(y)
+        sgn = -ONE if (px and py) else ONE
         for u in (q, q**-2, scalar(3)):
-            px = SIG21.elem_parity(x)
-            py = SIG21.elem_parity(y)
-            sgn = -ONE if (px and py) else ONE
-            lhs = qbracket(SIG21, x, y, u)
-            rhs = qbracket(SIG21, y, x, u**-1).scale(sgn * u)
+            lhs = super_comm(x, px, y, py, u)
+            rhs = super_comm(y, py, x, px, u**-1).scale(sgn * u)
             assert lhs == -rhs
-
-
-def test_floor_bracket_is_weight_twisted_qbracket():
-    u, v = mono(xp(1, 0)), mono(xp(2, 0))
-    alpha = SIG21.elem_weight(u)
-    beta = SIG21.elem_weight(v)
-    tw = q ** (-SIG21.bilinear(alpha, beta))
-    assert floor_bracket(SIG21, [u, v]) == qbracket(SIG21, u, v, tw)
-    assert floor_bracket(SIG21, [u]) == u
-    assert floor_bracket(SIG22, [mono(xp(2, 0)), mono(xp(3, 0))]).nterms() == 2
-
-
-def test_floor_bracket_h11_word():
-    # the level-one Cartan word at (2,1) expands to 4 words
-    word = floor_bracket(SIG21, [mono(xp(1, 0)), mono(xp(2, 0)), mono(e0p())]).scale(-1)
-    assert word.nterms() == 4
-
-
-def test_ceil_bracket_nesting():
-    items = [mono(xm(2, 0)), mono(xm(1, 0))]
-    alpha = SIG21.elem_weight(items[0])
-    beta = SIG21.elem_weight(items[1])
-    tw = q ** (SIG21.bilinear(alpha, beta))
-    assert ceil_bracket(SIG21, items) == qbracket(SIG21, items[0], items[1], tw)
 
 
 def test_phi_coeff():
@@ -413,9 +370,11 @@ def test_degree4_twist_orders_differ_by_deg2_zero_ideal():
     # T(x, y) = [[[a, b]_x, c]_y, b] with b the odd node: the two twist
     # orders differ by an element of the ideal of b^2 and [a, c]
     a, b, c = mono(xp(1, 0)), mono(xp(2, 0)), mono(xp(3, 0))
+    assert [SIG22.parity_node(k) for k in (1, 2, 3)] == [0, 1, 0]
 
     def T(x, y):
-        return qbracket(SIG22, qbracket(SIG22, qbracket(SIG22, a, b, x), c, y), b, ONE)
+        # [a, b]_x and [[a, b]_x, c]_y are odd
+        return super_comm(super_comm(super_comm(a, 0, b, 1, x), 1, c, 0, y), 1, b, 1)
 
     ideal = c * a * b * b - b * b * a * c - b * (a * c - c * a) * b
     assert T(q, q**-1) - T(q**-1, q) == ideal.scale(q - q**-1)
