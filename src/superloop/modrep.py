@@ -15,21 +15,19 @@ verification suites do.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .coeffs import ONE, ZERO, Scalar, ZPoly, expand_ratio, q, scalar, scalar_str
 from .linalg import Mat, RowReducer, joint_nullspace, kron_super, solve_span
 from .superfree import (
     AlgebraSignature,
-    E0_MINUS,
-    E0_PLUS,
     Elem,
-    GenSym,
-    KAY,
-    KAY_INV,
     RelRule,
     chevalley_instances,
+    e0m,
     e0p,
+    kay,
+    kinv,
     relation_instances,
     relation_value,
     super_comm,
@@ -49,13 +47,16 @@ class LoopModule:
     """A representation of the loop superalgebra by exact matrices.
 
     ``base`` seeds the cache (Chevalley-level matrices and the affine
-    E0 pair); every other current is derived lazily: level +-1 Cartan
+    E0 pair) under the currents' ``GenSym`` keys (``kay(i)``, ``e0p()``,
+    ``("X+", i, 0)``), so ``gen`` reads a word's letters as they stand;
+    every other current is derived lazily: level +-1 Cartan
     loops as brackets of the affine pair, X currents by commutator
-    ladders along an adjacent node, phi coefficients from the mixed
-    relation, deeper Cartan loops from the phi series by Newton's
-    identity.  A module with a
+    ladders along an adjacent node, phi coefficients and deeper Cartan
+    loops (by Newton's identity) from the phi brackets.  A module with a
     ``source`` is the source's ``pi_pullback``: its X, H and K currents
-    are read off the source through the Dynkin flip.
+    are read off the source through the Dynkin flip.  What else a module
+    builds once (spans, correction spaces, relation brackets) is kept by
+    ``memo`` beside the currents, never among them.
     """
 
     def __init__(
@@ -71,12 +72,7 @@ class LoopModule:
         self.source = source
         self._cache: dict = dict(base)
         self._word_cache: dict = {}
-        self._alg_span: list[Mat] | None = None
-        # left ideal spans by signs, and correction spaces by (second factor, modulus)
-        self._ideal_spans: dict[tuple, list[Mat]] = {}
-        self._corrections: dict[tuple, tuple[list[dict], RowReducer]] = {}
-        # relation_value's brackets and phi coefficients by symbolic key (check_relation)
-        self._brackets: dict = {}
+        self._memo: dict = {}
 
     # -- generator matrices -------------------------------------------
 
@@ -88,13 +84,12 @@ class LoopModule:
         self._cache[key] = mat
         return mat
 
-    def gen_sym(self, g: GenSym) -> Mat:
-        self.sig.check_symbol(g)
-        if g.kind in (KAY, KAY_INV):
-            return self.gen((g.kind, g.node))
-        if g.kind in (E0_PLUS, E0_MINUS):
-            return self.gen((g.kind,))
-        return self.gen((g.kind, g.node, g.index))
+    def memo(self, key: tuple, build: Callable):
+        """``build()``, built once per module and kept under ``key`` beside the currents."""
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = build()
+        return got
 
     def elem_matrix(self, e: Elem) -> Mat:
         out = Mat.zeros(self.dim, self.dim)
@@ -107,7 +102,7 @@ class LoopModule:
             return Mat.identity(self.dim)
         got = self._word_cache.get(word)
         if got is None:
-            got = self.gen_sym(word[0]) * self._word_matrix(word[1:])
+            got = self.gen(word[0]) * self._word_matrix(word[1:])
             self._word_cache[word] = got
         return got
 
@@ -119,11 +114,14 @@ class LoopModule:
             # K_0 = (K_1 ... K_{M+N-1})^{-1}
             out = Mat.identity(self.dim)
             for i in range(1, self.sig.n_nodes + 1):
-                out = out * self.gen(("Kinv", i) if tag == "K0" else ("K", i))
+                out = out * self.gen(kinv(i) if tag == "K0" else kay(i))
             return out
         if tag == "phi":
             _, sign, i, n = key
             return self._phi(sign, i, n)
+        if tag == "bracket":
+            _, i, n = key
+            return self._phi_bracket(i, n)
         if self.source is not None:
             return self._derive_pi(key)
         if tag in ("X+", "X-"):
@@ -165,7 +163,7 @@ class LoopModule:
         sig = self.sig
         lam = (-ONE) ** i if i <= sig.M else (-ONE) ** (i - 1)
         tag = "X+" if s > 0 else "X-"
-        out, par = self.gen(("E0+",) if s > 0 else ("E0-",)), sig.parity_of(e0p())
+        out, par = self.gen(e0p() if s > 0 else e0m()), sig.parity_of(e0p())
         nested = [0]
         for k in [*range(sig.n_nodes, i, -1), *range(1, i + 1)]:
             x, p = self.gen((tag, k, 0)), sig.parity_node(k)
@@ -180,9 +178,9 @@ class LoopModule:
         if sign > 0 and n < 0 or sign < 0 and n > 0:
             raise ModuleError("phi coefficient with wrong-sign index")
         if n == 0:
-            return self.gen(("K", i)) if sign > 0 else self.gen(("Kinv", i))
+            return self.gen(kay(i) if sign > 0 else kinv(i))
         qi = sig.q_node(i)
-        return self._phi_bracket(i, n).scale((qi - qi**-1) * (ONE if sign > 0 else -ONE))
+        return self.gen(("bracket", i, n)).scale((qi - qi**-1) * (ONE if sign > 0 else -ONE))
 
     def _phi_bracket(self, i: int, n: int) -> Mat:
         """[X^+_{i,n}, X^-_{i,0}], the z^n coefficient of phi_i^+-(z) over +-(q_i - q_i^-1)."""
@@ -201,16 +199,11 @@ class LoopModule:
         """
         qi = self.sig.q_node(i)
         sign = 1 if s > 0 else -1
-        head = self.gen(("Kinv", i) if s > 0 else ("K", i))
+        head = self.gen(kinv(i) if s > 0 else kay(i))
         ys: dict[int, Mat] = {}
         mus: dict[int, Mat] = {}
         for n in range(1, abs(s) + 1):
-            # every H_{i,s'} with |s'| >= n reads this bracket: it is built once and kept
-            key = ("bracket", i, sign * n)
-            bracket = self._cache.get(key)
-            if bracket is None:
-                bracket = self._cache[key] = self._phi_bracket(i, sign * n)
-            y = head * bracket
+            y = head * self.gen(("bracket", i, sign * n))
             if sign < 0:
                 y = -y
             mus[n] = y.scale(n)
@@ -232,51 +225,10 @@ class LoopModule:
                 sgn = -ONE
             return src.gen((tag, flip - node, -idx)).scale(sgn)
         if tag == "K":
-            return src.gen(("Kinv", flip - key[1]))
+            return src.gen(kinv(flip - key[1]))
         if tag == "Kinv":
-            return src.gen(("K", flip - key[1]))
+            return src.gen(kay(flip - key[1]))
         raise ModuleError(f"pi pullback does not provide {key}")
-
-    # -- spans used by membership oracles ------------------------------
-
-    def algebra_span(self) -> list[Mat]:
-        """Basis of the image algebra, generated by the base currents."""
-        if self._alg_span is not None:
-            return self._alg_span
-        gens = [Mat.identity(self.dim)]
-        for i in range(1, self.sig.n_nodes + 1):
-            gens += [self.gen(("K", i)), self.gen(("Kinv", i))]
-            gens += [self.gen(("X+", i, 0)), self.gen(("X-", i, 0))]
-        gens += [self._cache[key] for key in (("E0+",), ("E0-",)) if key in self._cache]
-        red = RowReducer()
-        basis: list[Mat] = []
-
-        def push(m: Mat):
-            if red.add(m.flatten()):
-                basis.append(m)
-                return True
-            return False
-
-        for g in gens:
-            push(g)
-        frontier = list(basis)
-        while frontier:
-            new = []
-            for m in frontier:
-                for g in gens[1:]:
-                    prod = m * g
-                    if push(prod):
-                        new.append(prod)
-            frontier = new
-        self._alg_span = basis
-        return basis
-
-    def ideal_span(self, signs: tuple) -> list[Mat]:
-        """Basis of the left ideal of the X currents of ``signs`` (``_left_ideal_span``), built once."""
-        got = self._ideal_spans.get(signs)
-        if got is None:
-            got = self._ideal_spans[signs] = _left_ideal_span(self, signs)
-        return got
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +262,8 @@ def fundamental(M: int, N: int) -> LoopModule:
     base: dict = {}
     for i in range(1, dim):
         li, li1 = sig.l(i), sig.l(i + 1)
-        base[("K", i)] = _torus(dim, {i - 1: li, i: -li1})
-        base[("Kinv", i)] = _torus(dim, {i - 1: -li, i: li1})
+        base[kay(i)] = _torus(dim, {i - 1: li, i: -li1})
+        base[kinv(i)] = _torus(dim, {i - 1: -li, i: li1})
         base[("X+", i, 0)] = Mat(dim, dim, {(i - 1, i): ONE})
         base[("X-", i, 0)] = Mat(dim, dim, {(i, i - 1): ONE})
     lm = LoopModule(sig, [0 if k < M else 1 for k in range(dim)], base)
@@ -356,9 +308,9 @@ def evaluation_pullback(mod: LoopModule, a) -> LoopModule:
     # the Chevalley level alone: currents derived on mod may be of another point
     base = {}
     for i in range(1, M + N):
-        base.update((k, mod.gen(k)) for k in (("K", i), ("Kinv", i), ("X+", i, 0), ("X-", i, 0)))
-    base[("E0+",)] = e0_plus.scale(sign).scale(a)
-    base[("E0-",)] = e0_minus.scale(a**-1)
+        base.update((k, mod.gen(k)) for k in (kay(i), kinv(i), ("X+", i, 0), ("X-", i, 0)))
+    base[e0p()] = e0_plus.scale(sign).scale(a)
+    base[e0m()] = e0_minus.scale(a**-1)
     return LoopModule(sig, mod.parity, base)
 
 
@@ -388,16 +340,16 @@ def tensor(m1: LoopModule, m2: LoopModule) -> LoopModule:
 
     base: dict = {}
     for i in range(1, sig.n_nodes + 1):
-        base[("K", i)] = kron(m1.gen(("K", i)), m2.gen(("K", i)))
-        base[("Kinv", i)] = kron(m1.gen(("Kinv", i)), m2.gen(("Kinv", i)))
+        base[kay(i)] = kron(m1.gen(kay(i)), m2.gen(kay(i)))
+        base[kinv(i)] = kron(m1.gen(kinv(i)), m2.gen(kinv(i)))
         base[("X+", i, 0)] = kron(id1, m2.gen(("X+", i, 0))) + kron(
-            m1.gen(("X+", i, 0)), m2.gen(("Kinv", i))
+            m1.gen(("X+", i, 0)), m2.gen(kinv(i))
         )
-        base[("X-", i, 0)] = kron(m1.gen(("K", i)), m2.gen(("X-", i, 0))) + kron(
+        base[("X-", i, 0)] = kron(m1.gen(kay(i)), m2.gen(("X-", i, 0))) + kron(
             m1.gen(("X-", i, 0)), id2
         )
-    base[("E0+",)] = kron(id1, m2.gen(("E0+",))) + kron(m1.gen(("E0+",)), m2.gen(("K0inv",)))
-    base[("E0-",)] = kron(m1.gen(("K0",)), m2.gen(("E0-",))) + kron(m1.gen(("E0-",)), id2)
+    base[e0p()] = kron(id1, m2.gen(e0p())) + kron(m1.gen(e0p()), m2.gen(("K0inv",)))
+    base[e0m()] = kron(m1.gen(("K0",)), m2.gen(e0m())) + kron(m1.gen(e0m()), id2)
     return LoopModule(sig, parity, base)
 
 
@@ -409,9 +361,10 @@ def tensor(m1: LoopModule, m2: LoopModule) -> LoopModule:
 def check_relation(lm: LoopModule, rule: RelRule) -> bool:
     """The relation holds on the module: its template evaluated on word matrices is zero.
 
-    Instances share the module's bracket memo, which never reads ``_cache``.
+    Instances share the module's memo for brackets and phi coefficients,
+    which never reads ``_cache``.
     """
-    return relation_value(lm.sig, rule, lm._word_matrix, lm._brackets).is_zero()
+    return relation_value(lm.sig, rule, lm._word_matrix, lm.memo).is_zero()
 
 
 def relation_report(
@@ -502,11 +455,11 @@ def highest_weight(
         if i == sig.M:
             continue
         qi = sig.q_node(i)
-        lam = _eigenvalue(lm.gen(("K", i)), v)
+        lam = _eigenvalue(lm.gen(kay(i)), v)
         sgn, d = _sign_qpower(lam, qi, 3 * lm.dim + 4)
         eps[i] = sgn
         P[i] = _reconstruct_poly(lm, v, i, sgn, d)
-    c = _eigenvalue(lm.gen(("K", sig.M)), v)
+    c = _eigenvalue(lm.gen(kay(sig.M)), v)
     order = 2 * degree_bound + 2
     gwin: dict[int, Scalar] = {0: c - c**-1}
     for n in range(1, order + 1):
@@ -596,6 +549,36 @@ def _x_span(lm: LoopModule, sign: int) -> list[Mat]:
     ]
 
 
+def _algebra_span(lm: LoopModule) -> list[Mat]:
+    """Basis of the image algebra, generated by the base currents."""
+    gens = [Mat.identity(lm.dim)]
+    for i in range(1, lm.sig.n_nodes + 1):
+        gens += [lm.gen(kay(i)), lm.gen(kinv(i))]
+        gens += [lm.gen(("X+", i, 0)), lm.gen(("X-", i, 0))]
+    gens += [lm._cache[key] for key in (e0p(), e0m()) if key in lm._cache]
+    red = RowReducer()
+    basis: list[Mat] = []
+
+    def push(m: Mat):
+        if red.add(m.flatten()):
+            basis.append(m)
+            return True
+        return False
+
+    for g in gens:
+        push(g)
+    frontier = list(basis)
+    while frontier:
+        new = []
+        for m in frontier:
+            for g in gens[1:]:
+                prod = m * g
+                if push(prod):
+                    new.append(prod)
+        frontier = new
+    return basis
+
+
 def _left_ideal_span(lm: LoopModule, signs: tuple) -> list[Mat]:
     """Basis of span{ u * x1 * x2 * ... : u in the image algebra, x_k in ``_x_span(lm, signs[k])`` }."""
     prods = [Mat.identity(lm.dim)]
@@ -608,7 +591,7 @@ def _left_ideal_span(lm: LoopModule, signs: tuple) -> list[Mat]:
             tail.append(p)
     out_red = RowReducer()
     out: list[Mat] = []
-    for u in lm.algebra_span():
+    for u in lm.memo(("algebra",), lambda: _algebra_span(lm)):
         for t in tail:
             cand = u * t
             if out_red.add(cand.flatten()):
@@ -624,22 +607,24 @@ def _corr_basis(m1: LoopModule, m2: LoopModule, modulus: tuple) -> list[Mat]:
     """
     out = []
     for left, right in modulus:
-        lefts, rights = m1.ideal_span(left), m2.ideal_span(right)
+        lefts = m1.memo(("ideal", left), lambda: _left_ideal_span(m1, left))
+        rights = m2.memo(("ideal", right), lambda: _left_ideal_span(m2, right))
         out += [kron_super(s1, s2, m1.parity, m2.parity) for s1 in lefts for s2 in rights]
     return out
 
 
 def _correction(m1: LoopModule, m2: LoopModule, modulus: tuple) -> tuple[list[dict], RowReducer]:
-    """The flattened ``_corr_basis`` and a reducer of its span, built once per
-    (m1, m2, modulus) and kept on m1: the space depends on the factors only."""
-    got = m1._corrections.get((m2, modulus))
-    if got is None:
+    """The flattened ``_corr_basis`` and a reducer of its span, kept in m1's memo
+    under (m2, modulus): the space depends on the factors only."""
+
+    def build():
         basis = [mat.flatten() for mat in _corr_basis(m1, m2, modulus)]
         red = RowReducer()
         for vec in basis:
             red.add(vec)
-        got = m1._corrections[m2, modulus] = (basis, red)
-    return got
+        return basis, red
+
+    return m1.memo(("correction", m2, modulus), build)
 
 
 def _coproduct_claim(
@@ -648,21 +633,21 @@ def _coproduct_claim(
     """(tensor-module key, explicit A (x) B terms, correction modulus)."""
     if part == "x+":
         key = ("X+", j, n)
-        kinv = m1.gen(("Kinv", j))
-        tail = (m1.gen(("X+", j, n)), m2.gen(("Kinv", j)))
+        ki = m1.gen(kinv(j))
+        tail = (m1.gen(("X+", j, n)), m2.gen(kinv(j)))
         if n >= 0:
             terms = [(Mat.identity(m1.dim), m2.gen(("X+", j, n))), tail]
             for s in range(1, n + 1):
-                terms.append((kinv * m1.gen(("phi", 1, j, s)), m2.gen(("X+", j, n - s))))
+                terms.append((ki * m1.gen(("phi", 1, j, s)), m2.gen(("X+", j, n - s))))
         else:
-            terms = [(kinv * kinv, m2.gen(("X+", j, n))), tail]
+            terms = [(ki * ki, m2.gen(("X+", j, n))), tail]
             for s in range(1, -n):
-                terms.append((kinv * m1.gen(("phi", -1, j, -s)), m2.gen(("X+", j, n + s))))
+                terms.append((ki * m1.gen(("phi", -1, j, -s)), m2.gen(("X+", j, n + s))))
         return key, terms, (((-1,), (1, 1)),)
     if part == "x-":
         key = ("X-", j, n)
-        k = m2.gen(("K", j))
-        head = (m1.gen(("K", j)), m2.gen(("X-", j, n)))
+        k = m2.gen(kay(j))
+        head = (m1.gen(kay(j)), m2.gen(("X-", j, n)))
         if n > 0:
             terms = [head, (m1.gen(("X-", j, n)), k * k)]
             for s in range(1, n):
@@ -727,8 +712,8 @@ def cartan_coproduct_constants(
     def column(node: int) -> Mat | None:
         if node < 1 or node > sig.n_nodes:
             return None
-        left = m1.gen(("X-", node, 1 if s > 0 else 0)) * m1.gen(("Kinv", node))
-        right = m2.gen(("K", node)) * m2.gen(("X+", node, 0 if s > 0 else -1))
+        left = m1.gen(("X-", node, 1 if s > 0 else 0)) * m1.gen(kinv(node))
+        right = m2.gen(kay(node)) * m2.gen(("X+", node, 0 if s > 0 else -1))
         return kron_super(left, right, m1.parity, m2.parity)
 
     cols = {"x": column(i - 1), "y": column(i), "z": column(i + 1)}

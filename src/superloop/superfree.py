@@ -203,7 +203,8 @@ def _elem(terms: dict) -> Elem:
     return e
 
 
-#: The largest |s| of an h_{i,s} symbol a signature accepts.
+#: The largest |s| of an h_{i,s} symbol a relation suite reads: pm-mixed
+#: reaches twice the loop window, so verify-relations caps its window there.
 H_BOUND = 8
 
 
@@ -251,15 +252,7 @@ class AlgebraSignature:
 
     # -- symbols -------------------------------------------------------
 
-    def check_symbol(self, g: GenSym):
-        if g.kind in (E0_PLUS, E0_MINUS):
-            return
-        self._check_node(g.node)
-        if g.kind == AITCH and abs(g.index) > H_BOUND:
-            raise ValueError(f"|H index| > bound {H_BOUND}")
-
     def parity_of(self, g: GenSym) -> int:
-        self.check_symbol(g)
         if g.kind in (X_PLUS, X_MINUS):
             return self.parity_node(g.node)
         if g.kind in (E0_PLUS, E0_MINUS):
@@ -400,7 +393,7 @@ def _signs(family: str) -> tuple[int, ...]:
 
 
 def relation_value(
-    sig: AlgebraSignature, rule: RelRule, word: Callable, brackets: dict | None = None
+    sig: AlgebraSignature, rule: RelRule, word: Callable, memo: Callable | None = None
 ):
     """The value of a defining relation, which vanishes in the quotient.
 
@@ -409,13 +402,14 @@ def relation_value(
     ``scale``.  A monomial ``Elem`` gives the free element, a module's
     ``_word_matrix`` the action of the relation on the module.
 
-    ``brackets``, when given, is a memo that lives as long as ``word``
-    evaluates the same way (one per module), shared by every instance.
-    It keys each bracket by its operands' symbolic keys and its twist: an
-    operand's key is its ``GenSym``, ``"K0"`` for the affine K_0, or the
-    (key, key, twist) triple of a bracket.  The phi coefficient of
-    ``pm-mixed`` is kept under ("phi", i, sign, n): the exp series
-    evaluated by ``word``, never a current derived on the module.
+    ``memo(key, build)``, when given, returns ``build()`` kept under ``key``
+    as long as ``word`` evaluates the same way (``LoopModule.memo``, one per
+    module), shared by every instance.  It keys each bracket by its
+    operands' symbolic keys and its twist: an operand's key is its
+    ``GenSym``, ``"K0"`` for the affine K_0, or the (key, key, twist) triple
+    of a bracket.  The phi coefficient of ``pm-mixed`` is kept under
+    ("phi", i, sign, n): the exp series evaluated by ``word``, never a
+    current derived on the module.
 
     A relation holds exactly when a nonzero multiple of its value vanishes:
     diagonal ``pm-mixed`` and ``chev-mixed`` are stated times q_i - q_i^-1
@@ -425,14 +419,7 @@ def relation_value(
     if not _admissible(sig, fam, idx):
         raise ValueError(f"{fam} {idx} is not a relation instance on ({sig.M},{sig.N})")
 
-    def recall(key, build: Callable):
-        """``build()``, kept in ``brackets`` under ``key`` when there is a memo."""
-        if brackets is None:
-            return build()
-        got = brackets.get(key)
-        if got is None:
-            got = brackets[key] = build()
-        return got
+    recall = memo or (lambda key, build: build())
 
     def gen(g: GenSym) -> tuple:
         """A generator's value, parity and key: the operand of ``br``."""

@@ -361,6 +361,7 @@ def test_cli_window_above_h_bound_rejected(capsys):
         (["pbw-rank", "--height", "0"], "height must be positive"),
         (["pbw-rank", "--height", "-1"], "height must be positive"),
         (["highest-weight", "--window", "6"], "window must be below 6"),
+        (["verify-relations", "--window", "5"], "verify-relations needs window <= 4"),
         (
             ["tensor-hw", "--M", "1", "--N", "2", "--degree-bound", "1"],
             "no annihilator of degree <= 1",
@@ -368,8 +369,8 @@ def test_cli_window_above_h_bound_rejected(capsys):
         (["weyl-slice", "--Q", "1,q", "--Pprev", "2,q"], "Pprev must have constant term 1"),
     ],
     ids=[
-        "nmax-zero", "height-zero", "height-negative", "kernel-window", "degree-bound",
-        "pprev-unnormalised",
+        "nmax-zero", "height-zero", "height-negative", "kernel-window", "relations-window",
+        "degree-bound", "pprev-unnormalised",
     ],
 )
 def test_out_of_range_input_exit_two(capsys, argv, message):

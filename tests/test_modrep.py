@@ -23,6 +23,8 @@ from superloop.superfree import (
     chevalley_instances,
     e0m,
     e0p,
+    kay,
+    kinv,
     phi_coeff,
     phi_push_past,
     relation_elem,
@@ -40,8 +42,8 @@ def test_fundamental_shape(fund21):
     assert fund21.dim == 3
     assert fund21.parity == [0, 0, 1]
     # K_1 = t_1 t_2^-1 and K_2 = t_2 t_3 with t_i = q^{E_ii} (certified by the gate)
-    assert fund21.gen(("K", 1)) == mat_from_rows([[q, 0, 0], [0, q**-1, 0], [0, 0, 1]])
-    assert fund21.gen(("K", 2)) == mat_from_rows([[1, 0, 0], [0, q, 0], [0, 0, q]])
+    assert fund21.gen(kay(1)) == mat_from_rows([[q, 0, 0], [0, q**-1, 0], [0, 0, 1]])
+    assert fund21.gen(kay(2)) == mat_from_rows([[1, 0, 0], [0, q, 0], [0, 0, q]])
 
     def parities(m):
         """The parities row + column over the nonzero entries: one for a homogeneous map."""
@@ -51,7 +53,7 @@ def test_fundamental_shape(fund21):
     for j in (1, 2):
         ep, em = fund21.gen(("X+", j, 0)), fund21.gen(("X-", j, 0))
         assert parities(ep) == parities(em) == {1 if j == fund21.sig.M else 0}
-        assert parities(fund21.gen(("K", j))) == parities(fund21.gen(("Kinv", j))) == {0}
+        assert parities(fund21.gen(kay(j))) == parities(fund21.gen(kinv(j))) == {0}
 
 
 def test_fundamental_requires_positive_ranks():
@@ -101,8 +103,8 @@ def test_vector_module_matches_torus_construction(M, N):
 
     for i in range(1, sig.n_nodes + 1):
         li, li1 = sig.l(i), sig.l(i + 1)
-        assert lm.gen(("K", i)) == tpow(i, li) * tpow(i + 1, -li1)
-        assert lm.gen(("Kinv", i)) == tpow(i, -li) * tpow(i + 1, li1)
+        assert lm.gen(kay(i)) == tpow(i, li) * tpow(i + 1, -li1)
+        assert lm.gen(kinv(i)) == tpow(i, -li) * tpow(i + 1, li1)
         assert lm.gen(("X+", i, 0)) == eplus[i - 1]
         assert lm.gen(("X-", i, 0)) == eminus[i - 1]
 
@@ -117,8 +119,8 @@ def test_vector_module_matches_torus_construction(M, N):
     sign = -((-ONE) ** (N - M)) * q ** (N - M)
     e0_plus = (bracket_word(eminus) * t[0] * tinv[M + N - 1]).scale(sign * a)
     e0_minus = (tinv[0] * t[M + N - 1] * bracket_word(eplus)).scale(a**-1)
-    assert lm.gen(("E0+",)) == e0_plus
-    assert lm.gen(("E0-",)) == e0_minus
+    assert lm.gen(e0p()) == e0_plus
+    assert lm.gen(e0m()) == e0_minus
 
 
 def test_evaluation_requires_distinct_ranks():
@@ -134,7 +136,7 @@ def test_evaluation_takes_the_vector_module(ev21, ev21b, tensor21):
     # an evaluation module pulled back again keeps only its Chevalley level
     ev21.gen(("X+", 1, 2))
     again = evaluation_pullback(ev21, b)
-    assert all(again.gen(key) == ev21b.gen(key) for key in [("X+", 1, 2), ("H", 2, -1), ("E0+",)])
+    assert all(again.gen(key) == ev21b.gen(key) for key in [("X+", 1, 2), ("H", 2, -1), e0p()])
 
 
 def test_evaluation_node1_currents_closed_form(ev21):
@@ -162,8 +164,8 @@ def test_evaluation_h1_formula(ev21):
 
 
 def test_phi0_is_k(ev21):
-    assert ev21.gen(("phi", 1, 1, 0)) == ev21.gen(("K", 1))
-    assert ev21.gen(("phi", -1, 2, 0)) == ev21.gen(("Kinv", 2))
+    assert ev21.gen(("phi", 1, 1, 0)) == ev21.gen(kay(1))
+    assert ev21.gen(("phi", -1, 2, 0)) == ev21.gen(kinv(2))
     with pytest.raises(ModuleError):
         ev21.gen(("phi", 1, 1, -2))
 
@@ -229,7 +231,7 @@ def test_tensor_relation_checks_not_vacuous(ev21, ev31, tensor21):
     assert _vacuous_families(tensor21) == {"chev-zero"}
 
 
-@pytest.mark.parametrize("key", [("X+", 1, 1), ("X-", 2, -1), ("E0+",), ("E0-",)])
+@pytest.mark.parametrize("key", [("X+", 1, 1), ("X-", 2, -1), e0p(), e0m()])
 def test_two_route_corrupted_current(fund21, key):
     # negative control: one current scaled by q breaks the same relations on both routes
     lm = evaluation_pullback(fund21, a)
@@ -237,14 +239,14 @@ def test_two_route_corrupted_current(fund21, key):
     by_matrix, by_elem = _route_failures(lm, chevalley=True)
     assert by_matrix == by_elem
     # a scaled E0+- also breaks the affine Chevalley relation
-    families = {"deg2-shift", "hx", "pm-mixed"} | ({"chev-mixed"} if len(key) == 1 else set())
+    families = {"deg2-shift", "hx", "pm-mixed"} | ({"chev-mixed"} if key in (e0p(), e0m()) else set())
     assert {r.family for r in by_matrix} == families
 
 
 def _from_key(lm, key):
     """(value, parity) of a bracket memo key rebuilt from the key alone, with no memo."""
     if isinstance(key, GenSym):
-        return lm.gen_sym(key), lm.sig.parity_of(key)
+        return lm.gen(key), lm.sig.parity_of(key)
     if key == "K0":
         return lm.gen(("K0",)), 0
     x, y, twist = key
@@ -265,11 +267,11 @@ def _memo_module(kind, M, N):
     [("ev", 2, 1, 2), ("ev", 1, 2, 2), ("ev", 3, 1, 1), ("tensor", 2, 1, 1)],
 )
 def test_bracket_memo_two_routes(kind, M, N, window):
-    # the report with the module's bracket memo, empty and then full, against every
+    # the report with the module's memo, empty and then full, against every
     # instance evaluated with no memo on a freshly built module
     lm, plain = _memo_module(kind, M, N), _memo_module(kind, M, N)
     first = relation_report(lm, window=window, include_chevalley=True)
-    assert lm._brackets
+    assert lm._memo
     again = relation_report(lm, window=window, include_chevalley=True)
     assert first == again and first["passed"]
     rules = relation_instances(lm.sig, range(-window, window + 1)) + chevalley_instances(lm.sig)
@@ -278,8 +280,9 @@ def test_bracket_memo_two_routes(kind, M, N, window):
     assert len(verdicts) == sum(c["instances"] for c in first["checks"])
     # the memo leaves the derived currents as they are
     assert set(lm._cache) == set(plain._cache)
-    # every kept value is what its symbolic key names, rebuilt on the other module
-    for key, kept in lm._brackets.items():
+    # every kept value is what its symbolic key names, rebuilt on the other module:
+    # a phi coefficient by its tag, a bracket by its operands' keys
+    for key, kept in lm._memo.items():
         if key[0] == "phi":
             _, i, sign, n = key
             assert kept == phi_coeff(plain.sig, i, sign, n, plain._word_matrix)
@@ -287,7 +290,7 @@ def test_bracket_memo_two_routes(kind, M, N, window):
             assert kept == (*_from_key(plain, key), key)
 
 
-@pytest.mark.parametrize("key", [("X+", 1, 1), ("X-", 2, -1), ("E0+",), ("E0-",)])
+@pytest.mark.parametrize("key", [("X+", 1, 1), ("X-", 2, -1), e0p(), e0m()])
 def test_filled_bracket_memo_rejects_scaled_current(fund21, key):
     # negative control: with a module's memo full, a copy with one current scaled by q
     # fails the relations test_two_route_corrupted_current expects, memo empty or full
@@ -297,15 +300,15 @@ def test_filled_bracket_memo_rejects_scaled_current(fund21, key):
     scaled = lm.gen(key).scale(q)
     # copies of the base: every other current is derived again from the scaled one
     bad, twin = (LoopModule(lm.sig, lm.parity, {**base, key: scaled}) for _ in range(2))
-    assert not bad._brackets
+    assert not bad._memo
     by_matrix, by_elem = _route_failures(bad, chevalley=True)
-    assert bad._brackets
+    assert bad._memo
     assert _route_failures(bad, chevalley=True) == (by_matrix, by_elem)
-    families = {"deg2-shift", "hx", "pm-mixed"} | ({"chev-mixed"} if len(key) == 1 else set())
+    families = {"deg2-shift", "hx", "pm-mixed"} | ({"chev-mixed"} if key in (e0p(), e0m()) else set())
     assert by_matrix == by_elem and {r.family for r in by_matrix} == families
     # the failing values, as matrices, against a twin copy with no memo
     for r in by_matrix:
-        value = relation_value(bad.sig, r, bad._word_matrix, bad._brackets)
+        value = relation_value(bad.sig, r, bad._word_matrix, bad.memo)
         assert not value.is_zero() and value == relation_value(twin.sig, r, twin._word_matrix)
 
 
@@ -313,10 +316,10 @@ def test_two_route_cartan_loops(ev21, ev31):
     for lm in (ev21, ev31):
         for i in range(1, lm.sig.n_nodes + 1):
             qi = lm.sig.q_node(i)
-            assert lm.gen(("H", i, 1)).scale(qi - qi**-1) == lm.gen(("Kinv", i)) * lm.gen(
+            assert lm.gen(("H", i, 1)).scale(qi - qi**-1) == lm.gen(kinv(i)) * lm.gen(
                 ("phi", 1, i, 1)
             )
-            assert lm.gen(("H", i, -1)).scale(-(qi - qi**-1)) == lm.gen(("K", i)) * lm.gen(
+            assert lm.gen(("H", i, -1)).scale(-(qi - qi**-1)) == lm.gen(kay(i)) * lm.gen(
                 ("phi", -1, i, -1)
             )
 
@@ -391,6 +394,8 @@ def test_phi_brackets_are_built_once(fund21, monkeypatch):
     h3 = lm.gen(("H", 1, 3))
     assert len(built) == 3
     lm.gen(("H", 1, 2))
+    # phi_1^+ at z^2 reads the bracket H_{1,3} built
+    lm.gen(("phi", 1, 1, 2))
     assert len(built) == 3
     assert h3 == evaluation_pullback(fund21, a).gen(("H", 1, 3))
 
@@ -465,9 +470,9 @@ def test_e0_bracket_routes(ev21, ev12, ev31):
         full = pbw.Root(1, sig.n_nodes)
         plus_route = lm.elem_matrix(pbw.tau1(pbw.root_vector(sig, full, -1))) * lm.gen(("K0",))
         sign = (-ONE) ** (M + N - 1) * q ** (N - M)
-        assert lm.gen(("E0+",)) == plus_route.scale(sign)
+        assert lm.gen(e0p()) == plus_route.scale(sign)
         minus_route = lm.gen(("K0inv",)) * lm.elem_matrix(pbw.root_vector(sig, full, -1))
-        assert lm.gen(("E0-",)) == minus_route
+        assert lm.gen(e0m()) == minus_route
 
 
 def test_full_root_commutation_identity(ev21, ev12, ev31):
@@ -539,12 +544,12 @@ def test_highest_weight_trivial_module():
     zero = Mat.zeros(1, 1)
     base = {}
     for i in (1, 2):
-        base[("K", i)] = one
-        base[("Kinv", i)] = one
+        base[kay(i)] = one
+        base[kinv(i)] = one
         base[("X+", i, 0)] = zero
         base[("X-", i, 0)] = zero
-    base[("E0+",)] = zero
-    base[("E0-",)] = zero
+    base[e0p()] = zero
+    base[e0m()] = zero
     lm = modrep.LoopModule(sig, [0], base)
     hw = highest_weight(lm)
     assert hw.P[1] == ZPoly.one()
@@ -556,12 +561,12 @@ def test_highest_weight_kernel_error():
     base = {}
     two = Mat.identity(2)
     for i in (1, 2):
-        base[("K", i)] = two
-        base[("Kinv", i)] = two
+        base[kay(i)] = two
+        base[kinv(i)] = two
         base[("X+", i, 0)] = Mat.zeros(2, 2)
         base[("X-", i, 0)] = Mat.zeros(2, 2)
-    base[("E0+",)] = Mat.zeros(2, 2)
-    base[("E0-",)] = Mat.zeros(2, 2)
+    base[e0p()] = Mat.zeros(2, 2)
+    base[e0m()] = Mat.zeros(2, 2)
     lm = modrep.LoopModule(sig, [0, 0], base)
     with pytest.raises(ModuleError, match="dimension is 2"):
         highest_weight(lm)
@@ -629,8 +634,8 @@ def test_coproduct_formula_rejects_scaled_current(ev21, ev21b, tensor21, key, pa
 @pytest.mark.parametrize("s", [1, -1])
 def test_cartan_coproduct_rejects_shifted_z(ev21, ev21b, tensor21, s):
     # the z column of node i = 1 lives at node 2; adding it moves z off +-(q - q^-1)
-    left = ev21.gen(("X-", 2, 1 if s > 0 else 0)) * ev21.gen(("Kinv", 2))
-    right = ev21b.gen(("K", 2)) * ev21b.gen(("X+", 2, 0 if s > 0 else -1))
+    left = ev21.gen(("X-", 2, 1 if s > 0 else 0)) * ev21.gen(kinv(2))
+    right = ev21b.gen(kay(2)) * ev21b.gen(("X+", 2, 0 if s > 0 else -1))
     zcol = kron_super(left, right, ev21.parity, ev21b.parity)
     key = ("H", 1, s)
     bad = _perturbed(tensor21, key, tensor21.gen(key) + zcol)
@@ -686,9 +691,10 @@ def test_memoised_correction_spaces_two_routes(monkeypatch, M, N):
     m1, m2 = evaluation_pullback(mod, a), evaluation_pullback(mod, b)
     tm = tensor(m1, m2)
     first = _coproduct_results(m1, m2, tm)
-    assert len(m1._corrections) == 4  # the x+, x-, phi and Cartan moduli
+    corrections = {k[1:]: v for k, v in m1._memo.items() if k[0] == "correction"}
+    assert len(corrections) == 4  # the x+, x-, phi and Cartan moduli
     # the kept reducers span the corrections alone: no claim grew them
-    for (factor, modulus), (_, red) in m1._corrections.items():
+    for (factor, modulus), (_, red) in corrections.items():
         assert factor is m2 and red.rank == _fresh_correction(m1, m2, modulus)[1].rank
     again = _coproduct_results(m1, m2, tm)  # every space read from the memo
     with monkeypatch.context() as patch:
@@ -705,7 +711,7 @@ def test_memoised_correction_space_rejects_scaled_current(ev21, ev21b, tensor21,
     # negative control: with the spaces already kept, a product whose X+_{1,1}
     # is scaled by q fails, and no space is rebuilt for it
     assert modrep.check_coproduct_formula(1, 1, ev21, ev21b, part="x+", product=tensor21)
-    assert ev21._corrections
+    assert any(k[0] == "correction" for k in ev21._memo)
     key = ("X+", 1, 1)
     bad = _perturbed(tensor21, key, tensor21.gen(key).scale(q))
     builds = []
@@ -735,7 +741,8 @@ def test_coproduct_suite_builds_each_span_once(monkeypatch):
 def test_relation_suite_builds_each_bracket_once(monkeypatch):
     # verify-relations (2,1), window 2, --chevalley: each bracket key and each
     # +-phi coefficient is computed once per module, and Mat arithmetic never
-    # passes its results through the filtering constructor
+    # passes its results through the filtering constructor; coproduct-check
+    # keeps each algebra span, ideal span and correction space once as well
     class Memo(dict):
         def __setitem__(self, key, value):
             assert key not in self, key
@@ -746,8 +753,8 @@ def test_relation_suite_builds_each_bracket_once(monkeypatch):
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        self._brackets = Memo()
-        memos.append(self._brackets)
+        self._memo = Memo()
+        memos.append(self._memo)
 
     comm, coeff, mat_init = superfree.super_comm, superfree.phi_coeff, Mat.__init__
     brackets, phis, filtered = [], [], []
@@ -778,3 +785,6 @@ def test_relation_suite_builds_each_bracket_once(monkeypatch):
     assert len(phis) == len(set(phis)) == sum(1 for k in kept if k[0] == "phi") == 24
     # the torus and matrix-unit base of the vector module, and E0+-'s two tori (6,523 before)
     assert len(filtered) == 10
+    memos.clear()
+    assert cli.run(cli.RunConfig(suite="coproduct-check", M=2, N=1))["passed"]
+    assert {"algebra", "ideal", "correction"} <= {k[0] for memo in memos for k in memo}

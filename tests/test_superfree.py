@@ -9,6 +9,7 @@ import pytest
 from superloop import superfree
 from superloop.coeffs import ONE, q, scalar
 from superloop.linalg import RowReducer
+from superloop.modrep import ModuleError
 from superloop.superfree import (
     AlgebraSignature,
     Elem,
@@ -54,18 +55,19 @@ def test_signature_cartan_data():
         SIG21.c(0, 1)
 
 
-def test_gensym_validation():
+def test_gensym_validation(ev21):
     with pytest.raises(ValueError):
         GenSym("K", 1, 2)
     with pytest.raises(ValueError):
         GenSym("H", 1, 0)
     with pytest.raises(ValueError):
         GenSym("E0+", 1, 1)
-    SIG21.check_symbol(aitch(1, 8))
-    with pytest.raises(ValueError):
-        SIG21.check_symbol(aitch(1, 9))
-    with pytest.raises(ValueError):
-        SIG21.check_symbol(kay(0))  # K_0 is a product of the K_i, not a symbol
+    # a symbol off the signature's nodes names no current: K_0 is a product of the K_i
+    for g in (kay(0), kinv(7), aitch(5, 1)):
+        with pytest.raises(ModuleError):
+            ev21.gen(g)
+    with pytest.raises(ValueError, match="node 3 out of range"):
+        ev21.gen(xp(3, 1))
 
 
 def test_gensym_make_and_replace_validate():

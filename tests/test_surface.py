@@ -98,6 +98,44 @@ def test_no_unreached_definitions():
     assert unreached_definitions(trees) == []
 
 
+# The stores of a LoopModule that one method each writes: derived currents
+# only through ``gen``, everything else a module builds once only through ``memo``.
+STORE_WRITERS = {"_cache": "LoopModule.gen", "_memo": "LoopModule.memo"}
+
+
+def _store_writes(nodes):
+    """(store, line) of each subscript assignment into, or method call other
+    than ``get`` on, an attribute named after a store."""
+    for node in nodes:
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            target = node.value
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            target = node.func.value if node.func.attr != "get" else None
+        else:
+            continue
+        if isinstance(target, ast.Attribute) and target.attr in STORE_WRITERS:
+            yield target.attr, node.lineno
+
+
+def test_module_stores_have_one_writer():
+    # a current written by hand or a side memo outside gen and memo fails here
+    stray = []
+    for path in (SRC / "superloop").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        allowed = {
+            (store, line)
+            for name, node, _ in _definitions(tree)
+            for store, line in _store_writes(ast.walk(node))
+            if STORE_WRITERS[store] == name
+        }
+        stray += [
+            f"{path.name}:{line} writes {store}"
+            for store, line in _store_writes(ast.walk(tree))
+            if (store, line) not in allowed
+        ]
+    assert stray == []
+
+
 # Installs the benchmark's tracer, which wraps package names from outside, and
 # runs a relation suite and the replay through the wrapped entry point.
 TRACED_RUN = """
