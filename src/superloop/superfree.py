@@ -218,6 +218,18 @@ class AlgebraSignature:
     def __post_init__(self):
         if self.M < 1 or self.N < 0 or self.M + self.N < 2:
             raise ValueError("need M >= 1, N >= 0, M + N >= 2")
+        # the Cartan entries and node parities, built once: c and
+        # parity_node read them, and a miss is a node off the signature
+        def entry(i: int, j: int) -> int:
+            if i == j:
+                return self.l(i) + self.l(i + 1)
+            if abs(i - j) == 1:
+                return -self.l(max(i, j))
+            return 0
+
+        nodes = range(1, self.n_nodes + 1)
+        object.__setattr__(self, "_cartan", {ij: entry(*ij) for ij in product(nodes, nodes)})
+        object.__setattr__(self, "_parity", {i: int(i == self.M) for i in nodes})
 
     @property
     def n_nodes(self) -> int:
@@ -231,20 +243,22 @@ class AlgebraSignature:
 
     def c(self, i: int, j: int) -> int:
         """Symmetrised Cartan entry (alpha_i, alpha_j)."""
-        self._check_node(i)
-        self._check_node(j)
-        if i == j:
-            return self.l(i) + self.l(i + 1)
-        if abs(i - j) == 1:
-            return -self.l(max(i, j))
-        return 0
+        try:
+            return self._cartan[i, j]
+        except KeyError:
+            self._check_node(i)
+            self._check_node(j)
+            raise
 
     def q_node(self, i: int) -> Scalar:
         return q ** self.l(i)
 
     def parity_node(self, i: int) -> int:
-        self._check_node(i)
-        return 1 if i == self.M else 0
+        try:
+            return self._parity[i]
+        except KeyError:
+            self._check_node(i)
+            raise
 
     def _check_node(self, i: int):
         if not 1 <= i <= self.n_nodes:
@@ -253,11 +267,11 @@ class AlgebraSignature:
     # -- symbols -------------------------------------------------------
 
     def parity_of(self, g: GenSym) -> int:
-        if g.kind in (X_PLUS, X_MINUS):
-            return self.parity_node(g.node)
+        """The parity of a symbol whose node lies on the signature (node 0 for E0+-)."""
         if g.kind in (E0_PLUS, E0_MINUS):
-            return sum(self.parity_node(i) for i in range(1, self.n_nodes + 1)) % 2
-        return 0
+            return sum(self._parity.values()) % 2
+        odd = self.parity_node(g.node)
+        return odd if g.kind in (X_PLUS, X_MINUS) else 0
 
     # -- affine Chevalley Cartan data ---------------------------------
 
@@ -354,18 +368,56 @@ def _x(sign: int, i: int, n: int) -> GenSym:
     return xp(i, n) if sign > 0 else xm(i, n)
 
 
+# Where each family's indices name a node: (low, a, b) means that
+# indices[a] and indices[b] lie in low..n_nodes, low = 0 for the affine
+# Chevalley families.
+_NODE_SLOTS = {
+    "kx": (1, 0, 1),
+    "hx": (1, 0, 2),
+    "pm-mixed": (1, 0, 2),
+    "deg2-zero": (1, 0, 2),
+    "deg2-shift": (1, 0, 2),
+    "serre3": (1, 0, 3),
+    "chev-kx": (0, 0, 1),
+    "chev-mixed": (0, 0, 1),
+    "chev-zero": (0, 0, 1),
+    "chev-serre3": (0, 0, 1),
+}
+
+
+def _h_loop(s: int) -> bool:
+    """Whether h_{i,s} is a symbol a relation may read: 0 < |s| <= H_BOUND."""
+    return 0 < abs(s) <= H_BOUND
+
+
 def _admissible(sig: AlgebraSignature, family: str, indices: tuple) -> bool:
     """Whether ``indices`` name an instance of ``family`` on ``sig``.
 
     The one statement of each family's domain: the enumerators keep the
-    instances it accepts and ``relation_value`` refuses the rest.
+    instances it accepts and ``relation_value`` refuses the rest.  Every
+    node lies on the signature and every h symbol passes ``_h_loop``.
     """
-    if family == "cartan":  # h symbols carry nonzero loop indices
+    if family == "cartan":
         sub, *ix = indices
-        h_loops = {"inv": (), "vni": (), "kk": (), "kh": ix[2:], "hh": ix[1::2]}
-        return sub in h_loops and 0 not in h_loops[sub]
+        if sub in ("inv", "vni", "kk"):
+            nodes, h_loops = ix, ()
+        elif sub == "kh":
+            nodes, h_loops = ix[:2], ix[2:]
+        elif sub == "hh":
+            nodes, h_loops = ix[0::2], ix[1::2]
+        else:
+            return False
+        return all(1 <= i <= sig.n_nodes for i in nodes) and all(map(_h_loop, h_loops))
+    if family in _NODE_SLOTS:
+        low, a, b = _NODE_SLOTS[family]
+        top = sig.n_nodes
+        if len(indices) <= b or not (low <= indices[a] <= top and low <= indices[b] <= top):
+            return False
     if family == "hx":
-        return indices[1] != 0
+        return _h_loop(indices[1])
+    if family == "pm-mixed":  # the diagonal phi coefficient reads h up to |m + n|
+        i, m, j, n = indices
+        return i != j or abs(m + n) <= H_BOUND
     if family == "deg2-zero":
         return sig.c(indices[0], indices[2]) == 0
     if family == "deg2-shift":
@@ -686,69 +738,70 @@ def _b_coeff(s: int) -> Scalar:
     return q**s - q ** (s - 2)
 
 
+def _accumulate(terms: dict, word: Word, coeff: Scalar) -> None:
+    """Add ``coeff`` to the coefficient of ``word`` in a term dict, in place."""
+    terms[word] = terms[word] + coeff if word in terms else coeff
+
+
 def lambda_elem(n: int, b: int, c: int) -> Elem:
     """Coefficient of z^n after commuting K_1 h_1(z) through R(.,b,c,b)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-
-    def series(base: int, node: int, upto: int) -> list[Elem]:
-        # X_{node,base} + sum_{s>=1} a_s X_{node,base+s} z^s, truncated
-        out = [_elem({(xp(node, base),): ONE})]
-        for s in range(1, upto + 1):
-            out.append(_elem({(xp(node, base + s),): _a_coeff(s)}))
-        return out
-
-    x3 = _elem({(xp(3, c),): ONE})
-    x2 = _elem({(xp(2, b),): ONE})
-    ser = series(b, 2, n)
-
-    def pick(parts: list, k: int) -> Elem:
-        return parts[k] if 0 <= k < len(parts) else Elem.zero()
-
-    out = Elem.zero()
+    x2, x3 = xp(2, b), xp(3, c)
+    # the series S = X_{2,b} + sum_{s>=1} a_s X_{2,b+s} z^s: letter and
+    # coefficient of its z^s part
+    ser = [(x2, ONE)] + [(xp(2, b + s), _a_coeff(s)) for s in range(1, n + 1)]
+    sn, an = ser[n]
+    terms: dict = {}
+    add = functools.partial(_accumulate, terms)
     # q^-2 (S)(X3)(S)
-    for s in range(0, n + 1):
-        out += pick(ser, s).scale(q**-2) * x3 * pick(ser, n - s)
+    for (g, cg), (h, ch) in zip(ser, reversed(ser)):
+        add((g, x3, h), q**-2 * cg * ch)
     # q^-1 X3 X2 (S) + q^-1 X2 (S) X3
-    out += (x3 * x2 * pick(ser, n)).scale(q**-1)
-    out += (x2 * pick(ser, n) * x3).scale(q**-1)
+    add((x3, x2, sn), q**-1 * an)
+    add((x2, sn, x3), q**-1 * an)
     # X2 X3 X2 at z^0 only
     if n == 0:
-        out += x2 * x3 * x2
+        add((x2, x3, x2), ONE)
     # -(q+q^-1) q^-1 X2 X3 (S)
-    out -= (x2 * x3 * pick(ser, n)).scale((q + q**-1) * q**-1)
-    return out
+    add((x2, x3, sn), -(q + q**-1) * q**-1 * an)
+    return _elem(terms)
 
 
 def mu_elem(a: int, c: int, n: int, d: int) -> Elem:
     """Coefficient of z^n w^d of the double series for the node-2 case."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    x1 = lambda k: _elem({(xp(1, k),): ONE})
-    x3 = lambda k: _elem({(xp(3, k),): ONE})
-    x2 = _elem({(xp(2, d),): ONE})
+    x1 = lambda k: xp(1, k)
+    x3 = lambda k: xp(3, k)
+    x2 = xp(2, d)
+    terms: dict = {}
+    add = functools.partial(_accumulate, terms)
     if n == 0:
-        comm = x1(a) * x3(c) - x3(c) * x1(a)
-        return (comm * x2 - x2 * comm).scale(q**-1)
+        # q^-1 (C X2 - X2 C) with C = X1 X3 - X3 X1
+        add((x1(a), x3(c), x2), q**-1)
+        add((x3(c), x1(a), x2), -q**-1)
+        add((x2, x1(a), x3(c)), -q**-1)
+        add((x2, x3(c), x1(a)), q**-1)
+        return _elem(terms)
     an, bn = _a_coeff(n), _b_coeff(n)
-    out = Elem.zero()
-    out -= (x1(a) * x3(c + n) * x2).scale(q * bn)
-    out -= (x3(c) * x1(a + n) * x2).scale(q**-1 * an)
-    out += (x2 * x1(a) * x3(c + n)).scale(q * bn)
-    out -= (x1(a) * x2 * x3(c + n)).scale(bn)
-    out -= (x1(a + n) * x2 * x3(c)).scale(an)
-    out -= (x3(c) * x2 * x1(a + n)).scale(an)
-    out -= (x3(c + n) * x2 * x1(a)).scale(bn)
-    out += (x2 * x3(c) * x1(a + n)).scale(q**-1 * an)
+    add((x1(a), x3(c + n), x2), -q * bn)
+    add((x3(c), x1(a + n), x2), -q**-1 * an)
+    add((x2, x1(a), x3(c + n)), q * bn)
+    add((x1(a), x2, x3(c + n)), -bn)
+    add((x1(a + n), x2, x3(c)), -an)
+    add((x3(c), x2, x1(a + n)), -an)
+    add((x3(c + n), x2, x1(a)), -bn)
+    add((x2, x3(c), x1(a + n)), q**-1 * an)
     for s in range(1, n):
         t = n - s
         ab = _a_coeff(s) * _b_coeff(t)
-        out += (x1(a + s) * x3(c + t) * x2).scale((q + q**-1) * ab)
-        out -= (x1(a + s) * x2 * x3(c + t)).scale(ab)
-        out -= (x3(c + t) * x2 * x1(a + s)).scale(ab)
-    out += (x1(a) * x3(c + n) * x2).scale((q + q**-1) * bn)
-    out += (x1(a + n) * x3(c) * x2).scale((q + q**-1) * an)
-    return out
+        add((x1(a + s), x3(c + t), x2), (q + q**-1) * ab)
+        add((x1(a + s), x2, x3(c + t)), -ab)
+        add((x3(c + t), x2, x1(a + s)), -ab)
+    add((x1(a), x3(c + n), x2), (q + q**-1) * bn)
+    add((x1(a + n), x3(c), x2), (q + q**-1) * an)
+    return _elem(terms)
 
 
 def _normalize_commuting(e: Elem) -> Elem:
@@ -787,27 +840,37 @@ _MAX_PASSES = 400
 
 
 def _guided_reduce(e: Elem, match, rewrite, normalize) -> Elem:
-    """Repeatedly rewrite the leftmost matched adjacent pair in every word."""
+    """Repeatedly rewrite the leftmost matched adjacent pair in every word.
+
+    Each rewrite is spliced into its word: a term w of ``rewrite(g1, g2)``
+    with coefficient c turns coeff * head g1 g2 tail into coeff * c * head w tail.
+    """
     e = normalize(e)
     for _ in range(_MAX_PASSES):
         hit = False
-        out = Elem.zero()
+        out: dict = {}
         for word, coeff in e.terms.items():
             pos = next((p for p in range(len(word) - 1) if match(word[p], word[p + 1])), None)
             if pos is None:
-                out += _elem({word: coeff})
+                _accumulate(out, word, coeff)
                 continue
             hit = True
-            repl = rewrite(word[pos], word[pos + 1])
-            out += _elem({word[:pos]: coeff}) * repl * _elem({word[pos + 2:]: ONE})
-        e = normalize(out)
+            head, tail = word[:pos], word[pos + 2:]
+            for w, c in rewrite(word[pos], word[pos + 1]).terms.items():
+                _accumulate(out, head + w + tail, coeff * c)
+        e = normalize(_elem(out))
         if not hit:
             return e
     raise RuntimeError("guided reduction did not terminate within the pass budget")
 
 
-def reduce_lambda_step(e: Elem, c_low: int) -> Elem:
-    """Push every X^+_{2,*} factor past X^+_{3,c_low}, then sort commuting factors."""
+def reduce_lambda_step(e: Elem, c_low: int, rewrites: dict | None = None) -> Elem:
+    """Push every X^+_{2,*} factor past X^+_{3,c_low}, then sort commuting factors.
+
+    ``rewrites``, when given, keeps the rewrite of each (X^+_{2,b}, X^+_{3,c})
+    pair across calls, so a replay builds each one once.
+    """
+    rewrites = {} if rewrites is None else rewrites
 
     def match(g1: GenSym, g2: GenSym) -> bool:
         return (
@@ -820,8 +883,10 @@ def reduce_lambda_step(e: Elem, c_low: int) -> Elem:
     def rewrite(g1: GenSym, g2: GenSym) -> Elem:
         # g1 g2 = X_{2,b} X_{3,c} enters the deg2-shift value (2, b - 1, 3, c)
         # with coefficient 1
-        rel = relation_elem(SIG22, RelRule("deg2-shift", (2, g1.index - 1, 3, g2.index)))
-        return _elem({(g1, g2): ONE}) - rel
+        if (g1, g2) not in rewrites:
+            rel = relation_elem(SIG22, RelRule("deg2-shift", (2, g1.index - 1, 3, g2.index)))
+            rewrites[g1, g2] = _elem({(g1, g2): ONE}) - rel
+        return rewrites[g1, g2]
 
     return _guided_reduce(e, match, rewrite, _normalize_commuting)
 
@@ -849,7 +914,9 @@ def mu_recursion_certificate(diff: Elem) -> bool:
     X^+_{k,t} adds t.  The span of the candidates is the direct sum of
     its graded parts, and diff lies in it exactly when each graded part
     of diff lies in the span of the candidates of that degree, so only
-    candidates of the degrees of diff's words are built.
+    candidates of the degrees of diff's words are built, and a relation
+    is built only when one of its candidates is.  A candidate g*rel or
+    rel*g is the relation's term dict with X^+_{k,t} joined to each word.
     """
     if diff.is_zero():
         return True
@@ -866,18 +933,19 @@ def mu_recursion_certificate(diff: Elem) -> bool:
     }
     red = RowReducer()
     for i, j in _MU_PAIRS:
-        fam = "deg2-zero" if _admissible(SIG22, "deg2-zero", (i, 0, j, 0)) else "deg2-shift"
+        shift = 0 if _admissible(SIG22, "deg2-zero", (i, 0, j, 0)) else 1
+        fam = ("deg2-zero", "deg2-shift")[shift]
         other = ({1, 2, 3} - {i, j}).pop()
         for m in boxes[i]:
             for n in boxes[j]:
-                rel = relation_elem(SIG22, RelRule(fam, (i, m, j, n), 1))
-                deg = _loop_degree(next(iter(rel.terms)))
-                for t in boxes[other]:
-                    if deg + t not in degrees:
-                        continue
-                    g = _elem({(xp(other, t),): ONE})
-                    red.add(dict((g * rel).terms))
-                    red.add(dict((rel * g).terms))
+                ts = [t for t in boxes[other] if m + n + shift + t in degrees]
+                if not ts:
+                    continue
+                rel = relation_elem(SIG22, RelRule(fam, (i, m, j, n), 1)).terms
+                for t in ts:
+                    g = (xp(other, t),)
+                    red.add({g + w: c for w, c in rel.items()})
+                    red.add({w + g: c for w, c in rel.items()})
     return red.contains(dict(diff.terms))
 
 
@@ -901,13 +969,14 @@ def appendixA_check(n_max: int, window: Iterable[int]) -> dict:
     # the second term of each recursion difference is the first term of a
     # neighbouring one, so build each element once per call
     lam, mu = functools.cache(lambda_elem), functools.cache(mu_elem)
+    rewrites: dict = {}  # the lambda step's rewrite of each pair, built once
 
     for bb, cc in product(window, repeat=2):
         base = _normalize_commuting(lam(0, bb, cc))
         record(f"lambda(0,{bb},{cc}) = 0", base.is_zero())
         for n in range(1, n_max + 1):
             diff = lam(n, bb, cc) - lam(n - 1, bb, cc + 1)
-            red = reduce_lambda_step(diff, cc)
+            red = reduce_lambda_step(diff, cc, rewrites)
             record(
                 f"lambda({n},{bb},{cc}) = lambda({n-1},{bb},{cc+1})",
                 red.is_zero(),

@@ -55,6 +55,34 @@ def test_signature_cartan_data():
         SIG21.c(0, 1)
 
 
+def test_signature_tables_match_the_cartan_formula():
+    # c and parity_node read tables built with the signature; compare them with
+    # (alpha_i, alpha_j) = l_i + l_{i+1} on the diagonal, -l_max(i,j) next to it
+    for sig in (SIG21, SIG22, SIG31, AlgebraSignature(1, 3), AlgebraSignature(3, 0)):
+        nodes = range(1, sig.n_nodes + 1)
+        for i, j in itertools.product(nodes, nodes):
+            want = sig.l(i) + sig.l(i + 1) if i == j else -sig.l(max(i, j)) * (abs(i - j) == 1)
+            assert sig.c(i, j) == want
+        assert [sig.parity_node(i) for i in nodes] == [int(i == sig.M) for i in nodes]
+        # a lookup miss is a node off the signature, with the node-check message
+        top = sig.n_nodes + 1
+        msg = rf"node {top} out of range for \({sig.M},{sig.N}\)"
+        for call in (lambda: sig.c(1, top), lambda: sig.c(top, 1), lambda: sig.parity_node(top)):
+            with pytest.raises(ValueError, match=msg):
+                call()
+
+
+def test_parity_of_checks_the_node():
+    # every kind of symbol must sit on a node of the signature (E0+- on node 0)
+    for g in (kay(7), kinv(0), aitch(5, 1), xp(3, 0), xm(0, 1)):
+        with pytest.raises(ValueError, match=f"node {g.node} out of range for \\(2,1\\)"):
+            SIG21.parity_of(g)
+    assert [SIG21.parity_of(g) for g in (xp(2, 0), xm(1, 1), kay(2), aitch(2, -3), e0p())] == [
+        1, 0, 0, 0, 1
+    ]
+    assert SIG31.parity_of(e0m()) == 1 and AlgebraSignature(3, 0).parity_of(e0m()) == 0
+
+
 def test_gensym_validation(ev21):
     with pytest.raises(ValueError):
         GenSym("K", 1, 2)
@@ -311,9 +339,36 @@ def test_relation_elem_invalid_instances():
         (SIG21, RelRule("chev-deg4", (0,), 1)),  # needs M + N > 3
         (SIG31, RelRule("chev-deg5", (), 1)),  # (2,1) only
     ]
+    # every family: nodes on the signature (0..2 for the affine ones on (2,1)),
+    # enough indices to name them, and h_{i,s} with |s| <= H_BOUND = 8
+    outside += [
+        (SIG21, rule)
+        for rule in (
+            RelRule("hx", (1, 9, 1, 0)),  # h_{1,9}
+            RelRule("hx", (1, -9, 2, 0), -1),
+            RelRule("cartan", ("kh", 1, 2, 9)),
+            RelRule("cartan", ("hh", 1, 1, 2, -9)),
+            RelRule("pm-mixed", (1, 5, 1, 4)),  # the phi coefficient reads h_{1,9}
+            RelRule("cartan", ("kk", 1, 7)),  # node 7
+            RelRule("cartan", ("inv", 0)),
+            RelRule("kx", (0, 1, 0)),
+            RelRule("hx", (3, 1, 1, 0)),
+            RelRule("pm-mixed", (1, 0, 3, 0)),
+            RelRule("deg2-zero", (0, 0, 1, 0)),
+            RelRule("serre3", (1, 0, 0, 3, 0)),
+            RelRule("chev-kx", (0, 3)),
+            RelRule("chev-mixed", (-1, 1)),
+            RelRule("kx", (1,)),
+            RelRule("serre3", (1, 0, 0)),
+        )
+    ]
     for sig, rule in outside:
         with pytest.raises(ValueError, match="is not a relation instance"):
             relation_elem(sig, rule)
+    assert superfree.H_BOUND == 8
+    for rule in (RelRule("hx", (1, 8, 1, 0)), RelRule("pm-mixed", (1, 4, 1, 4)),
+                 RelRule("pm-mixed", (1, 5, 2, 4)), RelRule("chev-kx", (0, 2))):
+        assert not relation_elem(SIG21, rule).is_zero()
     with pytest.raises(ValueError, match="unknown relation family"):
         relation_elem(SIG21, RelRule("no-such-family", (), 1))
 
@@ -405,6 +460,75 @@ def test_lambda_recursion_explicit():
     assert mono(xp(2, b), xp(3, c)) - rel == expected
 
 
+def test_lambda_step_leaves_a_foreign_word():
+    # negative control: one more matching X2 X3 X2 word is rewritten but not cancelled
+    diff = lambda_elem(1, 0, 0) - lambda_elem(0, 0, 1)
+    extra = mono(xp(2, 0), xp(3, 0), xp(2, 1))
+    rewrites = {}
+    assert not reduce_lambda_step(diff + extra, 0, rewrites).is_zero()
+    # the rewrites kept by that call serve the next one unchanged
+    kept = dict(rewrites)
+    assert reduce_lambda_step(diff, 0, rewrites).is_zero() and rewrites == kept
+
+
+def _lambda_by_products(n, b, c, a_coeff=superfree._a_coeff):
+    """Reference route: lambda as Elem products of one-word elements."""
+    ser = [mono(xp(2, b))] + [mono(xp(2, b + s)).scale(a_coeff(s)) for s in range(1, n + 1)]
+    x3, x2 = mono(xp(3, c)), mono(xp(2, b))
+    out = Elem.zero()
+    for s in range(0, n + 1):
+        out += ser[s].scale(q**-2) * x3 * ser[n - s]
+    out += (x3 * x2 * ser[n]).scale(q**-1)
+    out += (x2 * ser[n] * x3).scale(q**-1)
+    if n == 0:
+        out += x2 * x3 * x2
+    out -= (x2 * x3 * ser[n]).scale((q + q**-1) * q**-1)
+    return out
+
+
+def _mu_by_products(a, c, n, d, a_coeff=superfree._a_coeff):
+    """Reference route: mu as Elem products of one-word elements."""
+    x1 = lambda k: mono(xp(1, k))
+    x3 = lambda k: mono(xp(3, k))
+    x2 = mono(xp(2, d))
+    if n == 0:
+        comm = x1(a) * x3(c) - x3(c) * x1(a)
+        return (comm * x2 - x2 * comm).scale(q**-1)
+    an, bn = a_coeff(n), superfree._b_coeff(n)
+    out = Elem.zero()
+    out -= (x1(a) * x3(c + n) * x2).scale(q * bn)
+    out -= (x3(c) * x1(a + n) * x2).scale(q**-1 * an)
+    out += (x2 * x1(a) * x3(c + n)).scale(q * bn)
+    out -= (x1(a) * x2 * x3(c + n)).scale(bn)
+    out -= (x1(a + n) * x2 * x3(c)).scale(an)
+    out -= (x3(c) * x2 * x1(a + n)).scale(an)
+    out -= (x3(c + n) * x2 * x1(a)).scale(bn)
+    out += (x2 * x3(c) * x1(a + n)).scale(q**-1 * an)
+    for s in range(1, n):
+        t = n - s
+        ab = a_coeff(s) * superfree._b_coeff(t)
+        out += (x1(a + s) * x3(c + t) * x2).scale((q + q**-1) * ab)
+        out -= (x1(a + s) * x2 * x3(c + t)).scale(ab)
+        out -= (x3(c + t) * x2 * x1(a + s)).scale(ab)
+    out += (x1(a) * x3(c + n) * x2).scale((q + q**-1) * bn)
+    out += (x1(a + n) * x3(c) * x2).scale((q + q**-1) * an)
+    return out
+
+
+def test_lambda_mu_builders_two_routes():
+    # the term-dict builders against the product forms, n = 0..4, negative indices included
+    detuned = lambda s: q * superfree._a_coeff(s)  # a_s -> q a_s
+    for n in range(5):
+        for b, c in itertools.product((-2, -1, 0, 1), repeat=2):
+            assert lambda_elem(n, b, c) == _lambda_by_products(n, b, c)
+            if n:  # a_s enters from n = 1 on
+                assert lambda_elem(n, b, c) != _lambda_by_products(n, b, c, detuned)
+        for a, c, d in itertools.product((-2, 0, 1), repeat=3):
+            assert mu_elem(a, c, n, d) == _mu_by_products(a, c, n, d)
+            if n:
+                assert mu_elem(a, c, n, d) != _mu_by_products(a, c, n, d, detuned)
+
+
 def test_mu_base_case():
     for idx in [(-1, 0, 1), (0, 0, 0), (2, -1, 1)]:
         aa, cc, dd = idx
@@ -476,6 +600,30 @@ def test_mu_certificate_relations_are_homogeneous():
         for m, n in itertools.product(range(-3, 4), repeat=2):
             rel = relation_elem(SIG22, RelRule(fam, (i, m, j, n), 1))
             assert {sum(g.index for g in w) for w in rel.terms} == {m + n + shift}
+
+
+def test_replay_counts(monkeypatch):
+    # one replay at nmax 3, window 1: each lambda-step rewrite built once, each
+    # certificate relation built only when one of its candidates has a degree
+    # of diff, no Elem product anywhere (so none in the certificate), and the
+    # reducer fed the same 528 vectors as the product route
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(superfree, "relation_elem", counted("relation_elem", relation_elem))
+    monkeypatch.setattr(
+        superfree, "mu_recursion_certificate", counted("certificate", mu_recursion_certificate)
+    )
+    monkeypatch.setattr(Elem, "__mul__", counted("elem_mul", Elem.__mul__))
+    monkeypatch.setattr(RowReducer, "add", counted("reducer_add", RowReducer.add))
+    assert appendixA_check(3, range(-1, 2))["passed"]
+    assert counts == {"relation_elem": 282, "certificate": 3, "reducer_add": 528}
 
 
 def test_appendix_a_report_small():
