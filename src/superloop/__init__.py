@@ -9,8 +9,8 @@ Subpackages:
 - ``pbw``:       positive roots, root vectors, PBW monomials, the
                  plus-to-minus isomorphism
 - ``modrep``:    finite-dimensional modules, evaluation pullbacks, tensor
-                 products, highest-weight extraction
-- ``weyl``:      torsion triples, the highest-weight monoid, odd slices
+                 products, highest-weight extraction, odd slices
+- ``weyl``:      torsion triples and the highest-weight monoid
 - ``cli``:       batch verification suites with JSON reports
 """
 

@@ -45,8 +45,6 @@ class RunConfig:
     height: int = 3
     tensor: bool = False
     chevalley: bool = False
-    Q: str | None = None
-    Pprev: str | None = None
     out: str | None = None
 
     def validate(self):
@@ -72,10 +70,6 @@ def _parse_scalar(text: str):
         return scalar_from_str(text)
     except Exception as exc:
         raise ConfigError(f"cannot parse scalar {text!r}: {exc}") from exc
-
-
-def _parse_poly(text: str) -> ZPoly:
-    return ZPoly([_parse_scalar(part.strip()) for part in text.split(",")])
 
 
 def _eval_point(cfg: RunConfig, which: str = "a"):
@@ -169,25 +163,15 @@ def _suite_tensor_hw(cfg: RunConfig) -> list[dict]:
 
 
 def _suite_weyl_slice(cfg: RunConfig) -> list[dict]:
-    if cfg.Q is None:
-        raise ConfigError("weyl-slice needs --Q")
-    Q = _parse_poly(cfg.Q)
-    P_prev = _parse_poly(cfg.Pprev) if cfg.Pprev else ZPoly.one()
-    # normalised to constant term 1, as in HighestWeight: theta = -[z]P_prev needs it
-    for name, poly in (("Q", Q), ("Pprev", P_prev)):
-        if poly.coeff(0) != ONE:
-            raise ConfigError(f"{name} must have constant term 1")
-    sl = weyl.weyl_odd_slice(Q, P_prev)
-    ok_dim = sl.d == Q.degree
-    ok_spec = weyl.slice_spectrum_identity(Q, sl)
-    charpoly = weyl.charpoly(sl.hM1).to_json() if sl.d else ["1"]
+    lm = _eval_module(cfg)
+    label = f"weyl-slice({cfg.M},{cfg.N})"
+    if cfg.tensor:
+        lm = modrep.tensor(lm, _eval_module(cfg, "b"))
+        label += " tensor"
+    d, P, annihilates = modrep.odd_slice(lm, window=cfg.window, degree_bound=cfg.degree_bound)
     return [
-        _check("weyl-slice dimension = deg Q", ok_dim, {"d": sl.d}),
-        _check(
-            "weyl-slice spectrum identity",
-            ok_spec,
-            {"theta": scalar_str(sl.theta), "charpoly": charpoly, "hM1": sl.to_json()["hM1"]},
-        ),
+        _check(f"{label} dimension = deg P", d == P.degree, {"d": d, "P": P.to_json()}),
+        _check(f"{label} P annihilates X-_{{{cfg.M},n}} v", annihilates),
     ]
 
 
@@ -394,8 +378,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add("--height", type=int)
     add("--tensor", action="store_true", default=None)
     add("--chevalley", action="store_true", default=None)
-    add("--Q", type=str, help="comma-separated recurrence polynomial coefficients")
-    add("--Pprev", type=str, help="neighbour polynomial coefficients")
     add("--out", type=str)
     add("--config", type=str, help="JSON file mirroring the flags")
     parser.error = _usage_error

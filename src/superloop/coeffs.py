@@ -21,7 +21,7 @@ of a single term) and every division whose quotient is a ring value keep
 ring operands in the ring (``_ratio_op``, ``__pow__``).  A value caches its
 field form, which mixed operations and printing use.  On top of the
 scalars the module provides dense polynomials in a formal variable ``z``
-and truncated one-sided expansions of their ratios.
+and truncated expansions of their ratios in z^-1.
 
 Division of ring values n/d by m/e is n e / (d m).  A single-term m
 divides by shifting exponents.  Otherwise m = c p, c its integer content
@@ -43,11 +43,12 @@ one or two live variables by a heuristic gcd on packed Python integers
 sympy is imported by ``_sym`` at the first parse, print, value outside
 the ring or gcd in three or more variables: ``appendix-a`` and
 ``verify-relations`` at an indeterminate ``a`` never load it;
-``pbw-rank --tensor`` and ``tensor-hw`` on (2,1) do at a content
-removal in q, a and b, ``tensor-hw`` and ``highest-weight`` on (1,2) at
-the gcd in z, q and a that checks a torsion triple coprime, ``highest-weight`` on
-(2,1), ``coproduct-check`` and ``monoid`` at their first print, and
-``weyl-slice`` at its parse.
+``pbw-rank --tensor``, ``tensor-hw`` on (2,1) and ``weyl-slice --tensor``
+on (1,2) do at a content removal in q, a and b, ``tensor-hw``,
+``highest-weight`` and ``weyl-slice`` on (1,2) at the gcd in z, q and a
+that checks a torsion triple coprime, and ``highest-weight`` and
+``weyl-slice`` on (2,1), ``coproduct-check`` and ``monoid`` at their
+first print.
 
 No floating point is used anywhere.
 """
@@ -717,10 +718,6 @@ class ZPoly:
     def one(cls) -> "ZPoly":
         return cls((ONE,))
 
-    @classmethod
-    def z(cls) -> "ZPoly":
-        return cls((ZERO, ONE))
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -761,17 +758,6 @@ class ZPoly:
         """P(s*z)."""
         s = scalar(s)
         return ZPoly(c * s**k for k, c in enumerate(self.coeffs))
-
-    def compose(self, other: "ZPoly") -> "ZPoly":
-        """P(other(z)) by Horner's rule."""
-        out = ZPoly.zero()
-        for c in reversed(self.coeffs):
-            out = out * other + ZPoly((c,))
-        return out
-
-    def reciprocal(self) -> "ZPoly":
-        """z^deg * P(1/z)."""
-        return ZPoly(tuple(reversed(self.coeffs)))
 
     def divmod(self, other: "ZPoly") -> tuple["ZPoly", "ZPoly"]:
         if other.is_zero():
@@ -829,40 +815,26 @@ def poly_gcd(p: ZPoly, r: ZPoly) -> ZPoly:
     return x.scale(ONE / unit)
 
 
-def expand_ratio(c, Q: ZPoly, P: ZPoly, direction: str, order: int) -> tuple:
-    """Truncated geometric expansion of c*Q(z)/P(z).
+def expand_ratio(c, Q: ZPoly, P: ZPoly, order: int) -> tuple:
+    """Truncated expansion of c*Q(z)/P(z) in z^-1.
 
-    Direction '+' expands in the power series ring in z and requires
-    P(0) = 1; direction '-' expands in z^-1 and requires deg P = deg Q
-    with nonzero leading coefficients.  Returns the coefficients of
-    z^0 .. z^order resp. z^0 .. z^-order.
+    Requires deg P = deg Q with nonzero leading coefficients.  Returns the
+    coefficients of z^0 .. z^-order.
     """
     c = scalar(c)
     if order < 0:
         raise NonExpandable("order must be nonnegative")
-    if direction == "+":
-        if P.coeff(0) != ONE:
-            raise NonExpandable("plus-direction expansion needs P(0) = 1")
-        out = []
-        for n in range(order + 1):
-            s = c * Q.coeff(n)
-            for k in range(1, n + 1):
-                s -= P.coeff(k) * out[n - k]
-            out.append(s)
-        return tuple(out)
-    if direction == "-":
-        if P.is_zero() or P.degree != Q.degree:
-            raise NonExpandable("minus-direction expansion needs deg P = deg Q, both nonzero")
-        d = P.degree
-        prev = list(reversed(P.coeffs))
-        qrev = list(reversed(Q.coeffs))
-        lead = prev[0]
-        out = []
-        for n in range(order + 1):
-            s = c * (qrev[n] if n <= d else ZERO)
-            for k in range(1, n + 1):
-                pk = prev[k] if k <= d else ZERO
-                s -= pk * out[n - k]
-            out.append(s / lead)
-        return tuple(out)
-    raise NonExpandable(f"unknown direction {direction!r}")
+    if P.is_zero() or P.degree != Q.degree:
+        raise NonExpandable("expansion in z^-1 needs deg P = deg Q, both nonzero")
+    d = P.degree
+    prev = list(reversed(P.coeffs))
+    qrev = list(reversed(Q.coeffs))
+    lead = prev[0]
+    out = []
+    for n in range(order + 1):
+        s = c * (qrev[n] if n <= d else ZERO)
+        for k in range(1, n + 1):
+            pk = prev[k] if k <= d else ZERO
+            s -= pk * out[n - k]
+        out.append(s / lead)
+    return tuple(out)

@@ -10,7 +10,9 @@ from the affine Cartan entries, the X currents come by commutator
 ladders along an adjacent node, and the deeper Cartan loops from the phi
 series by Newton's identity.  Every derived matrix
 can be cross-checked against the defining relations, which is what the
-verification suites do.
+verification suites do.  ``highest_weight`` and ``odd_slice`` read the
+highest weight and the odd slice off the line the raising currents
+kill (``highest_vector``).
 """
 
 from __future__ import annotations
@@ -431,24 +433,52 @@ def _sign_qpower(lam: Scalar, qi: Scalar, bound: int) -> tuple[int, int]:
 _MAX_KERNEL_WINDOW = 6
 
 
+def highest_vector(lm: LoopModule, window: int = 2) -> dict:
+    """The line the raising currents kill, scaled to 1 at its least index.
+
+    The joint kernel of X^+_{i,n}, |n| <= w, is taken for w = window,
+    window + 1, ... until two windows give the same dimension, which
+    must be 1.
+    """
+    if window >= _MAX_KERNEL_WINDOW:
+        raise ModuleError(
+            f"the raising-kernel window must be below {_MAX_KERNEL_WINDOW}, so that "
+            "two windows can be compared"
+        )
+    prev = None
+    w = window
+    while w <= _MAX_KERNEL_WINDOW:
+        mats = [
+            lm.gen(("X+", i, n))
+            for i in range(1, lm.sig.n_nodes + 1)
+            for n in range(-w, w + 1)
+        ]
+        kern = joint_nullspace(mats, lm.dim)
+        if prev is not None and len(kern) == len(prev):
+            if len(kern) != 1:
+                raise ModuleError(f"raising-kernel dimension is {len(kern)}, not 1")
+            v = kern[0]
+            pivot = min(v)
+            return {k: val / v[pivot] for k, val in v.items()}
+        prev = kern
+        w += 1
+    raise ModuleError(f"raising-kernel dimension did not stabilise by window {_MAX_KERNEL_WINDOW}")
+
+
 def highest_weight(
     lm: LoopModule, window: int = 2, degree_bound: int | None = None
 ) -> HighestWeight:
     """Extract the highest-weight datum of the module.
 
-    The joint kernel of the raising currents over a stabilised loop
-    window must be a line; the even-node polynomials are reconstructed
-    from the measured phi eigen-series, the odd node through the torsion
-    triple of the measured two-sided phi eigenvalues, which are the
-    window of f scaled by q - q^-1.
+    The even-node polynomials are reconstructed from the phi eigen-series
+    of the highest vector, the odd node through the torsion triple of the
+    measured two-sided phi eigenvalues, which are the window of f scaled
+    by q - q^-1.
     """
     sig = lm.sig
     if degree_bound is None:
         degree_bound = max(2, lm.dim)
-    kern = _stable_kernel(lm, window)
-    v = kern[0]
-    pivot = min(v)
-    v = {k: val / v[pivot] for k, val in v.items()}
+    v = highest_vector(lm, window)
     P: dict[int, ZPoly] = {}
     eps: dict[int, int] = {}
     for i in range(1, sig.n_nodes + 1):
@@ -473,28 +503,36 @@ def highest_weight(
     return HighestWeight(P, torsion, eps, k0)
 
 
-def _stable_kernel(lm: LoopModule, window: int) -> list[dict]:
-    if window >= _MAX_KERNEL_WINDOW:
-        raise ModuleError(
-            f"the raising-kernel window must be below {_MAX_KERNEL_WINDOW}, so that "
-            "two windows can be compared"
-        )
-    prev = None
-    w = window
-    while w <= _MAX_KERNEL_WINDOW:
-        mats = [
-            lm.gen(("X+", i, n))
-            for i in range(1, lm.sig.n_nodes + 1)
-            for n in range(-w, w + 1)
-        ]
-        kern = joint_nullspace(mats, lm.dim)
-        if prev is not None and len(kern) == len(prev):
-            if len(kern) != 1:
-                raise ModuleError(f"raising-kernel dimension is {len(kern)}, not 1")
-            return kern
-        prev = kern
-        w += 1
-    raise ModuleError(f"raising-kernel dimension did not stabilise by window {_MAX_KERNEL_WINDOW}")
+def odd_slice(
+    lm: LoopModule, window: int = 2, degree_bound: int | None = None
+) -> tuple[int, ZPoly, bool]:
+    """The odd slice of the module: w_n = X^-_{M,n} v for n = 0..2 degree_bound + 1.
+
+    v is the highest vector.  Returns the rank d of the w_n, the odd
+    triple's P from ``highest_weight`` and whether P annihilates the
+    sequence: sum_s p_s w_{m-s} = 0 for every m from deg P to the last n.
+    When it does and d = deg P, the shift w_n -> w_{n+1} acts on the
+    span of the w_n with characteristic polynomial z^d P(1/z): the slice
+    has the finite dimension deg P that the Weyl module's odd node
+    predicts.
+    """
+    if degree_bound is None:
+        degree_bound = max(2, lm.dim)
+    P = highest_weight(lm, window, degree_bound).torsion.P
+    v = highest_vector(lm, window)
+    M = lm.sig.M
+    ws = [lm.gen(("X-", M, n)).apply(v) for n in range(2 * degree_bound + 2)]
+    red = RowReducer()
+    for w in ws:
+        red.add(w)
+    annihilates = True
+    for m in range(P.degree, len(ws)):
+        acc: dict = {}
+        for s, p in enumerate(P.coeffs):
+            for k, x in ws[m - s].items():
+                acc[k] = acc.get(k, ZERO) + p * x
+        annihilates &= all(x == ZERO for x in acc.values())
+    return red.rank, P, annihilates
 
 
 def _reconstruct_poly(lm: LoopModule, v: dict, i: int, sgn: int, d: int) -> ZPoly:
@@ -521,9 +559,7 @@ def _reconstruct_poly(lm: LoopModule, v: dict, i: int, sgn: int, d: int) -> ZPol
         raise ModuleError(f"no degree-{d} polynomial matches the node-{i} phi series")
     P = ZPoly([ONE] + list(sol))
     # verify the minus-direction series as well
-    minus = expand_ratio(
-        scalar(sgn) * qi**d, P.scale_arg(qi**-1), P.scale_arg(qi), "-", order
-    )
+    minus = expand_ratio(scalar(sgn) * qi**d, P.scale_arg(qi**-1), P.scale_arg(qi), order)
     for n in range(order + 1):
         measured = _eigenvalue(lm.gen(("phi", -1, i, -n)), v)
         if measured != minus[n]:

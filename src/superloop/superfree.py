@@ -390,6 +390,10 @@ def _h_loop(s: int) -> bool:
     return 0 < abs(s) <= H_BOUND
 
 
+# the number of indices after each cartan subfamily's name
+_CARTAN_ARITY = {"inv": 1, "vni": 1, "kk": 2, "kh": 3, "hh": 4}
+
+
 def _admissible(sig: AlgebraSignature, family: str, indices: tuple) -> bool:
     """Whether ``indices`` name an instance of ``family`` on ``sig``.
 
@@ -398,15 +402,11 @@ def _admissible(sig: AlgebraSignature, family: str, indices: tuple) -> bool:
     node lies on the signature and every h symbol passes ``_h_loop``.
     """
     if family == "cartan":
-        sub, *ix = indices
-        if sub in ("inv", "vni", "kk"):
-            nodes, h_loops = ix, ()
-        elif sub == "kh":
-            nodes, h_loops = ix[:2], ix[2:]
-        elif sub == "hh":
-            nodes, h_loops = ix[0::2], ix[1::2]
-        else:
+        # the subfamily, then its nodes and h loop indices: (i, r, j, s) for hh
+        if not indices or len(indices) - 1 != _CARTAN_ARITY.get(indices[0]):
             return False
+        ix = indices[1:]
+        nodes, h_loops = (ix[0::2], ix[1::2]) if indices[0] == "hh" else (ix[:2], ix[2:])
         return all(1 <= i <= sig.n_nodes for i in nodes) and all(map(_h_loop, h_loops))
     if family in _NODE_SLOTS:
         low, a, b = _NODE_SLOTS[family]

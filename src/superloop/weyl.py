@@ -2,16 +2,14 @@
 
 Torsion formal series are encoded canonically by triples (c, Q, P) with
 coprime Q, P normalised at 0; the set of such triples is a commutative
-monoid matching tensor products of highest weights.  The odd slice of a
-Weyl module is the finite-dimensional weight space cut out by the
-degree-d recurrence attached to Q, carrying the level-one Cartan loop
-operator as a shifted companion matrix.
+monoid matching tensor products of highest weights.  The triple's P is
+the recurrence the odd slice of a module obeys (``modrep.odd_slice``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .coeffs import (
     ONE,
@@ -219,14 +217,6 @@ class HighestWeight:
     def c(self) -> Scalar:
         return self.torsion.c
 
-    @property
-    def odd_node(self) -> int:
-        """The node missing from the even-node polynomial family."""
-        node = 1
-        while node in self.P:
-            node += 1
-        return node
-
     def to_json(self) -> dict:
         return {
             "P": {str(i): p.to_json() for i, p in sorted(self.P.items())},
@@ -294,101 +284,3 @@ def star_product_window(
         minus = sum((fm[k] * gm[m - k] for k in range(m + 1)), start=ZERO) if n <= 0 else ZERO
         out[n] = plus - minus
     return out, f[1] * g[1] * u
-
-
-# ---------------------------------------------------------------------------
-# the odd slice
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WeylOddSlice:
-    """The weight space lambda - alpha_M: dimension d = deg R for the recurrence
-    polynomial R, with the level-one Cartan loop action hM1 = shift + theta."""
-
-    d: int
-    theta: Scalar
-    hM1: tuple  # tuple of row tuples, d x d
-
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "theta": scalar_str(self.theta),
-            "hM1": [[scalar_str(x) for x in row] for row in self.hM1],
-        }
-
-
-def weyl_odd_slice(recurrence: ZPoly, P_prev: ZPoly) -> WeylOddSlice:
-    """Model the odd slice for recurrence polynomial R and neighbour polynomial P_{M-1}.
-
-    Basis w_0..w_{d-1} are the odd lowering operators at loop degrees
-    0..d-1 applied to the highest weight vector; the recurrence
-    sum_s a_{d-s} w_{n+s} = 0 of R = sum_s a_s z^s turns the shift into a
-    companion matrix S, and hM1 = S + theta with theta = -(coefficient of z
-    in P_{M-1}).  For a highest weight, R is the torsion triple's P, not Q.
-    """
-    if recurrence.coeff(0) != ONE:
-        raise ValueError("the recurrence polynomial must have constant term 1")
-    theta = -P_prev.coeff(1)
-    d = recurrence.degree
-    if d <= 0:
-        return WeylOddSlice(0, theta, ())
-    rows = [[ZERO] * d for _ in range(d)]
-    for n in range(d - 1):
-        rows[n + 1][n] = ONE  # S w_n = w_{n+1}
-    for s in range(d):
-        rows[s][d - 1] = -recurrence.coeff(d - s)  # w_d = -sum_s a_{d-s} w_s
-    for i in range(d):
-        rows[i][i] += theta
-    return WeylOddSlice(d, theta, tuple(tuple(r) for r in rows))
-
-
-def odd_slice_of_highest_weight(hw: HighestWeight) -> WeylOddSlice:
-    """The odd slice of the minimal Weyl module attached to a highest weight.
-
-    The recurrence polynomial is the minimal annihilator of the torsion
-    series (the canonical triple's denominator); the neighbour polynomial
-    is the datum at the node below the odd one, so the odd node must not
-    be node 1.
-    """
-    M = hw.odd_node
-    if M < 2:
-        raise ValueError("the slice's theta needs the node below the odd one")
-    return weyl_odd_slice(hw.torsion.P, hw.P[M - 1])
-
-
-def charpoly(rows: Sequence[Sequence[Scalar]]) -> ZPoly:
-    """det(zI - A) for a small exact matrix, by cofactor expansion over ZPoly."""
-    d = len(rows)
-    entries = [
-        [ZPoly([-rows[i][j]]) + (ZPoly.z() if i == j else ZPoly.zero()) for j in range(d)]
-        for i in range(d)
-    ]
-
-    def det(mat: list[list[ZPoly]]) -> ZPoly:
-        n = len(mat)
-        if n == 0:
-            return ZPoly.one()
-        if n == 1:
-            return mat[0][0]
-        acc = ZPoly.zero()
-        for k in range(n):
-            if mat[0][k].is_zero():
-                continue
-            minor = [[row[j] for j in range(n) if j != k] for row in mat[1:]]
-            term = mat[0][k] * det(minor)
-            acc = acc + (term if k % 2 == 0 else -term)
-        return acc
-
-    return det(entries)
-
-
-def slice_spectrum_identity(recurrence: ZPoly, slice_: WeylOddSlice) -> bool:
-    """Check det(zI - hM1) = R*(z - theta), R* the reciprocal of the recurrence
-    polynomial R (for a highest weight, the torsion triple's P, not Q)."""
-    if slice_.d == 0:
-        return recurrence.degree == 0
-    lhs = charpoly(slice_.hM1)
-    shift = ZPoly([-slice_.theta, ONE])  # z - theta
-    rhs = recurrence.reciprocal().compose(shift)
-    return lhs == rhs

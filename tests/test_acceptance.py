@@ -18,6 +18,7 @@ from superloop.modrep import (
     evaluation_pullback,
     fundamental,
     highest_weight,
+    odd_slice,
     pi_pullback,
     relation_report,
     tensor,
@@ -25,13 +26,10 @@ from superloop.modrep import (
 from superloop.superfree import Elem, appendixA_check, kay, kinv
 from superloop.weyl import (
     TorsionTriple,
-    WeylOddSlice,
     identity_triple,
     monoid_product,
     series_to_torsion,
-    slice_spectrum_identity,
     torsion_to_series,
-    weyl_odd_slice,
 )
 
 WINDOW = 2
@@ -108,33 +106,32 @@ def test_criterion_3_tensor_monoid_compatibility(modules):
 
 
 def test_criterion_4_odd_slice_spectrum():
-    rng = random.Random(SEED)
-    perturb = random.Random(SEED + 1)
-    pool = [scalar(1), scalar(-1), scalar(2), q, -q, q**-1, q + q**-1]
+    """The odd slice w_n = X-_{1,n} v of a module is read off the module.
+
+    Its rank is deg P, P the odd triple extracted from the phi eigenvalues,
+    and P annihilates the sequence, so the shift acts on the slice with
+    characteristic polynomial z^d P(1/z).  Negative control: a copy with
+    X-_{1,1} or X-_{1,2} scaled by q breaks the recurrence.
+    """
+
+    def ev(M, N, point):
+        return evaluation_pullback(fundamental(M, N), point)
+
     ok = True
-    produced = 0
-    while produced < 20:
-        d = rng.randint(1, 5)
-        Q = ZPoly([ONE] + [pool[rng.randrange(len(pool))] for _ in range(d)])
-        if Q.degree != d:
-            continue
-        Pprev = ZPoly([ONE] + [pool[rng.randrange(len(pool))] for _ in range(rng.randint(0, 3))])
-        produced += 1
-        sl = weyl_odd_slice(Q, Pprev)
-        ok &= sl.d == Q.degree
-        ok &= sl.theta == -Pprev.coeff(1)
-        ok &= slice_spectrum_identity(Q, sl)
-        # negative controls: shifting a diagonal entry of hM1 changes the
-        # charpoly by a monic minor of degree d - 1, and shifting one
-        # coefficient of Q changes Q*; either must break the identity
-        i = perturb.randrange(sl.d)
-        rows = [list(row) for row in sl.hM1]
-        rows[i][i] += ONE
-        ok &= not slice_spectrum_identity(Q, WeylOddSlice(sl.d, sl.theta, tuple(map(tuple, rows))))
-        k = perturb.randint(1, d)
-        Q_bad = ZPoly([c + ONE if j == k else c for j, c in enumerate(Q.coeffs)])
-        ok &= not slice_spectrum_identity(Q_bad, sl)
-    _report(4, "odd-slice dimension and exact reciprocal charpoly, 20 samples", ok)
+    for x, y in ((a, b), (scalar(1) / 2, scalar(3))):
+        builds = [
+            (1, lambda: ev(1, 2, x)),
+            (1, lambda: ev(1, 3, x)),
+            (2, lambda: tensor(ev(1, 2, x), ev(1, 2, y))),
+        ]
+        for degree, build in builds:
+            d, P, annihilates = odd_slice(build())
+            ok &= d == P.degree == degree and annihilates
+            for n in (1, 2):
+                lm = build()
+                lm._cache["X-", 1, n] = lm.gen(("X-", 1, n)).scale(q)
+                ok &= not odd_slice(lm)[2]
+    _report(4, "odd slice of ev(1,2), ev(1,3), ev(1,2)^2: rank deg P and P's recurrence", ok)
 
 
 def test_criterion_5_torsion_roundtrip_and_monoid():

@@ -43,21 +43,25 @@ def test_rational_point_report_bytes(capsys, command):
 
 def test_weyl_slice_cli(tmp_path, capsys):
     out = tmp_path / "report.json"
-    code = run_main(["weyl-slice", "--Q", "1,-2,1", "--Pprev", "1", "--out", str(out)])
+    code = run_main(["weyl-slice", "--M", "1", "--N", "2", "--a", "3", "--out", str(out)])
     assert code == 0
     report = json.loads(out.read_text())
     assert report["schema"] == 1
     assert report["passed"]
     names = [c["name"] for c in report["checks"]]
-    assert "weyl-slice dimension = deg Q" in names
-    witness = report["checks"][1]["witness"]
-    assert witness["theta"] == "0"
+    assert names == ["weyl-slice(1,2) dimension = deg P", "weyl-slice(1,2) P annihilates X-_{1,n} v"]
+    # the slice of ev(3) is the line of X-_{1,0} v, and P = 1 - 3 q^2 z
+    assert report["checks"][0]["witness"] == {"d": 1, "P": ["1", "-3*q**2"]}
+    # on (2,1) the odd node is 2, and X-_{2,n} kills the highest vector
+    assert run_main(["weyl-slice", "--M", "2", "--N", "1", "--tensor"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"][0]["witness"] == {"d": 0, "P": ["1"]}
 
 
 def test_unwritable_out_exit_two(tmp_path, capsys):
     # a report that cannot be written is a bad config, not a failed check
     target = tmp_path / "missing" / "report.json"
-    assert run_main(["weyl-slice", "--Q", "1,-2,1", "--out", str(target)]) == 2
+    assert run_main(["weyl-slice", "--M", "1", "--N", "2", "--out", str(target)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "cannot write report" in json.loads(captured.err)["error"]
@@ -113,10 +117,9 @@ def test_highest_weight_check_fails_on_wrong_datum(monkeypatch, capsys, perturb)
 
 
 def test_cli_config_error_exit_two(capsys):
-    code = run_main(["weyl-slice", "--Q", "2,1"])
+    code = run_main(["weyl-slice", "--M", "1", "--N", "2", "--a", "0"])
     assert code == 2
-    err = capsys.readouterr().err
-    assert "error" in err
+    assert "evaluation point a must be nonzero" in _json_error(capsys)
 
 
 # argparse's usage errors: a missing or unknown suite, an unknown flag, a non-integer value
@@ -160,7 +163,7 @@ def test_cli_second_evaluation_point_validated(capsys, value, message):
 
 
 @pytest.mark.parametrize(
-    "suite", ["verify-relations", "highest-weight", "tensor-hw", "pbw-rank", "coproduct-check"]
+    "suite", ["verify-relations", "highest-weight", "tensor-hw", "weyl-slice", "pbw-rank", "coproduct-check"]
 )
 def test_cli_equal_ranks_rejected(capsys, suite):
     assert run_main([suite, "--M", "2", "--N", "2"]) == 2
@@ -171,16 +174,18 @@ def test_cli_equal_ranks_rejected(capsys, suite):
 
 def test_cli_config_file_merge(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"Q": "1,-2,1", "Pprev": "1,-3"}))
+    cfg.write_text(json.dumps({"M": 1, "N": 2, "a": "q"}))
     code = run_main(["weyl-slice", "--config", str(cfg)])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["config"]["Pprev"] == "1,-3"
+    assert (report["config"]["M"], report["config"]["a"]) == (1, "q")
+    assert report["checks"][0]["witness"]["P"] == ["1", "-q**3"]
     # explicit flags win over the config file
-    code = run_main(["weyl-slice", "--config", str(cfg), "--Pprev", "1"])
+    code = run_main(["weyl-slice", "--config", str(cfg), "--a", "3"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["config"]["Pprev"] == "1"
+    assert (report["config"]["M"], report["config"]["a"]) == (1, "3")
+    assert report["checks"][0]["witness"]["P"] == ["1", "-3*q**2"]
 
 
 def test_exit_status_contract(monkeypatch, capsys):
@@ -188,7 +193,7 @@ def test_exit_status_contract(monkeypatch, capsys):
         return [cli._check("doomed", False)]
 
     monkeypatch.setitem(cli.SUITES, "weyl-slice", failing_suite)
-    code = run_main(["weyl-slice", "--Q", "1,1"])
+    code = run_main(["weyl-slice", "--M", "1", "--N", "2"])
     assert code == 1
     report = json.loads(capsys.readouterr().out)
     assert not report["passed"]
@@ -366,11 +371,14 @@ def test_cli_window_above_h_bound_rejected(capsys):
             ["tensor-hw", "--M", "1", "--N", "2", "--degree-bound", "1"],
             "no annihilator of degree <= 1",
         ),
-        (["weyl-slice", "--Q", "1,q", "--Pprev", "2,q"], "Pprev must have constant term 1"),
+        (
+            ["weyl-slice", "--M", "1", "--N", "2", "--tensor", "--degree-bound", "1"],
+            "no annihilator of degree <= 1",
+        ),
     ],
     ids=[
         "nmax-zero", "height-zero", "height-negative", "kernel-window", "relations-window",
-        "degree-bound", "pprev-unnormalised",
+        "degree-bound", "slice-degree-bound",
     ],
 )
 def test_out_of_range_input_exit_two(capsys, argv, message):
@@ -426,8 +434,9 @@ def test_cli_tensor_relations_include_chevalley(capsys):
         ("[1, 2]", "one JSON object"),
         ('{"window": "2"}', "'window' must be of type int"),
         ('{"windw": 2}', "unknown config key 'windw'"),
+        ('{"Q": "1,-2,1"}', "unknown config key 'Q'"),
     ],
-    ids=["missing-file", "malformed-json", "json-list", "wrong-type", "unknown-key"],
+    ids=["missing-file", "malformed-json", "json-list", "wrong-type", "unknown-key", "removed-key"],
 )
 def test_bad_config_exit_two(tmp_path, capsys, content, message):
     cfg = tmp_path / "cfg.json"

@@ -360,6 +360,12 @@ def test_relation_elem_invalid_instances():
             RelRule("chev-mixed", (-1, 1)),
             RelRule("kx", (1,)),
             RelRule("serre3", (1, 0, 0)),
+            # a cartan subfamily with the wrong number of indices
+            RelRule("cartan", ("inv", 1, 2)),
+            RelRule("cartan", ("vni",)),
+            RelRule("cartan", ("kk", 1)),
+            RelRule("cartan", ("kh", 1, 2)),
+            RelRule("cartan", ("hh", 1, 1, 2)),
         )
     ]
     for sig, rule in outside:

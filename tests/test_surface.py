@@ -9,8 +9,6 @@ KEPT = {
     "tau1": "second route for the E0 words in test_e0_bracket_routes",
     "phi_push_past": "the only check against a module of the phi-conjugation lemma "
     "that the appendix-A lambda formula rests on",
-    "odd_slice_of_highest_weight": "the model-side entry point of the odd-slice check "
-    "against real modules (ROADMAP item 6)",
 }
 
 

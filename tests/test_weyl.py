@@ -5,20 +5,18 @@ import pytest
 
 from superloop import weyl
 from superloop.cli import random_torsion_triple
-from superloop.coeffs import ONE, ZERO, ZPoly, expand_ratio, q, scalar
+from superloop.coeffs import ONE, ZERO, ZPoly, a, b, expand_ratio, q, scalar
 from superloop.linalg import solve_span
+from superloop.modrep import evaluation_pullback, fundamental, highest_weight, odd_slice, tensor
 from superloop.weyl import (
     HighestWeight,
     TorsionError,
     TorsionTriple,
-    charpoly,
     identity_triple,
     monoid_product,
     series_to_torsion,
-    slice_spectrum_identity,
     star_product_window,
     torsion_to_series,
-    weyl_odd_slice,
 )
 
 WORKED = TorsionTriple(q, ZPoly([1, -(q**-2)]), ZPoly([1, -1]))
@@ -54,9 +52,14 @@ def test_identity_series_is_zero():
         assert series_to_torsion(win, t.c, 3, s) == t
 
 
+def _plus(t, order):
+    """The expansion of c Q/P in z: that of c z^d Q(1/z) / z^d P(1/z) in z^-1."""
+    return expand_ratio(t.c, ZPoly(reversed(t.Q.coeffs)), ZPoly(reversed(t.P.coeffs)), order)
+
+
 def test_worked_example_series():
-    plus = expand_ratio(WORKED.c, WORKED.Q, WORKED.P, "+", 6)
-    minus = expand_ratio(WORKED.c, WORKED.Q, WORKED.P, "-", 6)
+    plus = _plus(WORKED, 6)
+    minus = expand_ratio(WORKED.c, WORKED.Q, WORKED.P, 6)
     assert plus[0] == q and minus[0] == q**-1
     win, s = torsion_to_series(WORKED, 6)
     assert all(v == s for v in win.values())
@@ -66,8 +69,8 @@ def test_worked_example_series():
 
 def _field_f_window(t, order):
     """f by the field formula: (q - q^-1) f = iota_+(c Q/P) - iota_-(c Q/P)."""
-    plus = expand_ratio(t.c, t.Q, t.P, "+", order)
-    minus = expand_ratio(t.c, t.Q, t.P, "-", order)
+    plus = _plus(t, order)
+    minus = expand_ratio(t.c, t.Q, t.P, order)
     u = q - q**-1
     win = {0: (plus[0] - minus[0]) / u}
     for n in range(1, order + 1):
@@ -218,58 +221,43 @@ def test_monoid_node_mismatch():
         monoid_product(h1, h2)
 
 
+def _ev(M, N, point):
+    return evaluation_pullback(fundamental(M, N), point)
+
+
 def test_odd_slice_degree_one():
-    alpha = scalar(7)
-    sl = weyl_odd_slice(ZPoly([ONE, alpha]), ZPoly.one())
-    assert sl.d == 1
-    assert sl.theta == ZERO
-    assert sl.hM1 == ((-alpha,),)
-
-
-def test_theta_from_neighbour_polynomial():
-    sl = weyl_odd_slice(ZPoly([1, 1]), ZPoly([1, -3]))
-    assert sl.theta == scalar(3)
-    assert sl.hM1 == ((scalar(3) - ONE,),)
+    # X-_{1,n} v = (q^2 a)^n X-_{1,0} v on the vector module of (1,N)
+    for N in (2, 3):
+        for point in (a, scalar(1) / 2, q**-1):
+            assert odd_slice(_ev(1, N, point)) == (1, ZPoly([ONE, -(q**2) * point]), True)
 
 
 def test_zero_dimensional_slice():
-    sl = weyl_odd_slice(ZPoly.one(), ZPoly([1, -2]))
-    assert sl.d == 0 and sl.hM1 == ()
-    assert slice_spectrum_identity(ZPoly.one(), sl)
-
-
-def test_slice_dimension_and_spectrum_random():
-    rng = random.Random(3)
-    pool = [scalar(1), scalar(-2), q, -q, q**-1, q + q**-1]
-    for _ in range(8):
-        d = rng.randint(1, 5)
-        Q = ZPoly([ONE] + [pool[rng.randrange(len(pool))] for _ in range(d)])
-        if Q.degree != d:
-            continue
-        Pprev = ZPoly([ONE] + [pool[rng.randrange(len(pool))] for _ in range(rng.randint(0, 3))])
-        sl = weyl_odd_slice(Q, Pprev)
-        assert sl.d == d
-        assert sl.theta == -Pprev.coeff(1)
-        assert slice_spectrum_identity(Q, sl)
-
-
-def test_charpoly_companion():
-    rows = ((scalar(0), scalar(-6)), (scalar(1), scalar(5)))
-    # companion of z^2 - 5z + 6
-    assert charpoly(rows) == ZPoly([scalar(6), scalar(-5), ONE])
+    # for M >= 2 the odd triple is the identity and X-_{M,n} kills v
+    for lm in (_ev(2, 1, a), _ev(3, 1, scalar(2)), tensor(_ev(2, 1, a), _ev(2, 1, b))):
+        assert odd_slice(lm) == (0, ZPoly.one(), True)
 
 
 def test_odd_slice_from_highest_weight():
-    hw = HighestWeight({1: ZPoly([1, -3])}, WORKED, {1: 1})
-    assert hw.odd_node == 2
-    sl = weyl.odd_slice_of_highest_weight(hw)
-    assert sl.d == 1 and sl.theta == scalar(3)
-    # recurrence comes from the annihilator 1 - z: shift eigenvalue 1
-    assert sl.hM1 == ((scalar(4),),)
-    with pytest.raises(ValueError):
-        weyl.odd_slice_of_highest_weight(HighestWeight({2: ZPoly.one()}, WORKED, {2: 1}))
-    with pytest.raises(TorsionError):
-        HighestWeight({1: ZPoly([2])}, WORKED, {1: 1})
+    # the slice of ev(a) (x) ev(b) is a plane with P the monoid product's P
+    hws = [highest_weight(_ev(1, 2, x)) for x in (a, b)]
+    d, P, annihilates = odd_slice(tensor(_ev(1, 2, a), _ev(1, 2, b)))
+    assert (d, annihilates) == (2, True)
+    assert P == monoid_product(*hws).torsion.P == ZPoly([ONE, -(q**2) * (a + b), q**4 * a * b])
+    # at b = q^2 a the product's Q and P share 1 - q^2 a z: the reduced P, and
+    # with it the slice, has degree 1
+    d, P, annihilates = odd_slice(tensor(_ev(1, 2, a), _ev(1, 2, q**2 * a)))
+    assert (d, P, annihilates) == (1, ZPoly([ONE, -(q**4) * a]), True)
+
+
+def test_slice_dimension_and_spectrum_random():
+    # d = deg P and P's recurrence on tensor products at random rational points
+    rng = random.Random(3)
+    pool = [scalar(2), scalar(-3), scalar(1) / 2, scalar(2) / 3, q, q**-1 + 1]
+    for _ in range(4):
+        x, y = rng.sample(pool, 2)
+        d, P, annihilates = odd_slice(tensor(_ev(1, 2, x), _ev(1, 2, y)), degree_bound=3)
+        assert (d, P.degree, annihilates) == (2, 2, True)
 
 
 def test_json_forms():
@@ -278,6 +266,3 @@ def test_json_forms():
     hw = HighestWeight({1: ZPoly([1, -3])}, WORKED, {1: 1})
     out = hw.to_json()
     assert out["Q"] == ["1", "(-1)/(q**2)"] and out["P_odd"] == ["1", "-1"]
-    sl = weyl_odd_slice(ZPoly([1, -2, 1]), ZPoly([1, -3]))
-    out = sl.to_json()
-    assert out["d"] == 2 and out["theta"] == "3"
