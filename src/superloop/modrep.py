@@ -475,10 +475,14 @@ def highest_weight(
     measured two-sided phi eigenvalues, which are the window of f scaled
     by q - q^-1.
     """
+    return _highest_weight_at(lm, highest_vector(lm, window), degree_bound)
+
+
+def _highest_weight_at(lm: LoopModule, v: dict, degree_bound: int | None) -> HighestWeight:
+    """``highest_weight`` read off the given highest vector v."""
     sig = lm.sig
     if degree_bound is None:
         degree_bound = max(2, lm.dim)
-    v = highest_vector(lm, window)
     P: dict[int, ZPoly] = {}
     eps: dict[int, int] = {}
     for i in range(1, sig.n_nodes + 1):
@@ -518,8 +522,8 @@ def odd_slice(
     """
     if degree_bound is None:
         degree_bound = max(2, lm.dim)
-    P = highest_weight(lm, window, degree_bound).torsion.P
     v = highest_vector(lm, window)
+    P = _highest_weight_at(lm, v, degree_bound).torsion.P
     M = lm.sig.M
     ws = [lm.gen(("X-", M, n)).apply(v) for n in range(2 * degree_bound + 2)]
     red = RowReducer()

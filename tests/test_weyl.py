@@ -41,6 +41,8 @@ def test_triple_invariants():
     with pytest.raises(TorsionError):
         # leading coefficients must match c^-2 lead(P)
         TorsionTriple(q, ZPoly([1, 1]), ZPoly([1, 2]))
+    with pytest.raises(TorsionError, match="constant term 1"):
+        HighestWeight({1: ZPoly([2])}, WORKED, {1: 1})
 
 
 def test_identity_series_is_zero():
