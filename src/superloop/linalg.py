@@ -225,6 +225,43 @@ class RowReducer:
         return len(self.pivots)
 
 
+def span_contains(vectors: list[dict], target: dict) -> bool:
+    """Whether ``target`` lies in the span of ``vectors``, exactly.
+
+    The vectors are fed to a ``RowReducer`` in the order of a breadth-first
+    walk from ``target``'s keys, where a vector is reached through any key
+    it shares with ``target`` or with a vector reached before it; after
+    every vector that enlarges the span the residual of ``target`` is
+    reduced again, and the walk stops at the first zero residual.  The
+    answer is that of feeding every vector: the vectors the walk never
+    reaches touch no key of ``target`` or of a reached vector, so they span
+    a direct summand disjoint from ``target``'s component.
+    """
+    by_key: dict = {}
+    for n, vec in enumerate(vectors):
+        for k in vec:
+            by_key.setdefault(k, []).append(n)
+    red = RowReducer()
+    resid = dict(target)
+    keys = list(target)
+    seen = set(keys)
+    fed = set()
+    for k in keys:  # the list grows as the walk reaches new keys
+        for n in by_key.get(k, ()):
+            if n in fed:
+                continue
+            fed.add(n)
+            if red.add(vectors[n]):
+                resid = red.reduce(resid)
+                if not resid:
+                    return True
+            for key in vectors[n]:
+                if key not in seen:
+                    seen.add(key)
+                    keys.append(key)
+    return not resid
+
+
 def joint_nullspace(mats: list[Mat], dim: int) -> list[dict]:
     """Basis of the common kernel of the given dim-column matrices."""
     red = RowReducer()

@@ -25,7 +25,7 @@ from itertools import product
 from typing import Callable, Iterable, Sequence
 
 from .coeffs import ONE, ZERO, Scalar, q, qint_base, scalar, scalar_str
-from .linalg import RowReducer
+from .linalg import span_contains
 
 X_PLUS = "X+"
 X_MINUS = "X-"
@@ -392,6 +392,12 @@ def _h_loop(s: int) -> bool:
 
 # the number of indices after each cartan subfamily's name
 _CARTAN_ARITY = {"inv": 1, "vni": 1, "kk": 2, "kh": 3, "hh": 4}
+# the number of indices of every other family
+_ARITY = {
+    "kx": 3, "hx": 4, "pm-mixed": 4, "deg2-zero": 4, "deg2-shift": 4, "serre3": 5,
+    "oscillation4": 4, "chev-kx": 2, "chev-mixed": 2, "chev-zero": 2, "chev-serre3": 2,
+    "chev-deg4": 1, "chev-deg5": 0,
+}
 
 
 def _admissible(sig: AlgebraSignature, family: str, indices: tuple) -> bool:
@@ -408,10 +414,12 @@ def _admissible(sig: AlgebraSignature, family: str, indices: tuple) -> bool:
         ix = indices[1:]
         nodes, h_loops = (ix[0::2], ix[1::2]) if indices[0] == "hh" else (ix[:2], ix[2:])
         return all(1 <= i <= sig.n_nodes for i in nodes) and all(map(_h_loop, h_loops))
+    if len(indices) != _ARITY.get(family, len(indices)):  # an unknown family is refused by its value
+        return False
     if family in _NODE_SLOTS:
         low, a, b = _NODE_SLOTS[family]
         top = sig.n_nodes
-        if len(indices) <= b or not (low <= indices[a] <= top and low <= indices[b] <= top):
+        if not (low <= indices[a] <= top and low <= indices[b] <= top):
             return False
     if family == "hx":
         return _h_loop(indices[1])
@@ -432,8 +440,8 @@ def _admissible(sig: AlgebraSignature, family: str, indices: tuple) -> bool:
     if family == "chev-serre3":
         i, j = indices
         return abs(sig.affine_c(i, j)) == 1 and i not in (0, sig.M)
-    if family == "chev-deg4":
-        return sig.M + sig.N > 3
+    if family == "chev-deg4":  # (0,) at the odd node M, (1,) at node 1
+        return sig.M + sig.N > 3 and indices[0] in (0, 1)
     if family == "chev-deg5":
         return (sig.M, sig.N) == (2, 1)
     return True
@@ -642,10 +650,11 @@ def relation_instances(
             for i, j, m, n, k in product(nodes, nodes, window, window, window)
             if m <= n
         ),
-        # its domain reads only the signature: decided once, not per index
+        # its domain reads only the signature: decided once, on the loop
+        # indices (0, 0, 0, 0), not per index
         "oscillation4": (
             (ix for ix in product(window, repeat=4) if ix[1] <= ix[3])
-            if _admissible(sig, "oscillation4", ()) else ()
+            if _admissible(sig, "oscillation4", (0,) * 4) else ()
         ),
     }
     wanted = spaces if families is None else set(families)
@@ -917,6 +926,12 @@ def mu_recursion_certificate(diff: Elem) -> bool:
     candidates of the degrees of diff's words are built, and a relation
     is built only when one of its candidates is.  A candidate g*rel or
     rel*g is the relation's term dict with X^+_{k,t} joined to each word.
+
+    Membership is decided by ``linalg.span_contains``, which eliminates
+    only the candidates connected to diff's words and stops at the first
+    one that brings diff into their span.  That is exact: the candidates
+    that share no word with diff or with a connected candidate span a
+    direct summand on words diff does not touch, so they cannot help.
     """
     if diff.is_zero():
         return True
@@ -931,7 +946,7 @@ def mu_recursion_certificate(diff: Elem) -> bool:
     boxes = {
         node: range(min(vals) - 1, max(vals) + 2) for node, vals in indices.items()
     }
-    red = RowReducer()
+    candidates = []
     for i, j in _MU_PAIRS:
         shift = 0 if _admissible(SIG22, "deg2-zero", (i, 0, j, 0)) else 1
         fam = ("deg2-zero", "deg2-shift")[shift]
@@ -944,9 +959,9 @@ def mu_recursion_certificate(diff: Elem) -> bool:
                 rel = relation_elem(SIG22, RelRule(fam, (i, m, j, n), 1)).terms
                 for t in ts:
                     g = (xp(other, t),)
-                    red.add({g + w: c for w, c in rel.items()})
-                    red.add({w + g: c for w, c in rel.items()})
-    return red.contains(dict(diff.terms))
+                    candidates.append({g + w: c for w, c in rel.items()})
+                    candidates.append({w + g: c for w, c in rel.items()})
+    return span_contains(candidates, diff.terms)
 
 
 def appendixA_check(n_max: int, window: Iterable[int]) -> dict:
@@ -992,8 +1007,10 @@ def appendixA_check(n_max: int, window: Iterable[int]) -> dict:
         base_diff[n] = diff
         base_ok[n] = mu_recursion_certificate(diff)
 
+    shifted = functools.cache(xp)  # each translated symbol is built once
+
     def translate(e: Elem, offs: dict[int, int]) -> Elem:
-        return e.map_symbols(lambda g: xp(g.node, g.index + offs[g.node]))
+        return e.map_symbols(lambda g: shifted(g.node, g.index + offs[g.node]))
 
     for aa, cc, dd in product(window, repeat=3):
         base = _normalize_commuting(mu(aa, cc, 0, dd))

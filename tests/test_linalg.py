@@ -1,6 +1,8 @@
 import random
+from itertools import zip_longest
 
 from helpers import mat_from_rows
+from hypothesis import given, settings, strategies as st
 
 from superloop import pbw
 from superloop.coeffs import ONE, ZERO, a, b, q, scalar
@@ -10,6 +12,7 @@ from superloop.linalg import (
     joint_nullspace,
     kron_super,
     solve_span,
+    span_contains,
 )
 
 
@@ -291,3 +294,39 @@ def test_reducer_two_routes_pbw_tensor(tensor21):
         ]
         ranks.append(_same_on_both_routes([v for v in vecs if v], tensor21.dim**2))
     assert ranks[2] > 0
+
+
+_SPAN_ENTRIES = st.sampled_from([ONE, -ONE, scalar(2), q, q**-1, q + 1, a * q - b, ONE / (q - 1)])
+
+
+def _block(low):
+    """Sparse vectors on the keys low..low+5."""
+    return st.dictionaries(st.integers(low, low + 5), _SPAN_ENTRIES, min_size=1, max_size=3)
+
+
+def _combination(vecs, coeffs):
+    out: dict = {}
+    for vec, c in zip(vecs, coeffs):
+        for k, x in vec.items():
+            out[k] = out.get(k, ZERO) + c * x
+    return {k: x for k, x in out.items() if x != ZERO}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(_block(0), max_size=6),
+    st.lists(_block(20), max_size=4),
+    st.lists(_SPAN_ENTRIES, max_size=6),
+    st.one_of(st.just({}), _block(0), _block(20), _block(40)),
+)
+def test_span_contains_two_routes(near, far, coeffs, extra):
+    # target: a combination of the vectors on keys 0..5, plus a vector that
+    # may lie outside their span; the vectors on keys 20..25 share no key
+    # with that combination, and keys 40..45 no vector touches
+    vectors = [v for pair in zip_longest(near, far) for v in pair if v is not None]
+    target = _combination([_combination(near, coeffs), extra], [ONE, ONE])
+    ref = RowReducer()
+    for v in vectors:
+        ref.add(v)
+    assert span_contains(vectors, target) is ref.contains(target)
+

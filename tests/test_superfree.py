@@ -366,7 +366,21 @@ def test_relation_elem_invalid_instances():
             RelRule("cartan", ("kk", 1)),
             RelRule("cartan", ("kh", 1, 2)),
             RelRule("cartan", ("hh", 1, 1, 2)),
+            # one index too many, or a chev-deg4/chev-deg5 index that names nothing
+            RelRule("hx", (1, 1, 1, 0, 5)),
+            RelRule("kx", (1, 1, 0, 5)),
+            RelRule("pm-mixed", (1, 0, 2, 0, 5)),
+            RelRule("serre3", (1, 0, 0, 2, 0, 5)),
+            RelRule("chev-kx", (0, 1, 5)),
+            RelRule("chev-zero", (0, 2, 5)),
+            RelRule("chev-deg5", (1,)),
         )
+    ]
+    outside += [
+        (SIG22, RelRule("oscillation4", (0, 0, 0, 0, 5))),
+        (SIG22, RelRule("deg2-shift", (2, 0, 3, 0, 5))),
+        (SIG31, RelRule("chev-deg4", (0, 5))),
+        (SIG31, RelRule("chev-deg4", (2,))),
     ]
     for sig, rule in outside:
         with pytest.raises(ValueError, match="is not a relation instance"):
@@ -556,8 +570,13 @@ def test_mu_recursion_certificate():
     assert mu_recursion_certificate(diff)
     # perturbed differences have no certificate: a word of loop degree 0 is
     # rejected by its degree alone, a word of diff's own degree 1 only by
-    # the elimination
-    for extra in (mono(xp(1, 0), xp(2, 0), xp(3, 0)), mono(xp(2, 0), xp(1, 1), xp(3, 0))):
+    # the elimination, and a word with an X^- letter, which no candidate
+    # touches, because the walk from diff's words never reaches it
+    for extra in (
+        mono(xp(1, 0), xp(2, 0), xp(3, 0)),
+        mono(xp(2, 0), xp(1, 1), xp(3, 0)),
+        mono(xm(1, 0), xp(2, 1), xp(3, 0)),
+    ):
         assert not mu_recursion_certificate(diff + extra)
 
 
@@ -612,7 +631,7 @@ def test_replay_counts(monkeypatch):
     # one replay at nmax 3, window 1: each lambda-step rewrite built once, each
     # certificate relation built only when one of its candidates has a degree
     # of diff, no Elem product anywhere (so none in the certificate), and the
-    # reducer fed the same 528 vectors as the product route
+    # walk fed 233 of the 528 candidate vectors before diff's span was reached
     counts = Counter()
 
     def counted(name, fn):
@@ -629,7 +648,7 @@ def test_replay_counts(monkeypatch):
     monkeypatch.setattr(Elem, "__mul__", counted("elem_mul", Elem.__mul__))
     monkeypatch.setattr(RowReducer, "add", counted("reducer_add", RowReducer.add))
     assert appendixA_check(3, range(-1, 2))["passed"]
-    assert counts == {"relation_elem": 282, "certificate": 3, "reducer_add": 528}
+    assert counts == {"relation_elem": 282, "certificate": 3, "reducer_add": 233}
 
 
 def test_appendix_a_report_small():
