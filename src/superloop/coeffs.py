@@ -40,8 +40,10 @@ a list with a single-term entry by its integer content, and operands in
 one or two live variables by a heuristic gcd on packed Python integers
 (``_heugcd``).  Only operands in three or more variables go to sympy.
 
-sympy is imported by ``_sym`` at the first parse, print, value outside
-the ring or gcd in three or more variables: ``appendix-a`` and
+sympy is imported by ``_sym`` at the first print, value outside the
+ring or gcd in three or more variables (``scalar_from_str`` parses by
+ring arithmetic, so a parse needs it only for a value such as
+1/(q + 1)): ``appendix-a`` and
 ``verify-relations`` at an indeterminate ``a`` never load it;
 ``pbw-rank --tensor``, ``tensor-hw`` on (2,1) and ``weyl-slice --tensor``
 on (1,2) do at a content removal in q, a and b, ``tensor-hw``,
@@ -58,6 +60,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
 from types import SimpleNamespace
 from typing import Callable, Iterable
 
@@ -66,14 +69,13 @@ _new = object.__new__
 
 @functools.cache
 def _sym() -> SimpleNamespace:
-    """sympy's ``sympify``, field ZZ(q,a,b), ring ZZ[z,q,a,b] and symbols q, a, b."""
-    from sympy import sympify
+    """sympy's field ZZ(q,a,b) and ring ZZ[z,q,a,b]."""
     from sympy.polys.domains import ZZ
     from sympy.polys.fields import field
     from sympy.polys.rings import ring
 
     F = field("q,a,b", ZZ)[0]
-    return SimpleNamespace(sympify=sympify, field=F, zring=ring("z,q,a,b", ZZ)[0], symbols=set(F.symbols))
+    return SimpleNamespace(field=F, zring=ring("z,q,a,b", ZZ)[0])
 
 
 class NonExpandable(ValueError):
@@ -670,14 +672,83 @@ def scalar(value) -> Scalar:
     return _from_field(_sym().field(value))
 
 
+# a token of a scalar string: an integer, an operator, a name or any other character
+_TOKEN = re.compile(r"\s*([0-9]+|\*\*|[-+*/^()]|\w+|\S)")
+_NAMES = {"q": q, "a": a, "b": b}
+
+
 def scalar_from_str(text: str) -> Scalar:
-    """Parse a scalar from an expression string in q, a, b."""
-    sym = _sym()
-    expr = sym.sympify(text.replace("^", "**"), rational=True)
-    if not expr.free_symbols <= sym.symbols:
-        bad = expr.free_symbols - sym.symbols
-        raise ValueError(f"unknown symbols in scalar: {sorted(map(str, bad))}")
-    return _from_field(sym.field.from_expr(expr))
+    """Parse a scalar from an expression string in q, a, b.
+
+    The string holds integers, the names q, a and b, ``+ - * / ^ **`` and
+    parentheses, with Python's precedence, ``^`` meaning ``**``; it is read
+    by recursive descent straight into ``Scalar`` arithmetic, so nothing in
+    it is run as code.  An exponent must be an integer.
+    """
+    tokens = _TOKEN.findall(text)
+    pos = 0
+
+    def peek() -> str | None:
+        return tokens[pos] if pos < len(tokens) else None
+
+    def take() -> str:
+        nonlocal pos
+        if pos == len(tokens):
+            raise ValueError("unexpected end of scalar")
+        pos += 1
+        return tokens[pos - 1]
+
+    def expr() -> Scalar:
+        x = term()
+        while peek() in ("+", "-"):
+            op, y = take(), term()
+            x = x + y if op == "+" else x - y
+        return x
+
+    def term() -> Scalar:
+        x = unary()
+        while peek() in ("*", "/"):
+            op, y = take(), unary()
+            x = x * y if op == "*" else x / y
+        return x
+
+    def unary() -> Scalar:
+        if peek() in ("+", "-"):
+            return unary() if take() == "+" else -unary()
+        return power()
+
+    def power() -> Scalar:
+        x = atom()
+        if peek() in ("^", "**"):
+            take()
+            n = unary()  # right-associative, and a sign may lead the exponent
+            if n._terms is None or n._den != 1 or n._terms.keys() - {(0, 0, 0)}:
+                raise ValueError("exponents in a scalar must be integers")
+            x = x ** n._terms.get((0, 0, 0), 0)
+        return x
+
+    def atom() -> Scalar:
+        tok = take()
+        if tok == "(":
+            x = expr()
+            if take() != ")":
+                raise ValueError("unbalanced parentheses in scalar")
+            return x
+        if tok.isdecimal():
+            return _const(int(tok))
+        if tok in _NAMES:
+            return _NAMES[tok]
+        if tok[0].isalpha() or tok[0] == "_":
+            raise ValueError(f"unknown symbol {tok!r} in scalar")
+        raise ValueError(f"unexpected {tok!r} in scalar")
+
+    try:
+        x = expr()
+    except ZeroDivisionError as exc:
+        raise ValueError(f"division by zero in scalar: {exc}") from exc
+    if pos != len(tokens):
+        raise ValueError(f"unexpected {tokens[pos]!r} in scalar")
+    return x
 
 
 def scalar_str(x: Scalar) -> str:

@@ -11,8 +11,9 @@ catalog holds values only: ``relation_value`` writes each relation once
 and evaluates it on free words or on a module's matrices;
 ``_admissible`` states each family's domain once, for the evaluator and
 the enumerators.  No automatic normal form is imposed: an algebra
-identity is decided by the replay's guided reduction and exact
-certificates over degree-2 relations, or by the action on a module.
+identity is decided by the replay's exact certificates over degree-2
+relations and its normal form modulo deg2-zero, or by the action on a
+module.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ import functools
 import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, Iterable, Sequence
+from itertools import permutations, product
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .coeffs import ONE, ZERO, Scalar, q, qint_base, scalar, scalar_str
 from .linalg import span_contains
@@ -137,9 +139,6 @@ class Elem:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def nterms(self) -> int:
-        return len(self.terms)
 
     def words(self) -> list[Word]:
         return sorted(self.terms)
@@ -608,8 +607,9 @@ def relation_value(
 def relation_elem(sig: AlgebraSignature, rule: RelRule) -> Elem:
     """The element of the free superalgebra that vanishes in the quotient.
 
-    The replay's single entry to the catalog, which the benchmark's tracer
-    times under this name.
+    The replay reaches the catalog only through it (by
+    ``_relation_terms``), and the benchmark's tracer times it under this
+    name.
     """
     return relation_value(sig, rule, lambda word: _elem({word: ONE}))
 
@@ -813,48 +813,27 @@ def mu_elem(a: int, c: int, n: int, d: int) -> Elem:
     return _elem(terms)
 
 
-def _normalize_commuting(e: Elem) -> Elem:
-    """Sort adjacent X^+ factors that commute up to sign by (node, index).
+@functools.cache
+def _relation_terms(family: str, indices: tuple) -> Mapping:
+    """The terms of the (2,2) relation ``family`` at ``indices``, sign +1.
 
-    Factors of nodes i, j with (alpha_i, alpha_j) = 0 at (2,2) swap by the
-    deg2-zero relation, with sign -1 when both are odd; an odd factor
-    squares to zero.
+    The replay reads every relation here, so a process builds each once;
+    the read-only view keeps the shared terms from being changed.
     """
-    changed = True
-    while changed:
-        changed = False
-        terms: dict = {}
-        for word, coeff in e.terms.items():
-            for pos in range(len(word) - 1):
-                g1, g2 = word[pos], word[pos + 1]
-                if g1.kind != X_PLUS or g2.kind != X_PLUS or SIG22.c(g1.node, g2.node):
-                    continue
-                odd = SIG22.parity_node(g1.node) and SIG22.parity_node(g2.node)
-                if odd and g1 == g2:
-                    coeff = ZERO
-                    break
-                if (g1.node, g1.index) > (g2.node, g2.index):
-                    word = word[:pos] + (g2, g1) + word[pos + 2:]
-                    coeff = -coeff if odd else coeff
-                    changed = True
-                    break
-            if coeff != ZERO:
-                terms[word] = terms.get(word, ZERO) + coeff
-        e = _elem(terms)
-    return e
+    return MappingProxyType(relation_elem(SIG22, RelRule(family, indices)).terms)
 
 
 # the pass budget of a guided reduction
 _MAX_PASSES = 400
 
 
-def _guided_reduce(e: Elem, match, rewrite, normalize) -> Elem:
+def _guided_reduce(e: Elem, match, rewrite) -> Elem:
     """Repeatedly rewrite the leftmost matched adjacent pair in every word.
 
-    Each rewrite is spliced into its word: a term w of ``rewrite(g1, g2)``
-    with coefficient c turns coeff * head g1 g2 tail into coeff * c * head w tail.
+    Each rewrite is spliced into its word: a term w of the term dict
+    ``rewrite(g1, g2)`` with coefficient c turns coeff * head g1 g2 tail
+    into coeff * c * head w tail.
     """
-    e = normalize(e)
     for _ in range(_MAX_PASSES):
         hit = False
         out: dict = {}
@@ -865,43 +844,37 @@ def _guided_reduce(e: Elem, match, rewrite, normalize) -> Elem:
                 continue
             hit = True
             head, tail = word[:pos], word[pos + 2:]
-            for w, c in rewrite(word[pos], word[pos + 1]).terms.items():
+            for w, c in rewrite(word[pos], word[pos + 1]).items():
                 _accumulate(out, head + w + tail, coeff * c)
-        e = normalize(_elem(out))
+        e = _elem(out)
         if not hit:
             return e
     raise RuntimeError("guided reduction did not terminate within the pass budget")
 
 
-def reduce_lambda_step(e: Elem, c_low: int, rewrites: dict | None = None) -> Elem:
-    """Push every X^+_{2,*} factor past X^+_{3,c_low}, then sort commuting factors.
+def _deg2_zero_normal_form(e: Elem) -> Elem:
+    """The normal form of ``e`` modulo the deg2-zero relations at (2,2).
 
-    ``rewrites``, when given, keeps the rewrite of each (X^+_{2,b}, X^+_{3,c})
-    pair across calls, so a replay builds each one once.
+    An adjacent pair w = X^+_{i,m} X^+_{j,n} with (alpha_i, alpha_j) = 0 is
+    rewritten when it is out of (node, index) order, or equal and odd, by
+    w - rel / rel[w], rel the deg2-zero instance (i, m, j, n): the pair
+    swaps, with sign -1 when both factors are odd, and an odd square
+    vanishes.
     """
-    rewrites = {} if rewrites is None else rewrites
 
     def match(g1: GenSym, g2: GenSym) -> bool:
-        return (
-            g1.kind == X_PLUS == g2.kind
-            and g1.node == 2
-            and g2.node == 3
-            and g2.index == c_low
-        )
+        if g1.kind != X_PLUS or g2.kind != X_PLUS or SIG22.c(g1.node, g2.node):
+            return False
+        if g1 == g2:
+            return SIG22.parity_node(g1.node) == 1
+        return (g1.node, g1.index) > (g2.node, g2.index)
 
-    def rewrite(g1: GenSym, g2: GenSym) -> Elem:
-        # g1 g2 = X_{2,b} X_{3,c} enters the deg2-shift value (2, b - 1, 3, c)
-        # with coefficient 1
-        if (g1, g2) not in rewrites:
-            rel = relation_elem(SIG22, RelRule("deg2-shift", (2, g1.index - 1, 3, g2.index)))
-            rewrites[g1, g2] = _elem({(g1, g2): ONE}) - rel
-        return rewrites[g1, g2]
+    def rewrite(g1: GenSym, g2: GenSym) -> dict:
+        rel = _relation_terms("deg2-zero", (g1.node, g1.index, g2.node, g2.index))
+        lead = rel[g1, g2]
+        return {w: -c / lead for w, c in rel.items() if w != (g1, g2)}
 
-    return _guided_reduce(e, match, rewrite, _normalize_commuting)
-
-
-# The ordered node pairs (i, j) of the certificate's relations (i, m, j, n).
-_MU_PAIRS = ((2, 3), (3, 2), (1, 2), (2, 1), (1, 3), (3, 1))
+    return _guided_reduce(e, match, rewrite)
 
 
 def _loop_degree(word: Word) -> int:
@@ -909,23 +882,26 @@ def _loop_degree(word: Word) -> int:
 
 
 def mu_recursion_certificate(diff: Elem) -> bool:
-    """Decompose a mu-recursion difference over the listed degree-2 relations.
+    """Decompose a recursion difference over the degree-2 relations of its nodes.
 
-    The node-2 derivation applies its degree-2 substitutions in grouped
-    combinations; the order-free equivalent is an exact certificate
-    diff = sum of monomial multiples of deg2-shift / deg2-zero instances
-    between the nodes 1, 2, 3, so membership is decided by exact linear
-    algebra over the free algebra.
+    Every word of ``diff`` has three letters on one node multiset: [1, 2, 3]
+    for a mu step, [2, 2, 3] for a lambda step.  The derivations apply
+    their degree-2 substitutions in grouped combinations; the order-free
+    equivalent is an exact certificate diff = sum of g*rel and rel*g, where
+    rel is the deg2-shift or deg2-zero instance (i, m, j, n) of an ordered
+    pair (i, j) of the multiset and g = X^+_{k,t} is the letter k left
+    over, so membership is decided by exact linear algebra over the free
+    algebra.
 
     Every candidate is homogeneous in loop degree, the sum of a word's
     indices: each word of deg2-shift (i, m, j, n) has degree m + n + 1,
-    each of deg2-zero (i, m, j, n) degree m + n, and the extra factor
-    X^+_{k,t} adds t.  The span of the candidates is the direct sum of
-    its graded parts, and diff lies in it exactly when each graded part
-    of diff lies in the span of the candidates of that degree, so only
-    candidates of the degrees of diff's words are built, and a relation
-    is built only when one of its candidates is.  A candidate g*rel or
-    rel*g is the relation's term dict with X^+_{k,t} joined to each word.
+    each of deg2-zero (i, m, j, n) degree m + n, and g adds t.  The span of
+    the candidates is the direct sum of its graded parts, and diff lies in
+    it exactly when each graded part of diff lies in the span of the
+    candidates of that degree, so only candidates of the degrees of diff's
+    words are built, and a relation is built only when one of its
+    candidates is.  A candidate is the relation's term dict with g joined
+    to each word.
 
     Membership is decided by ``linalg.span_contains``, which eliminates
     only the candidates connected to diff's words and stops at the first
@@ -935,30 +911,29 @@ def mu_recursion_certificate(diff: Elem) -> bool:
     """
     if diff.is_zero():
         return True
-    indices: dict[int, set[int]] = {1: set(), 2: set(), 3: set()}
+    nodes = sorted(g.node for g in next(iter(diff.terms)))
+    indices: dict[int, set[int]] = {node: set() for node in nodes}
     degrees = set()
     for word in diff.terms:
-        if len(word) != 3 or sorted(g.node for g in word) != [1, 2, 3]:
-            raise ValueError("mu words must contain one factor per node 1, 2, 3")
+        if len(word) != 3 or sorted(g.node for g in word) != nodes:
+            raise ValueError("certificate words must share one three-letter node multiset")
         for g in word:
             indices[g.node].add(g.index)
         degrees.add(_loop_degree(word))
-    boxes = {
-        node: range(min(vals) - 1, max(vals) + 2) for node, vals in indices.items()
-    }
+    boxes = {node: range(min(vals) - 1, max(vals) + 2) for node, vals in indices.items()}
     candidates = []
-    for i, j in _MU_PAIRS:
-        shift = 0 if _admissible(SIG22, "deg2-zero", (i, 0, j, 0)) else 1
+    # each ordered pair (i, j) of the multiset and the node k of its extra letter
+    for (i, j), k in {(i, j): k for i, j, k in permutations(nodes)}.items():
+        shift = int(SIG22.c(i, j) != 0)
         fam = ("deg2-zero", "deg2-shift")[shift]
-        other = ({1, 2, 3} - {i, j}).pop()
         for m in boxes[i]:
             for n in boxes[j]:
-                ts = [t for t in boxes[other] if m + n + shift + t in degrees]
+                ts = [t for t in boxes[k] if m + n + shift + t in degrees]
                 if not ts:
                     continue
-                rel = relation_elem(SIG22, RelRule(fam, (i, m, j, n), 1)).terms
+                rel = _relation_terms(fam, (i, m, j, n))
                 for t in ts:
-                    g = (xp(other, t),)
+                    g = (xp(k, t),)
                     candidates.append({g + w: c for w, c in rel.items()})
                     candidates.append({w + g: c for w, c in rel.items()})
     return span_contains(candidates, diff.terms)
@@ -967,63 +942,54 @@ def mu_recursion_certificate(diff: Elem) -> bool:
 def appendixA_check(n_max: int, window: Iterable[int]) -> dict:
     """Replay the oscillation-relation recursions at signature (2,2).
 
-    Verifies the base cases lambda(0,b,c) = 0 and mu(a,c,0,d) = 0 (after
-    the immediate degree-2 symmetric normalisations) and the guided
-    recursions lambda(n,b,c) = lambda(n-1,b,c+1), mu(a,c,n,d) =
-    mu(a,c,n-1,d+1) for 1 <= n <= n_max, all indices drawn from
-    ``window``.
+    Four claim families, all indices drawn from ``window``: the base cases
+    lambda(0,b,c) = 0 and mu(a,c,0,d) = 0, and the recursions
+    lambda(n,b,c) = lambda(n-1,b,c+1) and mu(a,c,n,d) = mu(a,c,n-1,d+1)
+    for 1 <= n <= n_max.  Each claim is decided once, at the base indices
+    (lambda at (0,0), mu at (0,0,0)): a base case by its normal form
+    modulo deg2-zero, a step by the degree-2 certificate.  Translating the
+    loop indices of each node's letters maps every degree-2 relation to
+    another, so the claim holds at other indices when its element is
+    exactly the translate of the base one.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     window = sorted(window)
-    checks = []
-
-    def record(name: str, ok: bool, detail: str = ""):
-        checks.append({"name": name, "status": "pass" if ok else "fail", "detail": detail})
-
     # the second term of each recursion difference is the first term of a
     # neighbouring one, so build each element once per call
     lam, mu = functools.cache(lambda_elem), functools.cache(mu_elem)
-    rewrites: dict = {}  # the lambda step's rewrite of each pair, built once
-
-    for bb, cc in product(window, repeat=2):
-        base = _normalize_commuting(lam(0, bb, cc))
-        record(f"lambda(0,{bb},{cc}) = 0", base.is_zero())
-        for n in range(1, n_max + 1):
-            diff = lam(n, bb, cc) - lam(n - 1, bb, cc + 1)
-            red = reduce_lambda_step(diff, cc, rewrites)
-            record(
-                f"lambda({n},{bb},{cc}) = lambda({n-1},{bb},{cc+1})",
-                red.is_zero(),
-                "" if red.is_zero() else f"{red.nterms()} residual words",
-            )
-    # The mu recursion is equivariant under translating the base indices,
-    # so one certificate per n at (0,0,*,0) extends to the whole window by
-    # an exact translation comparison.
-    base_ok: dict[int, bool] = {}
-    base_diff: dict[int, Elem] = {}
-    for n in range(1, n_max + 1):
-        diff = mu(0, 0, n, 0) - mu(0, 0, n - 1, 1)
-        base_diff[n] = diff
-        base_ok[n] = mu_recursion_certificate(diff)
-
     shifted = functools.cache(xp)  # each translated symbol is built once
 
-    def translate(e: Elem, offs: dict[int, int]) -> Elem:
-        return e.map_symbols(lambda g: shifted(g.node, g.index + offs[g.node]))
+    def lam_claim(n: int, b: int, c: int) -> Elem:
+        return lam(0, b, c) if n == 0 else lam(n, b, c) - lam(n - 1, b, c + 1)
 
-    for aa, cc, dd in product(window, repeat=3):
-        base = _normalize_commuting(mu(aa, cc, 0, dd))
-        record(f"mu({aa},{cc},0,{dd}) = 0", base.is_zero())
-        offs = {1: aa, 2: dd, 3: cc}
-        for n in range(1, n_max + 1):
-            diff = mu(aa, cc, n, dd) - mu(aa, cc, n - 1, dd + 1)
-            ok = base_ok[n] and diff == translate(base_diff[n], offs)
-            record(
-                f"mu({aa},{cc},{n},{dd}) = mu({aa},{cc},{n-1},{dd+1})",
-                ok,
-                "" if ok else "no degree-2 certificate found",
-            )
+    def mu_claim(n: int, a: int, c: int, d: int) -> Elem:
+        return mu(a, c, 0, d) if n == 0 else mu(a, c, n, d) - mu(a, c, n - 1, d + 1)
+
+    def lam_name(n: int, b: int, c: int) -> str:
+        return f"lambda({n},{b},{c}) = " + (f"lambda({n-1},{b},{c+1})" if n else "0")
+
+    def mu_name(n: int, a: int, c: int, d: int) -> str:
+        return f"mu({a},{c},{n},{d}) = " + (f"mu({a},{c},{n-1},{d+1})" if n else "0")
+
+    families = (
+        # the number of indices, the element each claim says is zero, the
+        # claim's name, and the loop-index offset of each node's letters
+        (2, lam_claim, lam_name, lambda b, c: {2: b, 3: c}),
+        (3, mu_claim, mu_name, lambda a, c, d: {1: a, 2: d, 3: c}),
+    )
+    checks = []
+    for arity, claim, name, offsets in families:
+        base = [claim(n, *(0,) * arity) for n in range(n_max + 1)]
+        base_ok = [_deg2_zero_normal_form(base[0]).is_zero()]
+        base_ok += [mu_recursion_certificate(diff) for diff in base[1:]]
+        for ix in product(window, repeat=arity):
+            offs = offsets(*ix)
+            translate = lambda g: shifted(g.node, g.index + offs[g.node])
+            for n in range(n_max + 1):
+                ok = base_ok[n] and claim(n, *ix) == base[n].map_symbols(translate)
+                detail = "" if ok or n == 0 else "no degree-2 certificate found"
+                checks.append({"name": name(n, *ix), "status": "pass" if ok else "fail", "detail": detail})
     return {
         "n_max": n_max,
         "window": list(window),

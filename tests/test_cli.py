@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -155,11 +156,52 @@ def test_cli_zero_evaluation_point_rejected():
     assert run_main(["highest-weight", "--M", "2", "--N", "1", "--a", "0"]) == 2
 
 
-@pytest.mark.parametrize(("value", "message"), [("x", "cannot parse scalar 'x'"), ("0", "b must be nonzero")])
+@pytest.mark.parametrize(
+    ("value", "message"),
+    [
+        ("x", "cannot parse scalar 'x'"),
+        ("0", "b must be nonzero"),
+        # decimals are not scalars of Q(q, a, b) strings
+        ("2.5", "cannot parse scalar '2.5'"),
+        ("1e3", "cannot parse scalar '1e3'"),
+    ],
+)
 def test_cli_second_evaluation_point_validated(capsys, value, message):
     # highest-weight never uses b, yet a bad --b is a bad config
     assert run_main(["highest-weight", "--M", "2", "--N", "1", "--b", value]) == 2
     assert message in _json_error(capsys)
+
+
+def test_point_strings_are_not_evaluated(tmp_path, capsys):
+    # a point string that runs code when evaluated is a bad config, from a
+    # flag and from a config file, and the code never runs
+    target = tmp_path / "touched"
+    payload = f"__import__('pathlib').Path({str(target)!r}).touch() or q"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"M": 2, "N": 1, "a": payload}))
+    for argv in (
+        ["highest-weight", "--M", "2", "--N", "1", "--a", payload],
+        ["highest-weight", "--config", str(cfg)],
+    ):
+        assert run_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot parse scalar" in json.loads(captured.err)["error"]
+    assert not target.exists()
+
+
+def test_point_strings_parse_as_sympy_does():
+    # every point string of the README and the digest files, against sympy's parse
+    from sympy import sympify
+
+    texts = [(Path(__file__).parent.parent / "README.md").read_text()]
+    texts += [" ".join(digests) for digests in (README_DIGESTS, PINNED_DIGESTS)]
+    points = {p for text in texts for p in re.findall(r"--[ab] ([^\s`]+)", text)}
+    assert points >= {"3", "q+1", "1/2", "2/3", "3/4", "q^2", "1/3"}
+    field = coeffs._sym().field
+    for text in sorted(points):
+        want = coeffs._from_field(field.from_expr(sympify(text.replace("^", "**"), rational=True)))
+        assert coeffs.scalar_from_str(text) == want, text
 
 
 @pytest.mark.parametrize(

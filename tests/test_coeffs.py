@@ -67,6 +67,24 @@ def test_scalar_string_roundtrip():
         scalar_from_str("q + t")
 
 
+def test_scalar_from_str_two_routes():
+    # precedence, signs and powers against sympy's parse of the same string
+    from sympy import sympify
+
+    field = coeffs._sym().field
+    for text in [
+        "-2**2", "2**-1", "q^-1", "q**2**2", "-q^2*a + 1", "+-q", "(q^2-1)/(q-1)",
+        "a*b/(q - 1)", "-(q + a)^3/2", "2/3*q - q/3", "((b))^0", "1 - -1",
+    ]:
+        want = coeffs._from_field(field.from_expr(sympify(text.replace("^", "**"), rational=True)))
+        assert scalar_from_str(text) == want, text
+    # refused: unknown names, decimals, non-integer exponents, a zero
+    # divisor and malformed strings
+    for text in ["q + t", "2.5", "1e3", "q**q", "q^(1/2)", "1/(q - q)", "", "(q", "q)", "2q", "q +* 1"]:
+        with pytest.raises(ValueError):
+            scalar_from_str(text)
+
+
 # each expression is the first call to need sympy in a fresh interpreter; the
 # gcds need it only with three or more live variables (q, a, b, and z for poly_gcd)
 FIELD_ENTRY_POINTS = {

@@ -34,7 +34,7 @@ def test_root_vector_single_bracket():
 
 
 def test_root_vector_word_count():
-    assert pbw.root_vector(SIG31, pbw.Root(1, 3), 1).nterms() == 4
+    assert len(pbw.root_vector(SIG31, pbw.Root(1, 3), 1).terms) == 4
 
 
 def test_enumerate_pbw_counts():
@@ -73,7 +73,7 @@ def test_tau1():
 def test_tau1_of_root_vector_is_negative_root_vector():
     # X_beta^-(n) := tau1(X_beta(-n)) lands in the minus subalgebra
     el = pbw.tau1(pbw.root_vector(SIG21, pbw.Root(1, 2), -1))
-    assert el.nterms() == 2
+    assert len(el.terms) == 2
     for word in el.terms:
         # every word has weight -alpha_1 - alpha_2: one X^- at each node
         assert all(g.kind == "X-" for g in word)

@@ -27,14 +27,12 @@ from superloop.superfree import (
     mu_recursion_certificate,
     phi_coeff,
     phi_push_past,
-    reduce_lambda_step,
     relation_elem,
     relation_instances,
     super_comm,
     xm,
     xp,
-    _MU_PAIRS,
-    _normalize_commuting,
+    _deg2_zero_normal_form,
 )
 
 SIG21 = AlgebraSignature(2, 1)
@@ -225,7 +223,7 @@ def test_elem_arithmetic_matches_the_coercing_constructor():
         for got, want in cases:
             assert list(got.terms.items()) == list(want.terms.items())
             assert all(type(w) is tuple and c for w, c in got.terms.items())
-        cancelled += (x + y).nterms() < len(set(x.terms) | set(y.terms))
+        cancelled += len((x + y).terms) < len(set(x.terms) | set(y.terms))
     assert cancelled > 20  # zero coefficients were dropped, not merely absent
 
 
@@ -461,14 +459,27 @@ def test_degree4_twist_orders_differ_by_deg2_zero_ideal():
 def test_lambda_base_case():
     for b in (-1, 0, 2):
         for c in (-2, 0, 1):
-            assert _normalize_commuting(lambda_elem(0, b, c)).is_zero()
+            assert _deg2_zero_normal_form(lambda_elem(0, b, c)).is_zero()
+
+
+def test_perturbed_base_cases_stay_nonzero():
+    # negative controls: a mu coefficient times q, and an extra lambda word
+    # whose adjacent pairs no deg2-zero rewrite touches (every lambda(0,b,c)
+    # word holds an odd square, so scaling one of its coefficients would not bite)
+    base = mu_elem(0, 0, 0, 0)
+    word = next(iter(base.terms))
+    perturbed = base + Elem.monomial(word, base.terms[word] * (q - 1))
+    assert not _deg2_zero_normal_form(perturbed).is_zero()
+    extra = mono(xp(2, 0), xp(3, 0), xp(2, 1))
+    assert _deg2_zero_normal_form(lambda_elem(0, 0, 0) + extra) == extra
 
 
 def test_lambda_recursion_explicit():
     diff = lambda_elem(1, 0, 0) - lambda_elem(0, 0, 1)
     assert not diff.is_zero()
-    assert reduce_lambda_step(diff, 0).is_zero()
-    # the step rewrites X_{2,b} X_{3,c} by the deg2-shift instance (2, b-1, 3, c):
+    assert mu_recursion_certificate(diff)
+    # X_{2,b} X_{3,c} enters the deg2-shift instance (2, b-1, 3, c) with
+    # coefficient 1, the rest of which is
     # q X_{3,c} X_{2,b} + q X_{2,b-1} X_{3,c+1} - X_{3,c+1} X_{2,b-1}
     b, c = 0, 0
     rel = relation_elem(SIG22, RelRule("deg2-shift", (2, b - 1, 3, c), 1))
@@ -481,14 +492,11 @@ def test_lambda_recursion_explicit():
 
 
 def test_lambda_step_leaves_a_foreign_word():
-    # negative control: one more matching X2 X3 X2 word is rewritten but not cancelled
+    # negative control: one more X2 X3 X2 word of diff's loop degree 1 has no certificate
     diff = lambda_elem(1, 0, 0) - lambda_elem(0, 0, 1)
     extra = mono(xp(2, 0), xp(3, 0), xp(2, 1))
-    rewrites = {}
-    assert not reduce_lambda_step(diff + extra, 0, rewrites).is_zero()
-    # the rewrites kept by that call serve the next one unchanged
-    kept = dict(rewrites)
-    assert reduce_lambda_step(diff, 0, rewrites).is_zero() and rewrites == kept
+    assert not mu_recursion_certificate(diff + extra)
+    assert mu_recursion_certificate(diff)
 
 
 def _lambda_by_products(n, b, c, a_coeff=superfree._a_coeff):
@@ -552,16 +560,16 @@ def test_lambda_mu_builders_two_routes():
 def test_mu_base_case():
     for idx in [(-1, 0, 1), (0, 0, 0), (2, -1, 1)]:
         aa, cc, dd = idx
-        assert _normalize_commuting(mu_elem(aa, cc, 0, dd)).is_zero()
+        assert _deg2_zero_normal_form(mu_elem(aa, cc, 0, dd)).is_zero()
 
 
-def test_normalize_commuting_mixed_word():
+def test_deg2_zero_normal_form_mixed_word():
     # the even 3-1 pair sorts without a sign, the odd 2-2 pair with -1
     word = mono(xp(3, 0), xp(1, 0), xp(2, 1), xp(2, 0))
-    assert _normalize_commuting(word) == mono(xp(1, 0), xp(3, 0), xp(2, 0), xp(2, 1)).scale(-ONE)
-    assert _normalize_commuting(mono(xp(3, 0), xp(1, 0), xp(2, 0), xp(2, 0))).is_zero()
+    assert _deg2_zero_normal_form(word) == mono(xp(1, 0), xp(3, 0), xp(2, 0), xp(2, 1)).scale(-ONE)
+    assert _deg2_zero_normal_form(mono(xp(3, 0), xp(1, 0), xp(2, 0), xp(2, 0))).is_zero()
     # (alpha_2, alpha_3) != 0: that pair is left alone
-    assert _normalize_commuting(mono(xp(3, 0), xp(2, 0))) == mono(xp(3, 0), xp(2, 0))
+    assert _deg2_zero_normal_form(mono(xp(3, 0), xp(2, 0))) == mono(xp(3, 0), xp(2, 0))
 
 
 def test_mu_recursion_certificate():
@@ -581,16 +589,21 @@ def test_mu_recursion_certificate():
 
 
 def _certificate_full_box(diff):
-    """Reference route: every candidate in the index boxes, of every loop degree."""
-    indices = {1: set(), 2: set(), 3: set()}
+    """Reference route: every candidate in the index boxes, of every loop degree.
+
+    The ordered pairs are read off the positions of the node multiset of
+    diff's first word, with the node at the third position as the extra letter.
+    """
+    nodes = sorted(g.node for g in next(iter(diff.terms)))
+    indices = {node: set() for node in nodes}
     for word in diff.terms:
         for g in word:
             indices[g.node].add(g.index)
     boxes = {node: range(min(vals) - 1, max(vals) + 2) for node, vals in indices.items()}
     red = RowReducer()
-    for i, j in [(2, 3), (3, 2), (1, 2), (2, 1), (1, 3), (3, 1)]:
+    for x, y in itertools.permutations(range(3), 2):
+        i, j, other = nodes[x], nodes[y], nodes[3 - x - y]
         fam = "deg2-zero" if SIG22.c(i, j) == 0 else "deg2-shift"
-        other = ({1, 2, 3} - {i, j}).pop()
         for m in boxes[i]:
             for n in boxes[j]:
                 rel = relation_elem(SIG22, RelRule(fam, (i, m, j, n), 1))
@@ -602,15 +615,20 @@ def _certificate_full_box(diff):
 
 
 def test_mu_certificate_two_routes():
-    diffs = [mu_elem(0, 0, n, 0) - mu_elem(0, 0, n - 1, 1) for n in range(1, 5)]
-    cases = [(diff, True) for diff in diffs]
+    mu_diffs = [mu_elem(0, 0, n, 0) - mu_elem(0, 0, n - 1, 1) for n in range(1, 5)]
+    lambda_diffs = [lambda_elem(n, 0, 0) - lambda_elem(n - 1, 0, 1) for n in range(1, 5)]
+    cases = [(diff, True) for diff in mu_diffs + lambda_diffs]
     cases.append((mu_elem(-1, 2, 2, 1) - mu_elem(-1, 2, 1, 2), True))
+    cases.append((lambda_elem(2, -1, 2) - lambda_elem(1, -1, 3), True))
     # negative controls at n = 2: one coefficient scaled by q, and an extra
     # word of diff's own loop degree 2
-    diff = diffs[1]
-    word = next(iter(diff.terms))
-    cases.append((diff + Elem.monomial(word, diff.terms[word] * (q - 1)), False))
-    cases.append((diff + mono(xp(2, 0), xp(1, 2), xp(3, 0)), False))
+    for diff, extra in (
+        (mu_diffs[1], mono(xp(2, 0), xp(1, 2), xp(3, 0))),
+        (lambda_diffs[1], mono(xp(2, 0), xp(2, 1), xp(3, 1))),
+    ):
+        word = next(iter(diff.terms))
+        cases.append((diff + Elem.monomial(word, diff.terms[word] * (q - 1)), False))
+        cases.append((diff + extra, False))
     for elem, want in cases:
         assert mu_recursion_certificate(elem) is want
         assert _certificate_full_box(elem) is want
@@ -619,7 +637,10 @@ def test_mu_certificate_two_routes():
 def test_mu_certificate_relations_are_homogeneous():
     # the certificate builds only candidates of diff's loop degrees; that is
     # exact because each of its relations has a single loop degree
-    for i, j in _MU_PAIRS:
+    # the ordered pairs of the mu nodes [1, 2, 3] and the lambda nodes [2, 2, 3]
+    pairs = {(i, j) for nodes in ((1, 2, 3), (2, 2, 3)) for i, j, _ in itertools.permutations(nodes)}
+    assert len(pairs) == 7
+    for i, j in sorted(pairs):
         shift = SIG22.c(i, j) != 0
         fam = "deg2-shift" if shift else "deg2-zero"
         for m, n in itertools.product(range(-3, 4), repeat=2):
@@ -628,10 +649,11 @@ def test_mu_certificate_relations_are_homogeneous():
 
 
 def test_replay_counts(monkeypatch):
-    # one replay at nmax 3, window 1: each lambda-step rewrite built once, each
-    # certificate relation built only when one of its candidates has a degree
-    # of diff, no Elem product anywhere (so none in the certificate), and the
-    # walk fed 233 of the 528 candidate vectors before diff's span was reached
+    # one replay at nmax 3, window 1 from an empty relation cache: one
+    # certificate per lambda and mu step n, each relation built once and only
+    # when one of its candidates has a degree of diff, no Elem product
+    # anywhere, and the walks fed 381 vectors before diff's span was reached
+    superfree._relation_terms.cache_clear()
     counts = Counter()
 
     def counted(name, fn):
@@ -648,7 +670,39 @@ def test_replay_counts(monkeypatch):
     monkeypatch.setattr(Elem, "__mul__", counted("elem_mul", Elem.__mul__))
     monkeypatch.setattr(RowReducer, "add", counted("reducer_add", RowReducer.add))
     assert appendixA_check(3, range(-1, 2))["passed"]
-    assert counts == {"relation_elem": 282, "certificate": 3, "reducer_add": 233}
+    assert counts == {"relation_elem": 153, "certificate": 6, "reducer_add": 381}
+
+
+def test_appendix_a_reports_failed_claims(monkeypatch):
+    # an extra word in every lambda(0, b, c) fails the lambda base cases and
+    # the first lambda step, each decided at the base indices, and leaves
+    # every other claim alone
+    build = superfree.lambda_elem
+
+    def perturbed(n, b, c):
+        extra = mono(xp(2, b), xp(3, c), xp(2, b + 1))
+        return build(n, b, c) + extra if n == 0 else build(n, b, c)
+
+    monkeypatch.setattr(superfree, "lambda_elem", perturbed)
+    rep = appendixA_check(2, [0, 1])
+    failed = {c["name"]: c["detail"] for c in rep["checks"] if c["status"] == "fail"}
+    pairs = list(itertools.product((0, 1), repeat=2))
+    assert failed == {
+        **{f"lambda(0,{b},{c}) = 0": "" for b, c in pairs},
+        **{f"lambda(1,{b},{c}) = lambda(0,{b},{c + 1})": "no degree-2 certificate found" for b, c in pairs},
+    }
+    assert not rep["passed"] and len(rep["checks"]) == 4 * 3 + 8 * 3
+    # the same word at lambda(0, 1, 1) alone: the base indices still pass, and
+    # the two claims that read it fail by the comparison with the translate
+    monkeypatch.setattr(
+        superfree, "lambda_elem", lambda n, b, c: (perturbed if (n, b, c) == (0, 1, 1) else build)(n, b, c)
+    )
+    rep = appendixA_check(2, [0, 1])
+    failed = {c["name"]: c["detail"] for c in rep["checks"] if c["status"] == "fail"}
+    assert failed == {
+        "lambda(0,1,1) = 0": "",
+        "lambda(1,1,0) = lambda(0,1,1)": "no degree-2 certificate found",
+    }
 
 
 def test_appendix_a_report_small():
