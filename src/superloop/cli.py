@@ -48,8 +48,12 @@ class RunConfig:
     out: str | None = None
 
     def validate(self):
-        if self.window <= 0 or self.order <= 0 or self.degree_bound <= 0:
-            raise ConfigError("windows, orders and degree bounds must be positive")
+        if self.window < 0:
+            raise ConfigError("window must be nonnegative")
+        if self.order < 1:
+            raise ConfigError("order must be positive")
+        if self.degree_bound < 1:
+            raise ConfigError("degree bound must be positive")
         if self.count < 3:
             # commutativity, associativity and the star product need three triples
             raise ConfigError("count must be at least 3")
@@ -68,7 +72,7 @@ class RunConfig:
 def _parse_scalar(text: str):
     try:
         return scalar_from_str(text)
-    except Exception as exc:
+    except ValueError as exc:
         raise ConfigError(f"cannot parse scalar {text!r}: {exc}") from exc
 
 

@@ -41,26 +41,22 @@ one or two live variables by a heuristic gcd on packed Python integers
 (``_heugcd``).  Only operands in three or more variables go to sympy.
 
 sympy is imported by ``_sym`` at the first print, value outside the
-ring or gcd in three or more variables (``scalar_from_str`` parses by
-ring arithmetic, so a parse needs it only for a value such as
-1/(q + 1)): ``appendix-a`` and
-``verify-relations`` at an indeterminate ``a`` never load it;
-``pbw-rank --tensor``, ``tensor-hw`` on (2,1) and ``weyl-slice --tensor``
-on (1,2) do at a content removal in q, a and b, ``tensor-hw``,
-``highest-weight`` and ``weyl-slice`` on (1,2) at the gcd in z, q and a
-that checks a torsion triple coprime, and ``highest-weight`` and
-``weyl-slice`` on (2,1), ``coproduct-check`` and ``monoid`` at their
-first print.
+ring or gcd in three or more variables, so ``appendix-a`` and
+``verify-relations`` at an indeterminate ``a`` never load it (README.md
+says where each other suite does).  ``scalar_from_str`` reads a point
+string by ``ast.parse`` and a whitelist walk in ring arithmetic, so it
+needs sympy only for a value such as 1/(q + 1).
 
 No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
 import operator
-import re
+import warnings
 from types import SimpleNamespace
 from typing import Callable, Iterable
 
@@ -314,9 +310,7 @@ def _field_form(x: Scalar):
         if not t:
             f = F.zero
         else:
-            i0 = min(0, min(e[0] for e in t))
-            j0 = min(0, min(e[1] for e in t))
-            k0 = min(0, min(e[2] for e in t))
+            i0, j0, k0 = (min(0, *(e[v] for e in t)) for v in range(3))
             # each shifted variable has an exponent 0 in the numerator and d is prime
             # to its content: coprime.  dtype: the raw constructors (a read of
             # ring.zero builds a polynomial)
@@ -378,9 +372,7 @@ def _coerce(value) -> Scalar | None:
 def _shift(ts: list[dict]) -> tuple[tuple, list[dict]]:
     """The least exponents (i0, j0, k0) of q, a, b over the Laurent dicts ts,
     and ts divided by q^i0 a^j0 b^k0: polynomial terms, ready for sympy rings."""
-    i0 = min(e[0] for t in ts for e in t)
-    j0 = min(e[1] for t in ts for e in t)
-    k0 = min(e[2] for t in ts for e in t)
+    i0, j0, k0 = (min(e[v] for t in ts for e in t) for v in range(3))
     return (i0, j0, k0), [{(i - i0, j - j0, k - k0): c for (i, j, k), c in t.items()} for t in ts]
 
 
@@ -662,93 +654,71 @@ b = _ring({(0, 0, 1): 1}, 1)
 
 
 def scalar(value) -> Scalar:
-    """Coerce an int, Fraction, string or Scalar into the scalar field."""
+    """An int, a point string (``scalar_from_str``) or a Scalar as a scalar."""
     if isinstance(value, Scalar):
         return value
     if isinstance(value, str):
         return scalar_from_str(value)
     if isinstance(value, int):
         return _const(value)
-    return _from_field(_sym().field(value))
+    raise TypeError(f"cannot make a scalar of {type(value).__name__}")
 
 
-# a token of a scalar string: an integer, an operator, a name or any other character
-_TOKEN = re.compile(r"\s*([0-9]+|\*\*|[-+*/^()]|\w+|\S)")
+_MAX_TERMS, _MAX_BITS = 1000, 10_000  # 10,000 bits print as 3,011 digits, within str()'s limit
+
+
+def _power(x: Scalar, y: Scalar) -> Scalar:
+    """x^n for an integer y = n, refused unbuilt if for |n| >= 2 a part of x (numerator or
+    denominator) can give prod_v (|n| span_v + 1) > _MAX_TERMS terms, span_v the exponent
+    range of v, or coefficients of |n| bitlen(sum |c| - 1) > _MAX_BITS bits."""
+    t = y._terms
+    if t is None or y._den != 1 or t.keys() - {(0, 0, 0)}:
+        raise ValueError("exponents in a scalar must be integers")
+    n = t.get((0, 0, 0), 0)
+    k = abs(n) if abs(n) >= 2 else 0  # x^0 and x^+-1 are no bigger than x
+    for part in (x._terms, {(0, 0, 0): x._den}) if x._den else (x._field.numer, x._field.denom):
+        if part and (math.prod(k * (max(e) - min(e)) + 1 for e in zip(*part)) > _MAX_TERMS
+                     or k * (sum(map(abs, part.values())) - 1).bit_length() > _MAX_BITS):
+            raise ValueError(f"the power {n} in scalar is too big to build")
+    return x**n
+
+
 _NAMES = {"q": q, "a": a, "b": b}
+_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv,
+        ast.Pow: _power, ast.UAdd: lambda x: x, ast.USub: operator.neg}
+
+
+def _walk(node: ast.AST) -> Scalar:
+    """The value of a parsed point string; a node off the whitelist is refused, by name."""
+    op = _OPS.get(type(getattr(node, "op", None)))
+    if op and type(node) is ast.BinOp:
+        return op(_walk(node.left), _walk(node.right))
+    if op and type(node) is ast.UnaryOp:
+        return op(_walk(node.operand))
+    if type(node) is ast.Constant and type(node.value) is int:
+        return _const(node.value)
+    if type(node) is ast.Name and node.id in _NAMES:
+        return _NAMES[node.id]
+    kind = type(getattr(node, "op", node)).__name__
+    raise ValueError(f"unexpected {kind} {ast.unparse(node)!r} in scalar")
 
 
 def scalar_from_str(text: str) -> Scalar:
-    """Parse a scalar from an expression string in q, a, b.
+    """Parse a point string, an expression in q, a and b with ``^`` meaning ``**``.
 
-    The string holds integers, the names q, a and b, ``+ - * / ^ **`` and
-    parentheses, with Python's precedence, ``^`` meaning ``**``; it is read
-    by recursive descent straight into ``Scalar`` arithmetic, so nothing in
-    it is run as code.  An exponent must be an integer.
+    ``ast.parse`` reads it without running anything, so precedence and
+    literals are Python's; ``_walk`` evaluates integers, q, a, b, ``+ - * /
+    **`` and unary ``+ -`` and refuses the rest.  Every bad string raises
+    ``ValueError``, and parser warnings are not shown.
     """
-    tokens = _TOKEN.findall(text)
-    pos = 0
-
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take() -> str:
-        nonlocal pos
-        if pos == len(tokens):
-            raise ValueError("unexpected end of scalar")
-        pos += 1
-        return tokens[pos - 1]
-
-    def expr() -> Scalar:
-        x = term()
-        while peek() in ("+", "-"):
-            op, y = take(), term()
-            x = x + y if op == "+" else x - y
-        return x
-
-    def term() -> Scalar:
-        x = unary()
-        while peek() in ("*", "/"):
-            op, y = take(), unary()
-            x = x * y if op == "*" else x / y
-        return x
-
-    def unary() -> Scalar:
-        if peek() in ("+", "-"):
-            return unary() if take() == "+" else -unary()
-        return power()
-
-    def power() -> Scalar:
-        x = atom()
-        if peek() in ("^", "**"):
-            take()
-            n = unary()  # right-associative, and a sign may lead the exponent
-            if n._terms is None or n._den != 1 or n._terms.keys() - {(0, 0, 0)}:
-                raise ValueError("exponents in a scalar must be integers")
-            x = x ** n._terms.get((0, 0, 0), 0)
-        return x
-
-    def atom() -> Scalar:
-        tok = take()
-        if tok == "(":
-            x = expr()
-            if take() != ")":
-                raise ValueError("unbalanced parentheses in scalar")
-            return x
-        if tok.isdecimal():
-            return _const(int(tok))
-        if tok in _NAMES:
-            return _NAMES[tok]
-        if tok[0].isalpha() or tok[0] == "_":
-            raise ValueError(f"unknown symbol {tok!r} in scalar")
-        raise ValueError(f"unexpected {tok!r} in scalar")
-
     try:
-        x = expr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return _walk(ast.parse(text.strip().replace("^", "**"), mode="eval").body)
+    except (SyntaxError, RecursionError, MemoryError) as exc:  # the last two: nested too deeply
+        raise ValueError(f"{getattr(exc, 'msg', 'nested too deeply')} in scalar") from exc
     except ZeroDivisionError as exc:
         raise ValueError(f"division by zero in scalar: {exc}") from exc
-    if pos != len(tokens):
-        raise ValueError(f"unexpected {tokens[pos]!r} in scalar")
-    return x
 
 
 def scalar_str(x: Scalar) -> str:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -190,6 +191,49 @@ def test_point_strings_are_not_evaluated(tmp_path, capsys):
     assert not target.exists()
 
 
+# point strings that are refused, each within a second: nested too deeply for
+# the parser or the walk, a null byte, and powers too big to build
+REFUSED_POINTS = {
+    "parens-300": "(" * 300 + "q" + ")" * 300,
+    "minus-2000": "-" * 2000 + "q",
+    "minus-100000": "-" * 100_000 + "q",
+    "null-byte": "q\0",
+    "tower": "9^9^9",
+    "huge-exponent": "2^(10^9)",
+    "nested-powers": "((q+a+b)^64)^64",
+}
+
+
+@pytest.mark.parametrize("text", REFUSED_POINTS.values(), ids=REFUSED_POINTS)
+def test_refused_point_strings_exit_two(tmp_path, capsys, text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        coeffs.scalar_from_str(text)
+    assert time.perf_counter() - start < 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"M": 2, "N": 1, "a": text}))
+    # "--a=" keeps argparse from reading a leading "-" as an option
+    for argv in (["highest-weight", "--M", "2", "--N", "1", f"--a={text}"],
+                 ["highest-weight", "--config", str(cfg)]):
+        assert run_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"].startswith("cannot parse scalar")
+
+
+def test_appendix_a_window_zero(capsys):
+    # the one-index replay over [0]: the base cases and the first step of each
+    assert run_main(["appendix-a", "--nmax", "1", "--window", "0"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks] == [
+        "appendix-a lambda(0,0,0) = 0",
+        "appendix-a lambda(1,0,0) = lambda(0,0,1)",
+        "appendix-a mu(0,0,0,0) = 0",
+        "appendix-a mu(0,0,1,0) = mu(0,0,0,1)",
+    ]
+    assert all(c["status"] == "pass" for c in checks)
+
+
 def test_point_strings_parse_as_sympy_does():
     # every point string of the README and the digest files, against sympy's parse
     from sympy import sympify
@@ -370,7 +414,7 @@ def test_appendix_a_rejects_explicit_default_signature(capsys):
 
 def test_run_config_validation():
     with pytest.raises(cli.ConfigError):
-        cli.run(cli.RunConfig(suite="monoid", window=0))
+        cli.run(cli.RunConfig(suite="monoid", window=-1))
     with pytest.raises(cli.ConfigError):
         cli.run(cli.RunConfig(suite="nope"))
 
@@ -405,6 +449,9 @@ def test_cli_window_above_h_bound_rejected(capsys):
     "argv, message",
     [
         (["appendix-a", "--nmax", "0"], "nmax must be positive"),
+        (["appendix-a", "--window", "-1"], "window must be nonnegative"),
+        (["highest-weight", "--order", "0"], "order must be positive"),
+        (["tensor-hw", "--degree-bound", "0"], "degree bound must be positive"),
         (["pbw-rank", "--height", "0"], "height must be positive"),
         (["pbw-rank", "--height", "-1"], "height must be positive"),
         (["highest-weight", "--window", "6"], "window must be below 6"),
@@ -419,8 +466,8 @@ def test_cli_window_above_h_bound_rejected(capsys):
         ),
     ],
     ids=[
-        "nmax-zero", "height-zero", "height-negative", "kernel-window", "relations-window",
-        "degree-bound", "slice-degree-bound",
+        "nmax-zero", "window-negative", "order-zero", "degree-bound-zero", "height-zero", "height-negative",
+        "kernel-window", "relations-window", "degree-bound", "slice-degree-bound",
     ],
 )
 def test_out_of_range_input_exit_two(capsys, argv, message):

@@ -2,7 +2,7 @@ import ast
 import contextlib
 import operator
 import random
-from fractions import Fraction
+import warnings
 
 import pytest
 from helpers import SRC, count_field_ops, run_fresh
@@ -85,6 +85,66 @@ def test_scalar_from_str_two_routes():
             scalar_from_str(text)
 
 
+def test_point_string_language():
+    # Python's integer literals and comments; a newline only inside parentheses
+    assert scalar_from_str("0x1F + 1_000") == scalar(1031)
+    assert scalar_from_str("q^2  # a comment") == q**2
+    assert scalar_from_str("(q\n+ 1)") == q + 1
+    assert scalar_from_str(" -q ") == -q
+    for text in ["0777", "q\n+ 1", "True", "q//2", "~q", "q % 2", "(q, a)", "q.real", "'q'", "q if a else b",
+                 "lambda: q", "f'{q}'", "[q]", "q and a", "q < a", "2j", "q = 1", "q; a"]:
+        with pytest.raises(ValueError):
+            scalar_from_str(text)
+    with pytest.raises(ValueError, match="Name 't'"):
+        scalar_from_str("q + t")
+    with pytest.raises(ValueError, match="FloorDiv"):
+        scalar_from_str("q // 2")
+    with pytest.raises(TypeError):
+        scalar(2.5)
+    # an invalid escape warns in the parser; the warning neither shows nor, as an error, decides
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="Constant"):
+            scalar_from_str("'\\d' + q")
+
+
+def test_power_guard_bounds():
+    # a +-monomial passes at any exponent; otherwise the term and bit bounds decide
+    assert scalar_from_str("q^-2*a") == q**-2 * a
+    assert scalar_from_str("q^(10^9)")._terms == {(10**9, 0, 0): 1}
+    assert scalar_from_str("-(a*b)^-(10^6)") == -((a * b) ** -(10**6))
+    # (q + a + b)^9 has at most 10^3 terms, ^10 at most 11^3; (q + 1)^999 has 1,000;
+    # 2^10000 is 10,000 bits
+    assert scalar_from_str("(q+a+b)^9") == (q + a + b) ** 9
+    assert scalar_from_str("2^10000") == scalar(2**10000)
+    assert scalar_from_str("(1/2)^-10000") == scalar(2**10000)
+    assert scalar_from_str("1/(q+1)^9") == ONE / (q + 1) ** 9
+    assert scalar_from_str("(q+1)^999") == (q + 1) ** 999
+    for text in ["(q+a+b)^10", "2^10001", "3^-5001", "(q+1)^1000 / (q-1)", "(1/(q+1))^1000", "9^9^9"]:
+        with pytest.raises(ValueError, match="too big"):
+            scalar_from_str(text)
+
+
+_POINT_TEXT = st.text(alphabet="qab0123456789+-*/^() t._#,", max_size=40)
+
+
+@settings(deadline=None)
+@given(_POINT_TEXT)
+def test_point_strings_return_a_scalar_or_refuse(text):
+    try:
+        x = scalar_from_str(text)
+    except ValueError:
+        return
+    assert type(x) is coeffs.Scalar
+
+
+@given(_scalars, _scalars, st.integers(-3, 3))
+def test_point_string_roundtrip(x, y, n):
+    # ring values, integer denominators and field values such as x / (y + q)
+    for v in (x, x**n, x / y, x / (y + q)):
+        assert scalar_from_str(scalar_str(v)) == v
+
+
 # each expression is the first call to need sympy in a fresh interpreter; the
 # gcds need it only with three or more live variables (q, a, b, and z for poly_gcd)
 FIELD_ENTRY_POINTS = {
@@ -92,7 +152,6 @@ FIELD_ENTRY_POINTS = {
     "parse": "scalar_from_str('1/(q+1)')",
     "print": "scalar_str(q**-1 + a)",
     "numer": "(q + 1).numer",
-    "fraction": "scalar(Fraction(1, 2))",
     "remove_content": "remove_content([(q + a) * (b + 1), (q + a) * (q * b - 2)])",
     "poly_gcd": "poly_gcd(ZPoly([1, q]), ZPoly([1, q]) * ZPoly([1, a]))",
 }
@@ -103,7 +162,6 @@ def test_field_entry_point_loads_the_field(expr):
     # sys.modules is read before the value is printed, since printing loads sympy itself
     lines = run_fresh(
         "import sys\n"
-        "from fractions import Fraction\n"
         "from superloop.coeffs import ONE, ZPoly, a, b, poly_gcd, q, remove_content, scalar, scalar_from_str, scalar_str\n"
         "print('sympy' in sys.modules)\n"
         f"x = {expr}\n"
@@ -602,7 +660,7 @@ def _check(x, f):
     assert (x._den == 1) == (monomial and f.denom.LC == 1)
     assert (x._den >= 2) == (monomial and f.denom.LC >= 2)
     assert (x._terms is None) == (x._den == 0) == (not monomial)
-    again = scalar(f)
+    again = coeffs._from_field(f)
     assert x == again and hash(x) == hash(again)
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from superloop import weyl
+from superloop import coeffs, weyl
 from superloop.cli import random_torsion_triple
 from superloop.coeffs import ONE, ZERO, ZPoly, a, b, expand_ratio, q, scalar
 from superloop.linalg import solve_span
@@ -137,7 +137,8 @@ def _annihilator_by_elimination(window, degree_bound):
     an annihilator does not change under a nonzero scalar, and the scaled
     entries are polynomials, which the elimination handles without the field.
     """
-    lcm = scalar(functools.reduce(lambda x, y: x.lcm(y), {v.denom for v in window.values()}))
+    lcm = functools.reduce(lambda x, y: x.lcm(y), {v.denom for v in window.values()})
+    lcm = coeffs._from_field(coeffs._sym().field(lcm))
     window = {m: v * lcm for m, v in window.items()}
     lo, hi = min(window), max(window)
     for d in range(degree_bound + 1):
