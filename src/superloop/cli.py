@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict
 
 from . import modrep, pbw, weyl
 from .coeffs import ONE, ZERO, ZPoly, a as PARAM_A, b as PARAM_B, q, scalar, scalar_from_str, scalar_str
-from .linalg import RowReducer
+from .linalg import rank
 from .superfree import H_BOUND, Elem, appendixA_check
 from .weyl import HighestWeight, TorsionTriple
 
@@ -277,17 +277,13 @@ def _suite_pbw_rank(cfg: RunConfig) -> list[dict]:
                 continue
             monos = pbw.enumerate_pbw(sig, list(wt), window)
             words = pbw.all_words(sig, list(wt), window)
-            r1 = RowReducer()
-            r2 = RowReducer()
-            for mono in monos:
-                r1.add(module.elem_matrix(pbw.monomial_elem(sig, mono)).flatten())
-            for word in words:
-                r2.add(module.elem_matrix(Elem.monomial(word)).flatten())
+            r1 = rank([module.elem_matrix(pbw.monomial_elem(sig, mono)).flatten() for mono in monos])
+            r2 = rank([module.elem_matrix(Elem.monomial(word)).flatten() for word in words])
             checks.append(
                 _check(
                     f"pbw-rank {label} weight {wt}",
-                    r1.rank == r2.rank,
-                    {"pbw": len(monos), "words": len(words), "rank": [r1.rank, r2.rank]},
+                    r1 == r2,
+                    {"pbw": len(monos), "words": len(words), "rank": [r1, r2]},
                 )
             )
     return checks
@@ -371,8 +367,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add("suite", choices=SUITES)
     add("--M", type=int)
     add("--N", type=int)
-    add("--a", type=str, help="evaluation point (exact expression)")
-    add("--b", type=str, help="second evaluation point")
+    add("--a", type=str, help="evaluation point (exact expression); write one that starts with '-' as --a=-q")
+    add("--b", type=str, help="second evaluation point; write one that starts with '-' as --b=-q")
     add("--window", type=int)
     add("--order", type=int)
     add("--degree-bound", dest="degree_bound", type=int)

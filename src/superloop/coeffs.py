@@ -646,6 +646,16 @@ def unit_inverse(x: Scalar) -> Scalar | None:
     return _ring({(-i, -j, -k): c}, 1)
 
 
+def term_count(x: Scalar) -> int:
+    """The number of terms x is written with: those of n for a ring value n/d, those of
+    numerator and denominator for a field value.  Builds no field form."""
+    t = x._terms
+    if t is not None:
+        return len(t)
+    f = x._field
+    return len(f.numer) + len(f.denom)
+
+
 ZERO = _ring({}, 1)
 ONE = _ring({(0, 0, 0): 1}, 1)
 q = _ring({(1, 0, 0): 1}, 1)
@@ -708,17 +718,23 @@ def scalar_from_str(text: str) -> Scalar:
 
     ``ast.parse`` reads it without running anything, so precedence and
     literals are Python's; ``_walk`` evaluates integers, q, a, b, ``+ - * /
-    **`` and unary ``+ -`` and refuses the rest.  Every bad string raises
-    ``ValueError``, and parser warnings are not shown.
+    **`` and unary ``+ -`` and refuses the rest.  A value with a coefficient
+    or denominator larger than 2^``_MAX_BITS``, the power guard's bound, is
+    refused too, so every value read can be printed.  Every bad string raises ``ValueError``, and
+    parser warnings are not shown.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return _walk(ast.parse(text.strip().replace("^", "**"), mode="eval").body)
+            x = _walk(ast.parse(text.strip().replace("^", "**"), mode="eval").body)
     except (SyntaxError, RecursionError, MemoryError) as exc:  # the last two: nested too deeply
         raise ValueError(f"{getattr(exc, 'msg', 'nested too deeply')} in scalar") from exc
     except ZeroDivisionError as exc:
         raise ValueError(f"division by zero in scalar: {exc}") from exc
+    parts = (x._terms.values(), (x._den,)) if x._den else (x._field.numer.values(), x._field.denom.values())
+    if any(abs(c) > 1 << _MAX_BITS for part in parts for c in part):
+        raise ValueError(f"a coefficient in scalar is larger than 2^{_MAX_BITS}")
+    return x
 
 
 def scalar_str(x: Scalar) -> str:

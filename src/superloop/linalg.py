@@ -15,7 +15,7 @@ of ``solve_span``, a kernel basis of ``joint_nullspace``).
 
 from __future__ import annotations
 
-from .coeffs import ONE, ZERO, Scalar, remove_content, scalar, unit_inverse
+from .coeffs import ONE, ZERO, Scalar, remove_content, scalar, term_count, unit_inverse
 
 
 class Mat:
@@ -223,6 +223,21 @@ class RowReducer:
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+
+def rank(vectors) -> int:
+    """The rank of the vectors, fed to a fresh ``RowReducer`` simplest-first.
+
+    The rank does not depend on the order, but the cost of reaching it
+    does: each pivot's lead multiplies every later row it clears, so a
+    many-term first pivot makes every residual swell.  The vectors go in
+    ascending order of their total term count (``term_count`` of each
+    entry), ties in the given order.
+    """
+    red = RowReducer()
+    for vec in sorted(vectors, key=lambda v: sum(map(term_count, v.values()))):
+        red.add(vec)
+    return red.rank
 
 
 def span_contains(vectors: list[dict], target: dict) -> bool:

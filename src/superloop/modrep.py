@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 from .coeffs import ONE, ZERO, Scalar, ZPoly, expand_ratio, q, scalar, scalar_str
-from .linalg import Mat, RowReducer, joint_nullspace, kron_super, solve_span
+from .linalg import Mat, RowReducer, joint_nullspace, kron_super, rank, solve_span
 from .superfree import (
     AlgebraSignature,
     Elem,
@@ -526,9 +526,6 @@ def odd_slice(
     P = _highest_weight_at(lm, v, degree_bound).torsion.P
     M = lm.sig.M
     ws = [lm.gen(("X-", M, n)).apply(v) for n in range(2 * degree_bound + 2)]
-    red = RowReducer()
-    for w in ws:
-        red.add(w)
     annihilates = True
     for m in range(P.degree, len(ws)):
         acc: dict = {}
@@ -536,7 +533,7 @@ def odd_slice(
             for k, x in ws[m - s].items():
                 acc[k] = acc.get(k, ZERO) + p * x
         annihilates &= all(x == ZERO for x in acc.values())
-    return red.rank, P, annihilates
+    return rank(ws), P, annihilates
 
 
 def _reconstruct_poly(lm: LoopModule, v: dict, i: int, sgn: int, d: int) -> ZPoly:
@@ -596,26 +593,24 @@ def _algebra_span(lm: LoopModule) -> list[Mat]:
         gens += [lm.gen(kay(i)), lm.gen(kinv(i))]
         gens += [lm.gen(("X+", i, 0)), lm.gen(("X-", i, 0))]
     gens += [lm._cache[key] for key in (e0p(), e0m()) if key in lm._cache]
-    red = RowReducer()
     basis: list[Mat] = []
 
-    def push(m: Mat):
+    def products():
+        """The generators, then breadth-first each new basis element times each generator."""
+        yield from gens
+        done = 0
+        while done < len(basis):
+            level, done = basis[done:], len(basis)
+            for m in level:
+                for g in gens[1:]:
+                    yield m * g
+
+    red = RowReducer()
+    for m in products():
         if red.add(m.flatten()):
             basis.append(m)
-            return True
-        return False
-
-    for g in gens:
-        push(g)
-    frontier = list(basis)
-    while frontier:
-        new = []
-        for m in frontier:
-            for g in gens[1:]:
-                prod = m * g
-                if push(prod):
-                    new.append(prod)
-        frontier = new
+            if len(basis) == lm.dim**2:  # all of End(V): no later product can enlarge it
+                break
     return basis
 
 

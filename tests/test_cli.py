@@ -130,6 +130,8 @@ PARSER_ERRORS = {
     ("nosuch",): "argument suite: invalid choice: 'nosuch'",
     ("verify-relations", "--bogus"): "unrecognized arguments: --bogus",
     ("verify-relations", "--M", "x"): "argument --M: invalid int value: 'x'",
+    # a point that starts with "-" reads as an option unless joined: --a=-q
+    ("highest-weight", "--M", "2", "--N", "1", "--a", "-q"): "argument --a: expected one argument",
 }
 
 
@@ -151,6 +153,22 @@ def test_cli_help_exits_zero(capsys):
     assert exc.value.code == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("usage: superloop") and captured.err == ""
+
+
+def test_cli_negative_point_joined_to_its_flag(capsys):
+    assert run_main(["highest-weight", "--M", "2", "--N", "1", "--a=-q"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"][0]["witness"]["P"]["1"] == ["1", "q**2"]
+
+
+def test_cli_point_coefficient_bits_bounded(capsys):
+    # 10^6000 is larger than 2^coeffs._MAX_BITS: refused, where printing it would
+    # pass str()'s 4,300-digit limit; 10^2000 (6,644 bits) is a point
+    big = "10^2000*10^2000*10^2000"
+    assert run_main(["highest-weight", "--M", "2", "--N", "1", "--a", big]) == 2
+    assert "larger than 2^10000" in _json_error(capsys)
+    assert run_main(["highest-weight", "--M", "2", "--N", "1", "--a", "10^2000"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] and report["checks"][0]["witness"]["P"]["1"][1] == f"-{10**2000}*q"
 
 
 def test_cli_zero_evaluation_point_rejected():
@@ -201,6 +219,10 @@ REFUSED_POINTS = {
     "tower": "9^9^9",
     "huge-exponent": "2^(10^9)",
     "nested-powers": "((q+a+b)^64)^64",
+    # values with a coefficient larger than 2^_MAX_BITS, built from powers under it
+    "big-coefficient": "10^2000*10^2000*10^2000",
+    "big-denominator": "1/(10^2000*10^2000*10^2000)",
+    "big-field-value": "1/(q + 10^2000*10^2000*10^2000)",
 }
 
 

@@ -125,6 +125,14 @@ def test_power_guard_bounds():
             scalar_from_str(text)
 
 
+def test_point_value_bound():
+    # a value read may have coefficients and denominator up to 2^10000, the power guard's bound
+    assert scalar_from_str("(2^10000*q - 2^10000)/(2^10000 - 1)") == (2**10000 * q - 2**10000) / (2**10000 - 1)
+    for text in ["2^10000 + 1", "q/(2^10000 + 1)", "1/(q + 2^10000 + 1)", "-(2^5000)*(2^5000+1)"]:
+        with pytest.raises(ValueError, match="larger than 2"):
+            scalar_from_str(text)
+
+
 _POINT_TEXT = st.text(alphabet="qab0123456789+-*/^() t._#,", max_size=40)
 
 

@@ -5,15 +5,17 @@ from helpers import mat_from_rows
 from hypothesis import given, settings, strategies as st
 
 from superloop import pbw
-from superloop.coeffs import ONE, ZERO, a, b, q, scalar
+from superloop.coeffs import ONE, ZERO, a, b, q, scalar, term_count
 from superloop.linalg import (
     Mat,
     RowReducer,
     joint_nullspace,
     kron_super,
+    rank,
     solve_span,
     span_contains,
 )
+from superloop.superfree import Elem
 
 
 def test_mat_arithmetic():
@@ -294,6 +296,54 @@ def test_reducer_two_routes_pbw_tensor(tensor21):
         ]
         ranks.append(_same_on_both_routes([v for v in vecs if v], tensor21.dim**2))
     assert ranks[2] > 0
+
+
+def _fed_rank(vecs):
+    red = RowReducer()
+    for vec in vecs:
+        red.add(vec)
+    return red.rank
+
+
+def _same_rank_in_any_order(vecs):
+    """rank equals a RowReducer's rank fed in the given order and in reverse; checks ranks only."""
+    r = rank(vecs)
+    assert r == _fed_rank(vecs) == _fed_rank(vecs[::-1])
+    return r
+
+
+def test_rank_random_systems():
+    rng = random.Random(11)
+    for _ in range(25):
+        dim = rng.randint(2, 7)
+        vecs = _random_system(rng, dim, rng.randint(2, 7), rng.randint(1, 3))
+        _same_rank_in_any_order(vecs)
+    assert rank([]) == 0 and rank([{}, {}]) == 0
+
+
+def test_rank_pbw_tensor(tensor21):
+    # the vectors pbw-rank ranks on ev(a)(x)ev(b), at the window of the README command
+    sig = tensor21.sig
+    window = range(-2, 3)
+    ranks = []
+    for wt in [(1, 1), (2, 1)]:
+        monos = [tensor21.elem_matrix(pbw.monomial_elem(sig, m)).flatten()
+                 for m in pbw.enumerate_pbw(sig, list(wt), window)]
+        words = [tensor21.elem_matrix(Elem.monomial(w)).flatten() for w in pbw.all_words(sig, list(wt), window)]
+        ranks.append((_same_rank_in_any_order(monos), _same_rank_in_any_order(words)))
+    assert ranks == [(4, 4), (2, 2)]
+
+
+def test_term_count():
+    assert term_count(ZERO) == 0
+    assert term_count(ONE) == term_count(-q) == 1
+    assert term_count(q + a - b) == 3
+    half = (q + 1) / 2  # a ring value with integer denominator 2
+    assert term_count(half) == 2
+    assert term_count(ONE / (q - 1)) == 1 + 2
+    assert term_count((q + a) / (q + b + 1)) == 2 + 3
+    # a ring value is counted without building its field form
+    assert half._field is None
 
 
 _SPAN_ENTRIES = st.sampled_from([ONE, -ONE, scalar(2), q, q**-1, q + 1, a * q - b, ONE / (q - 1)])

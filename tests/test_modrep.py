@@ -659,6 +659,33 @@ def test_cartan_coproduct_constants(ev21, ev21b, tensor21):
         modrep.cartan_coproduct_constants(2, ev21, ev21b, product=tensor21)
 
 
+def _full_algebra_closure(lm):
+    """The breadth-first closure of _algebra_span's generators, run to its end."""
+    gens = [Mat.identity(lm.dim)]
+    for i in range(1, lm.sig.n_nodes + 1):
+        gens += [lm.gen(kay(i)), lm.gen(kinv(i)), lm.gen(("X+", i, 0)), lm.gen(("X-", i, 0))]
+    gens += [lm._cache[key] for key in (e0p(), e0m()) if key in lm._cache]
+    red, basis = RowReducer(), []
+    frontier = gens
+    while frontier:
+        new = []
+        for m in frontier:
+            if red.add(m.flatten()):
+                basis.append(m)
+                new += [m * g for g in gens[1:]]
+        frontier = new
+    return basis
+
+
+@pytest.mark.parametrize("module", ["ev21", "ev12", "tensor21"])
+def test_algebra_span_stops_at_full_rank(request, module):
+    # the span stops once it is all of End(V), with the basis of the closure run to its end
+    lm = request.getfixturevalue(module)
+    basis = modrep._algebra_span(lm)
+    assert basis == _full_algebra_closure(lm)
+    assert len(basis) == lm.dim**2
+
+
 def _fresh_correction(m1, m2, modulus):
     """The correction space built from scratch, with no memo: a fresh basis and reducer."""
     basis = []
