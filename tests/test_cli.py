@@ -22,7 +22,8 @@ README_DIGESTS = json.loads((Path(__file__).parent / "readme_digests.json").read
 # sha256 of the stdout of commands at rational evaluation points, whose
 # scalars take integer denominators and the field form, and of the commands
 # in pinned_digests.json: Chevalley suites whose level-one Cartan brackets
-# nest the nodes out of order, and highest weights with field-form E0-
+# nest the nodes out of order, highest weights with field-form E0-, and
+# coproduct checks with three Cartan columns or field-form corrections
 PINNED_DIGESTS = {
     **json.loads((Path(__file__).parent / "rational_point_digests.json").read_text()),
     **json.loads((Path(__file__).parent / "pinned_digests.json").read_text()),
