@@ -793,9 +793,6 @@ class ZPoly:
         n = max(len(self.coeffs), len(other.coeffs))
         return ZPoly(self.coeff(k) + other.coeff(k) for k in range(n))
 
-    def __neg__(self) -> "ZPoly":
-        return ZPoly(-c for c in self.coeffs)
-
     def __mul__(self, other: "ZPoly") -> "ZPoly":
         if self.is_zero() or other.is_zero():
             return ZPoly.zero()

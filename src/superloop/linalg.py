@@ -125,6 +125,13 @@ class Mat:
         """Row-major sparse vector of length nrows*ncols."""
         return {i * self.ncols + j: v for (i, j), v in self.data.items()}
 
+    def rows(self) -> list[dict]:
+        """The nonzero rows as sparse vectors, in the order their first entries are stored."""
+        rows: dict[int, dict] = {}
+        for (i, j), val in self.data.items():
+            rows.setdefault(i, {})[j] = val
+        return list(rows.values())
+
     def __repr__(self) -> str:
         return f"Mat({self.nrows}x{self.ncols}, nnz={len(self.data)})"
 
@@ -214,12 +221,6 @@ class RowReducer:
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
 
-    def copy(self) -> "RowReducer":
-        """A reducer of the same span that grows on its own; pivot rows are never mutated."""
-        out = RowReducer()
-        out.pivots = dict(self.pivots)
-        return out
-
     @property
     def rank(self) -> int:
         return len(self.pivots)
@@ -281,10 +282,7 @@ def joint_nullspace(mats: list[Mat], dim: int) -> list[dict]:
     """Basis of the common kernel of the given dim-column matrices."""
     red = RowReducer()
     for m in mats:
-        rows: dict[int, dict] = {}
-        for (i, j), val in m.data.items():
-            rows.setdefault(i, {})[j] = val
-        for row in rows.values():
+        for row in m.rows():
             red.add(row)
     # Back-substitute through the echelon rows, dividing by each pivot's lead.
     pivots = red.pivots

@@ -614,50 +614,46 @@ def _algebra_span(lm: LoopModule) -> list[Mat]:
     return basis
 
 
-def _left_ideal_span(lm: LoopModule, signs: tuple) -> list[Mat]:
-    """Basis of span{ u * x1 * x2 * ... : u in the image algebra, x_k in ``_x_span(lm, signs[k])`` }."""
-    prods = [Mat.identity(lm.dim)]
+def _row_space(lm: LoopModule, signs: tuple) -> list[dict]:
+    """Basis of the row space of the products x1 * x2 * ..., x_k in ``_x_span(lm, signs[k])``.
+
+    The rows of p * x are the rows of p times x, so each factor maps
+    every basis row through every current of its sign.
+    """
+    basis = Mat.identity(lm.dim)
     for s in signs:
-        prods = [p * f for p in prods for f in _x_span(lm, s)]
-    red = RowReducer()
-    tail: list[Mat] = []
-    for p in prods:
-        if red.add(p.flatten()):
-            tail.append(p)
-    out_red = RowReducer()
-    out: list[Mat] = []
-    for u in lm.memo(("algebra",), lambda: _algebra_span(lm)):
-        for t in tail:
-            cand = u * t
-            if out_red.add(cand.flatten()):
-                out.append(cand)
-    return out
+        red = RowReducer()
+        rows = [row for x in _x_span(lm, s) for row in (basis * x).rows() if red.add(row)]
+        basis = Mat(len(rows), lm.dim, {(k, j): v for k, row in enumerate(rows) for j, v in row.items()})
+    return basis.rows()
 
 
-def _corr_basis(m1: LoopModule, m2: LoopModule, modulus: tuple) -> list[Mat]:
-    """Correction-space basis on the product module.
+def _correction(m1: LoopModule, m2: LoopModule, modulus: tuple) -> RowReducer:
+    """A reducer of the rows of a correction space, kept in m1's memo under
+    (m2, modulus): the space depends on the factors only.
 
     ``modulus`` holds one (left signs, right signs) pair per summand:
-    ((-1,), (1, 1)) spans U x^- (x) U x^+ x^+, U the image algebra.
+    ((-1,), (1, 1)) is U x^- (x) U x^+ x^+, U the image algebra.  If U is
+    End(V), U S is the maps whose rows lie in the row space R(S) of the
+    current products S, and the A (x) B, A in U S, B in U T, span the maps
+    whose rows lie in R(S) (x) R(T): rows r1 (x) r2 at j1 * dim W + j2.
+    R(S) is graded, so Koszul signs keep that span.  Summands add their
+    rows, and a map lies in the space when each of its rows does.  A
+    factor whose image algebra is not End(V) raises ``ModuleError``.
     """
-    out = []
-    for left, right in modulus:
-        lefts = m1.memo(("ideal", left), lambda: _left_ideal_span(m1, left))
-        rights = m2.memo(("ideal", right), lambda: _left_ideal_span(m2, right))
-        out += [kron_super(s1, s2, m1.parity, m2.parity) for s1 in lefts for s2 in rights]
-    return out
-
-
-def _correction(m1: LoopModule, m2: LoopModule, modulus: tuple) -> tuple[list[dict], RowReducer]:
-    """The flattened ``_corr_basis`` and a reducer of its span, kept in m1's memo
-    under (m2, modulus): the space depends on the factors only."""
 
     def build():
-        basis = [mat.flatten() for mat in _corr_basis(m1, m2, modulus)]
+        for lm in (m1, m2):
+            size = lm.memo(("algebra",), lambda: len(_algebra_span(lm)))
+            if size < lm.dim**2:
+                raise ModuleError(f"image algebra of {size} of {lm.dim**2} elements, not End(V)")
         red = RowReducer()
-        for vec in basis:
-            red.add(vec)
-        return basis, red
+        for left, right in modulus:
+            rights = m2.memo(("rows", right), lambda: _row_space(m2, right))
+            for r1 in m1.memo(("rows", left), lambda: _row_space(m1, left)):
+                for r2 in rights:
+                    red.add({j1 * m2.dim + j2: x * y for j1, x in r1.items() for j2, y in r2.items()})
+        return red
 
     return m1.memo(("correction", m2, modulus), build)
 
@@ -709,8 +705,10 @@ def check_coproduct_formula(
     """Check a coproduct formula on the product module by exact membership.
 
     The derived current on the tensor module minus the formula's explicit
-    terms must lie in the stated correction space; at loop degree zero the
-    equality is exact.
+    terms must have each row in the row span of ``_correction``.  At loop
+    degree zero the equality is exact; ``tensor`` builds the n = 0
+    currents from these very formulas, so those checks (6 of the 20 on
+    (2,1)) cannot fail on a product ``tensor`` builds.
     """
     key, terms, modulus = _coproduct_claim(j, n, part, m1, m2)
     lhs = product.gen(key)
@@ -720,7 +718,8 @@ def check_coproduct_formula(
         return True
     if n == 0:
         return False
-    return _correction(m1, m2, modulus)[1].contains(lhs.flatten())
+    red = _correction(m1, m2, modulus)
+    return all(red.contains(row) for row in lhs.rows())
 
 
 def cartan_coproduct_constants(
@@ -752,7 +751,9 @@ def cartan_coproduct_constants(
         return kron_super(left, right, m1.parity, m2.parity)
 
     cols = {"x": column(i - 1), "y": column(i), "z": column(i + 1)}
-    corr, corr_red = _correction(m1, m2, (((-1, -1), (1, 1)),))
+    # the correction space flattened: each basis row r of its row span placed at each row k
+    rows = _correction(m1, m2, (((-1, -1), (1, 1)),)).pivots.values()
+    corr = [{k * product.dim + j: v for j, v in r.items()} for r in rows for k in range(product.dim)]
     names = [k for k, v in cols.items() if v is not None]
     sol = solve_span([cols[k].flatten() for k in names] + corr, target.flatten())
     if sol is None:
@@ -761,10 +762,9 @@ def cartan_coproduct_constants(
     qi = sig.q_node(i)
     z_expected = scalar(s) * (qi - qi**-1)
     # the span of the corrections and of every column but z
-    red = corr_red.copy()
-    for k in names:
-        if k != "z":
-            red.add(cols[k].flatten())
+    red = RowReducer()
+    for vec in corr + [cols[k].flatten() for k in names if k != "z"]:
+        red.add(vec)
     z_unique = not red.contains(cols["z"].flatten())
     # z = z_expected is consistent exactly when the rest of the target lies
     # in that span; when z is pinned this says the unique z is z_expected

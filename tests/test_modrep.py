@@ -2,8 +2,8 @@ import pytest
 from helpers import count_field_ops, mat_from_rows, vector_reference
 
 from superloop import cli, modrep, pbw, superfree, weyl
-from superloop.coeffs import ONE, ZERO, ZPoly, a, b, q, qint_base, scalar
-from superloop.linalg import Mat, RowReducer, kron_super
+from superloop.coeffs import ONE, ZERO, ZPoly, a, b, q, qint_base, scalar, scalar_str
+from superloop.linalg import Mat, RowReducer, kron_super, solve_span
 from superloop.modrep import (
     LoopModule,
     ModuleError,
@@ -686,17 +686,154 @@ def test_algebra_span_stops_at_full_rank(request, module):
     assert len(basis) == lm.dim**2
 
 
-def _fresh_correction(m1, m2, modulus):
-    """The correction space built from scratch, with no memo: a fresh basis and reducer."""
-    basis = []
-    for left, right in modulus:
-        lefts = modrep._left_ideal_span(m1, left)
-        rights = modrep._left_ideal_span(m2, right)
-        basis += [kron_super(s1, s2, m1.parity, m2.parity).flatten() for s1 in lefts for s2 in rights]
+def _reference_ideal(lm, signs):
+    """Basis of span{u * x1 * x2 * ... : u in the image algebra, x_k in _x_span(lm, signs[k])}.
+
+    The left ideal built literally: a basis of the current products, each
+    multiplied by every element of the image algebra's basis.
+    """
+    prods = [Mat.identity(lm.dim)]
+    for s in signs:
+        prods = [p * f for p in prods for f in modrep._x_span(lm, s)]
+    red, tail = RowReducer(), []
+    for p in prods:
+        if red.add(p.flatten()):
+            tail.append(p)
+    red, out = RowReducer(), []
+    for u in modrep._algebra_span(lm):
+        for t in tail:
+            if red.add((u * t).flatten()):
+                out.append(u * t)
+    return out
+
+
+def _reference_space(spaces, m1, m2, modulus):
+    """The correction space as flattened Kronecker products of the two ideal bases,
+    and a reducer of its span, kept in ``spaces``."""
+    if modulus not in spaces:
+        vecs = []
+        for left, right in modulus:
+            rights = _reference_ideal(m2, right)
+            vecs += [
+                kron_super(s1, s2, m1.parity, m2.parity).flatten()
+                for s1 in _reference_ideal(m1, left)
+                for s2 in rights
+            ]
+        red = RowReducer()
+        for vec in vecs:
+            red.add(vec)
+        spaces[modulus] = vecs, red
+    return spaces[modulus]
+
+
+def _reference_formula(spaces, j, n, m1, m2, part, product):
+    """check_coproduct_formula decided by flattened membership in the reference space."""
+    key, terms, modulus = modrep._coproduct_claim(j, n, part, m1, m2)
+    lhs = product.gen(key)
+    for A, B in terms:
+        lhs = lhs - kron_super(A, B, m1.parity, m2.parity)
+    if lhs.is_zero():
+        return True
+    return n != 0 and _reference_space(spaces, m1, m2, modulus)[1].contains(lhs.flatten())
+
+
+def _reference_cartan(spaces, i, m1, m2, product, s):
+    """cartan_coproduct_constants solved against the reference space's flattened basis."""
+    def kron(A, B):
+        return kron_super(A, B, m1.parity, m2.parity)
+
+    hkey = ("H", i, s)
+    target = (
+        product.gen(hkey)
+        - kron(m1.gen(hkey), Mat.identity(m2.dim))
+        - kron(Mat.identity(m1.dim), m2.gen(hkey))
+    )
+    cols = {}
+    for name, node in (("x", i - 1), ("y", i), ("z", i + 1)):
+        if 1 <= node <= m1.sig.n_nodes:
+            left = m1.gen(("X-", node, 1 if s > 0 else 0)) * m1.gen(kinv(node))
+            right = m2.gen(kay(node)) * m2.gen(("X+", node, 0 if s > 0 else -1))
+            cols[name] = kron(left, right)
+    corr = _reference_space(spaces, m1, m2, (((-1, -1), (1, 1)),))[0]
+    sol = solve_span([c.flatten() for c in cols.values()] + corr, target.flatten())
+    if sol is None:
+        return {"solvable": False}
+    qi = m1.sig.q_node(i)
     red = RowReducer()
-    for vec in basis:
+    for vec in corr + [c.flatten() for k, c in cols.items() if k != "z"]:
         red.add(vec)
-    return basis, red
+    return {
+        "solvable": True,
+        "values": {k: scalar_str(v) for k, v in zip(cols, sol)},
+        "z_unique": not red.contains(cols["z"].flatten()),
+        "z_matches": red.contains((target - cols["z"].scale(scalar(s) * (qi - qi**-1))).flatten()),
+    }
+
+
+# the x+, x-, phi and Cartan moduli, and d * rank of each row span on (M, N)
+_MODULI = (
+    (((-1,), (1, 1)),),
+    (((-1, -1), (1,)),),
+    (((-1,), (1,)), ((1,), (-1,))),
+    (((-1, -1), (1, 1)),),
+)
+_CORRECTION_DIMS = {
+    (2, 1): (18, 18, 63, 9),
+    (1, 2): (18, 18, 63, 9),
+    (3, 1): (96, 96, 224, 64),
+    (1, 3): (96, 96, 224, 64),
+}
+
+
+@pytest.mark.parametrize(("M", "N"), sorted(_CORRECTION_DIMS))
+def test_correction_rows_two_routes(M, N):
+    # the row rule against the literal left-ideal and Kronecker construction:
+    # the same spaces, every verdict at |n| <= 2 and every Cartan result, on the
+    # product and on a copy with the claimed current (or H) scaled by q
+    mod = fundamental(M, N)
+    m1, m2 = evaluation_pullback(mod, a), evaluation_pullback(mod, b)
+    tm = tensor(m1, m2)
+    spaces = {}
+    for modulus, dim in zip(_MODULI, _CORRECTION_DIMS[M, N]):
+        rows = modrep._correction(m1, m2, modulus)
+        assert tm.dim * rows.rank == _reference_space(spaces, m1, m2, modulus)[1].rank == dim
+    failed = 0
+    for part in ("x+", "x-", "phi"):
+        for j in range(1, m1.sig.n_nodes + 1):
+            for n in (-2, -1, 0, 1, 2):
+                key, _, modulus = modrep._coproduct_claim(j, n, part, m1, m2)
+                assert modrep.check_coproduct_formula(j, n, m1, m2, part, tm)
+                assert _reference_formula(spaces, j, n, m1, m2, part, tm)
+                bad = _perturbed(tm, key, tm.gen(key).scale(q))
+                ok = modrep.check_coproduct_formula(j, n, m1, m2, part, bad)
+                assert ok == _reference_formula(spaces, j, n, m1, m2, part, bad)
+                # scaling by q shows unless the current itself lies in the space
+                # (phi at the middle node of (3,1) and (1,3))
+                inside = n != 0 and _reference_space(spaces, m1, m2, modulus)[1].contains(
+                    tm.gen(key).flatten()
+                )
+                assert ok == inside
+                failed += not ok
+    assert failed >= 3 * 4 * m1.sig.n_nodes  # the control bites on most claims
+    for i in range(1, m1.sig.n_nodes):
+        for s in (1, -1):
+            key = ("H", i, s)
+            for product in (tm, _perturbed(tm, key, tm.gen(key).scale(q))):
+                res = modrep.cartan_coproduct_constants(i, m1, m2, product, sign=s)
+                assert res == _reference_cartan(spaces, i, m1, m2, product, s)
+                assert res["solvable"] == (product is tm)
+
+
+def test_correction_needs_full_image_algebra(fund21, ev21b):
+    # negative control: tensor(ev(a), ev(q^2 a)) is reducible, with an image algebra of
+    # 61 of End(V)'s 81 elements; its U x^- has dimension 47 where the row rule gives
+    # 63, so the rule would accept remainders the space rejects, and the check refuses
+    m1 = tensor(evaluation_pullback(fund21, a), evaluation_pullback(fund21, q**2 * a))
+    assert len(modrep._algebra_span(m1)) == 61
+    assert len(_reference_ideal(m1, (-1,))) == 47
+    assert m1.dim * len(modrep._row_space(m1, (-1,))) == 63
+    with pytest.raises(ModuleError, match="61 of 81"):
+        modrep.check_coproduct_formula(1, 1, m1, ev21b, "x+", tensor(m1, ev21b))
 
 
 def _coproduct_results(m1, m2, tm):
@@ -720,12 +857,12 @@ def test_memoised_correction_spaces_two_routes(monkeypatch, M, N):
     first = _coproduct_results(m1, m2, tm)
     corrections = {k[1:]: v for k, v in m1._memo.items() if k[0] == "correction"}
     assert len(corrections) == 4  # the x+, x-, phi and Cartan moduli
-    # the kept reducers span the corrections alone: no claim grew them
-    for (factor, modulus), (_, red) in corrections.items():
-        assert factor is m2 and red.rank == _fresh_correction(m1, m2, modulus)[1].rank
     again = _coproduct_results(m1, m2, tm)  # every space read from the memo
     with monkeypatch.context() as patch:
-        patch.setattr(modrep, "_correction", _fresh_correction)
+        patch.setattr(LoopModule, "memo", lambda self, key, build: build())
+        # the kept reducers span the corrections alone: no claim grew them
+        for (factor, modulus), red in corrections.items():
+            assert factor is m2 and red.rank == modrep._correction(m1, m2, modulus).rank
         fresh = _coproduct_results(m1, m2, tm)
     assert first == again == fresh
     assert all(v for k, v in fresh.items() if k[0] != "cartan")
@@ -736,33 +873,42 @@ def test_memoised_correction_spaces_two_routes(monkeypatch, M, N):
 
 def test_memoised_correction_space_rejects_scaled_current(ev21, ev21b, tensor21, monkeypatch):
     # negative control: with the spaces already kept, a product whose X+_{1,1}
-    # is scaled by q fails, and no space is rebuilt for it
+    # is scaled by q fails, and no row space is rebuilt for it
     assert modrep.check_coproduct_formula(1, 1, ev21, ev21b, part="x+", product=tensor21)
     assert any(k[0] == "correction" for k in ev21._memo)
     key = ("X+", 1, 1)
     bad = _perturbed(tensor21, key, tensor21.gen(key).scale(q))
     builds = []
-    monkeypatch.setattr(modrep, "_corr_basis", lambda *args: builds.append(args))
+    monkeypatch.setattr(modrep, "_row_space", lambda *args: builds.append(args))
     assert not modrep.check_coproduct_formula(1, 1, ev21, ev21b, part="x+", product=bad)
     assert builds == []
 
 
 def test_coproduct_suite_builds_each_span_once(monkeypatch):
-    # one left ideal span per (factor module, signs): 6, not one per claim (36)
-    calls = {"_left_ideal_span": [], "_corr_basis": []}
-    for name, seen in calls.items():
-        def counted(*args, _f=getattr(modrep, name), _seen=seen):
-            _seen.append(args)
-            return _f(*args)
+    # one row space per (factor module, signs): 6, not one per claim (36),
+    # and one correction reducer per modulus
+    spans, built = [], []
+    row_space, memo = modrep._row_space, LoopModule.memo
 
-        monkeypatch.setattr(modrep, name, counted)
+    def counted_rows(*args):
+        spans.append(args)
+        return row_space(*args)
+
+    def recorded_memo(self, key, build):
+        def recorded():
+            built.append(key)
+            return build()
+
+        return memo(self, key, recorded)
+
+    monkeypatch.setattr(modrep, "_row_space", counted_rows)
+    monkeypatch.setattr(LoopModule, "memo", recorded_memo)
     for M, N in ((2, 1), (1, 2)):
-        for seen in calls.values():
-            seen.clear()
+        spans.clear()
+        built.clear()
         assert cli.run(cli.RunConfig(suite="coproduct-check", M=M, N=N))["passed"]
-        spans = calls["_left_ideal_span"]
         assert len(spans) == len(set(spans)) == 6
-        assert len(calls["_corr_basis"]) == 4  # one per modulus
+        assert sum(1 for key in built if key[0] == "correction") == 4  # one per modulus
 
 
 def test_relation_suite_builds_each_bracket_once(monkeypatch):
@@ -814,4 +960,4 @@ def test_relation_suite_builds_each_bracket_once(monkeypatch):
     assert len(filtered) == 10
     memos.clear()
     assert cli.run(cli.RunConfig(suite="coproduct-check", M=2, N=1))["passed"]
-    assert {"algebra", "ideal", "correction"} <= {k[0] for memo in memos for k in memo}
+    assert {"algebra", "rows", "correction"} <= {k[0] for memo in memos for k in memo}
